@@ -65,5 +65,13 @@ class MaskedFlagMismatchError(SpinletsError):
     """Estimator received coefficients with the wrong masked flag."""
 
 
+class InvalidMaskFileError(SpinletsError):
+    """A mask file line is not a pixel index of its grid; names file and line."""
+
+
+class SelfCheckError(SpinletsError):
+    """A numerical self-check failed (non-real cross power, Hausman identity)."""
+
+
 class InvalidConfigError(SpinletsError):
     """Config file or CLI flag failed validation; message names the field."""

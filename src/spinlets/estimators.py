@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import (EmptyObservedRegionError, InvalidChannelCountError,
                      MaskedFlagMismatchError, MissingNoiseModelError,
-                     NonpositiveVarianceError, TooFewBlocksError)
+                     NonpositiveVarianceError, SelfCheckError,
+                     TooFewBlocksError)
 from .fields import PowerSpectrumModel, cl_profile
 from .grid import CubatureGrid, RegionPair, SkyMask
 from .transform import NeedletCoefficients
@@ -125,8 +126,11 @@ def block_labels(grid: CubatureGrid, observed: np.ndarray,
     theta-major), sectors are equal phi intervals; undersized blocks merge
     into their band neighbour.
     """
+    labels = np.full(grid.n_pixels, -1, dtype=np.int64)
     obs_idx = np.flatnonzero(observed)
     n_obs = obs_idx.size
+    if n_obs == 0:
+        return labels
     if n_blocks is None:
         n_blocks = max(8, math.ceil(math.sqrt(n_obs) / 4.0))
     n_lat = max(2, int(round(math.sqrt(n_blocks / 2.0))))
@@ -140,33 +144,30 @@ def block_labels(grid: CubatureGrid, observed: np.ndarray,
                          * n_lon).astype(int), n_lon - 1)
     raw = band * n_lon + sector
 
-    labels = np.full(grid.n_pixels, -1, dtype=np.int64)
-    # merge undersized blocks into the next sector of the same band
-    final = {}
-    next_id = 0
+    # Runt merges act on the n_lat*n_lon cells: dest[c] is the block that
+    # raw cell c's pixels end in, counts[c] the pixels block c holds.
+    counts = np.bincount(raw, minlength=n_lat * n_lon).tolist()
+    dest = np.arange(n_lat * n_lon)
     for b in range(n_lat):
-        ids = [b * n_lon + c for c in range(n_lon)]
-        counts = {i: int(np.sum(raw == i)) for i in ids}
+        ids = range(b * n_lon, (b + 1) * n_lon)
         carry = None
         for i in ids:
             if counts[i] == 0 and carry is None:
                 continue
-            if carry is not None:
-                raw[raw == carry] = i
-                counts[i] += counts.pop(carry)
+            if carry is not None:  # merge the runt into the next sector
+                dest[dest == carry] = i
+                counts[i] += counts[carry]
+                counts[carry] = 0
                 carry = None
             if counts[i] < 16:
                 carry = i
         if carry is not None:  # fold a trailing runt into the previous block
-            others = [i for i in ids if counts.get(i, 0) >= 16]
+            others = [i for i in ids if counts[i] >= 16]
             if others:
-                raw[raw == carry] = others[-1]
-        for i in ids:
-            if counts.get(i, 0) >= 16 and np.any(raw == i):
-                final[i] = next_id
-                next_id += 1
-    mapped = np.array([final.get(r, -1) for r in raw])
-    labels[obs_idx] = mapped
+                dest[dest == carry] = others[-1]
+    kept = np.array(counts) >= 16
+    final = np.where(kept, np.cumsum(kept) - 1, -1)
+    labels[obs_idx] = final[dest[raw]]
     return labels
 
 
@@ -207,7 +208,7 @@ def subsampling_variance(pixel_values: np.ndarray, grid: CubatureGrid,
     nu = n_b - 1
     if nu > 2:
         var *= nu / (nu - 2.0)
-    return var
+    return float(var)
 
 
 def _weighted_estimate(pixel_values: np.ndarray, grid: CubatureGrid,
@@ -353,7 +354,7 @@ def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateRep
     acc /= d * (d - 1)
     total = complex(math.fsum(acc.real.tolist()), math.fsum(acc.imag.tolist()))
     if abs(total.imag) > 1e-10 * max(abs(total.real), 1e-300):
-        raise RuntimeError(f"cross-power came out non-real: {total!r}")
+        raise SelfCheckError(f"cross-power came out non-real: {total!r}")
     x = acc.real
     value = total.real
     grid, window = first.grid, first.window
@@ -398,7 +399,7 @@ def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
         scale = max(abs(ap.value), abs(cp.value), abs(identity), 1e-300)
         residual = abs(value - identity) / scale
         if residual > 1e-10:
-            raise RuntimeError(
+            raise SelfCheckError(
                 f"hausman identity violated: relative residual {residual:.3e}")
         meta["identity_residual"] = residual
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (EmptyObservedRegionError, EmptyRegionError,
-                     InvalidBandwidthError, ResourceLimitError)
+                     InvalidBandwidthError, InvalidMaskFileError,
+                     ResourceLimitError)
 from .wigner import SphPoint
 
 _DOT_CHUNK = 1 << 22  # elements per distance-matrix block
@@ -239,12 +240,14 @@ def write_mask(path, mask: SkyMask) -> None:
 
 def read_mask(path, epsilon: float = 0.0, grid: CubatureGrid | None = None) -> SkyMask:
     """Read a mask file; rebuilds the level grid from the header unless given."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
+    lines = [(n, line.strip()) for n, line
+             in enumerate(Path(path).read_text().splitlines(), start=1)
+             if line.strip()]
+    if not lines:
         raise ValueError(f"{path}: empty mask file")
-    m = re.fullmatch(r"mask v1 j=(\d+) B=([0-9.eE+-]+) npix=(\d+)", text[0].strip())
+    m = re.fullmatch(r"mask v1 j=(\d+) B=([0-9.eE+-]+) npix=(\d+)", lines[0][1])
     if m is None:
-        raise ValueError(f"{path}: bad mask header {text[0]!r}")
+        raise ValueError(f"{path}: bad mask header {lines[0][1]!r}")
     j, B, npix = int(m.group(1)), float(m.group(2)), int(m.group(3))
     if grid is None:
         grid = build_cubature(j, B)
@@ -252,8 +255,14 @@ def read_mask(path, epsilon: float = 0.0, grid: CubatureGrid | None = None) -> S
         raise ValueError(f"{path}: header does not match grid "
                          f"(j={j}, npix={npix} vs grid j={grid.j}, {grid.n_pixels})")
     excluded = np.zeros(npix, dtype=bool)
-    for line in text[1:]:
-        line = line.strip()
-        if line:
-            excluded[int(line)] = True
+    for lineno, line in lines[1:]:
+        try:
+            k = int(line)
+        except ValueError:
+            raise InvalidMaskFileError(
+                f"{path}:{lineno}: {line!r} is not a pixel index") from None
+        if not 0 <= k < npix:
+            raise InvalidMaskFileError(
+                f"{path}:{lineno}: pixel index {k} outside 0..{npix - 1}")
+        excluded[k] = True
     return SkyMask(grid=grid, excluded=excluded, epsilon=epsilon)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -327,7 +328,10 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
                         f"first: r={failures[0][0]}: {failures[0][1]}") from exc
     else:
         _PlanContext(plan)  # warm shared caches before forking
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+        # fork, not the platform default, so workers inherit the warm caches
+        with ProcessPoolExecutor(max_workers=threads,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
                                  initargs=(plan,)) as pool:
             for r, rows, err in pool.map(_worker_run, range(plan.replicates),
                                          chunksize=max(1, plan.replicates // (4 * threads))):

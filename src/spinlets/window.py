@@ -81,6 +81,10 @@ class NeedletWindow:
     smoothness_order: int
     samples_x: np.ndarray = field(repr=False)
     samples_b: np.ndarray = field(repr=False)
+    # (j, s) -> (support range, b over the support); filled by _level.  Both
+    # depend only on (B, j, s), so a window owns them for its lifetime.
+    _levels: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def _phi(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -146,9 +150,27 @@ def window_support(window: NeedletWindow, j: int, s: int) -> range:
     The analytic support is trimmed of edge degrees whose window value falls
     below double-precision resolution of the plateau (b there is ~e^-200);
     every downstream sum weights by b, so those degrees contribute exactly 0.
+    Computed once per (j, s) and kept by the window.
     """
     if j < 0:
         raise ValueError("level j must be >= 0")
+    return _level(window, j, s)[0]
+
+
+def _level(window: NeedletWindow, j: int, s: int) -> tuple:
+    """(support, b(sqrt(e_ls)/B^j) over the support), memoized on the window."""
+    j, s = int(j), int(s)
+    level = window._levels.get((j, s))
+    if level is None:
+        support = _support(window, j, s)
+        ells = np.arange(support.start, support.stop, dtype=np.int64)
+        e = (ells - s) * (ells + s + 1)  # > 0 on the support
+        profile = window.b(np.sqrt(e.astype(np.float64)) / window.B ** j)
+        level = window._levels[(j, s)] = (support, profile)
+    return level
+
+
+def _support(window: NeedletWindow, j: int, s: int) -> range:
     B = window.B
     ss = s * (s + 1)
     t_lo = B ** (2 * (j - 1)) + ss
@@ -179,10 +201,15 @@ def window_support(window: NeedletWindow, j: int, s: int) -> range:
 
 
 def band_profile(window: NeedletWindow, j: int, s: int, ells) -> np.ndarray:
-    """b(sqrt(e_ls)/B^j) for an array of degrees (0 below l = |s|)."""
+    """b(sqrt(e_ls)/B^j) for an array of degrees (0 outside the support).
+
+    Reads the window's per-(j, s) profile; degrees below |s| or outside
+    window_support are exactly 0, as b is there.
+    """
     ells = np.asarray(ells, dtype=np.int64)
-    e = (ells - s) * (ells + s + 1)
+    support, profile = _level(window, j, s)
     vals = np.zeros(ells.shape, dtype=np.float64)
-    ok = ells >= abs(s)
-    vals[ok] = window.b(np.sqrt(e[ok].astype(np.float64)) / window.B ** j)
+    inside = (ells >= support.start) & (ells < support.stop)
+    vals[inside] = profile[ells[inside] - support.start]
     return vals
+

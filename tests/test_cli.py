@@ -97,6 +97,22 @@ def test_transform_missing_mask_clean_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_transform_bad_mask_index_clean_error(tmp_path, capsys):
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "5",
+         "--out", str(alm_path)])
+    mask_path = tmp_path / "bad.mask"
+    for entry in ("999", "-3"):
+        mask_path.write_text(f"mask v1 j=2 B=2.0 npix=153\n{entry}\n")
+        code = run(["transform", "--alm", str(alm_path), "--levels", "2",
+                    "--mask", str(mask_path),
+                    "--out-dir", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{mask_path}:2: pixel index {entry}" in err
+        assert "Traceback" not in err
+
+
 def test_estimate_kind_flag_contract(tmp_path, capsys):
     alm_path = tmp_path / "sig.salm"
     run(["simulate", "--spin", "2", "--lmax", "31", "--seed", "2",

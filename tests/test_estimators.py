@@ -14,12 +14,15 @@ from spinlets import (build_cubature, build_window, draw_alm, estimate_ap,
                       subsampling_variance)
 from spinlets.errors import (EmptyRegionError, InvalidChannelCountError,
                              MaskedFlagMismatchError, MissingNoiseModelError,
-                             NonpositiveVarianceError, TooFewBlocksError)
-from spinlets.estimators import PAPER_KIND, estimate_hausman
+                             NonpositiveVarianceError, SelfCheckError,
+                             TooFewBlocksError)
+from spinlets.estimators import PAPER_KIND, block_labels, estimate_hausman
 from spinlets.fields import PowerSpectrumModel
-from spinlets.grid import empty_mask
+from spinlets.grid import empty_mask, polar_cap_mask
 from spinlets.transform import synthesize_on_grid
 from spinlets.window import band_profile, window_support
+
+from oracles import block_labels_loop
 
 B, S = 2.0, 2
 
@@ -188,6 +191,89 @@ def test_subsampling_too_few_blocks(win):
         subsampling_variance(np.ones(grid.n_pixels), grid)
 
 
+def _assert_labels_match_loop(grid, observed, n_blocks=None):
+    labels = block_labels(grid, observed, n_blocks)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, block_labels_loop(grid, observed, n_blocks))
+    return labels
+
+
+def test_block_labels_match_loop_on_plan_selections():
+    for j in range(3, 8):
+        grid = build_cubature(j, B)
+        _assert_labels_match_loop(grid, np.ones(grid.n_pixels, dtype=bool))
+    for j in (4, 5):
+        grid = build_cubature(j, B)
+        eps = 3.0 * B ** (-j)
+        _assert_labels_match_loop(grid, polar_cap_mask(grid, 0.10, eps).observed)
+        regions = hemispheres(grid, epsilon=eps)
+        for which in (1, 2):
+            _assert_labels_match_loop(grid, regions.interior(which))
+    grid = build_cubature(4, B)
+    for n_blocks in (1, 8, 30, 97, 400):
+        _assert_labels_match_loop(grid, np.ones(grid.n_pixels, dtype=bool),
+                                  n_blocks)
+
+
+def _runt_branches(grid, observed, n_blocks):
+    """Which merge rules block_labels applies: its cells, then its carry walk."""
+    idx = np.flatnonzero(observed)
+    n_lat = max(2, int(round(math.sqrt(n_blocks / 2.0))))
+    n_lon = max(2, math.ceil(n_blocks / n_lat))
+    w = grid.weights[idx]
+    cum = np.cumsum(w) - 0.5 * w
+    band = np.minimum((cum / cum[-1] * n_lat).astype(int), n_lat - 1)
+    sector = np.minimum((grid.phi_pixels[idx] / (2.0 * math.pi)
+                         * n_lon).astype(int), n_lon - 1)
+    cells = np.bincount(band * n_lon + sector, minlength=n_lat * n_lon)
+    hit = set()
+    for row in cells.reshape(n_lat, n_lon).tolist():
+        if 0 in row:
+            hit.add("empty sector")
+        carry = None
+        for i, count in enumerate(row):
+            if count == 0 and carry is None:
+                continue
+            if carry is not None:
+                hit.add("interior runt")
+                row[i] += row[carry]
+                row[carry] = 0
+                carry = None
+            if row[i] < 16:
+                carry = i
+        if carry is not None:
+            hit.add("trailing runt folded" if max(row) >= 16
+                    else "trailing runt kept")
+    return hit
+
+
+def test_block_labels_match_loop_on_random_holes():
+    grid = build_cubature(4, B)
+    wedge = np.minimum((grid.phi_pixels / (2.0 * math.pi) * 24).astype(int), 23)
+    hit = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n_blocks = int(rng.integers(16, 60))
+        density = rng.choice([0.0, 0.05, 0.2, 1.0], size=24,
+                             p=[0.2, 0.3, 0.2, 0.3]) * rng.choice([1.0, 0.1])
+        observed = rng.random(grid.n_pixels) < density[wedge]
+        labels = _assert_labels_match_loop(grid, observed, n_blocks)
+        branches = _runt_branches(grid, observed, n_blocks)
+        # pixels stay unlabelled only in a runt no block of its band can take
+        assert ("trailing runt kept" in branches) == \
+            bool(np.any(labels[observed] < 0))
+        hit |= branches
+    assert hit == {"empty sector", "interior runt", "trailing runt folded",
+                   "trailing runt kept"}
+
+
+def test_block_labels_empty_selection(grid4):
+    none = np.zeros(grid4.n_pixels, dtype=bool)
+    assert np.all(block_labels(grid4, none) == -1)
+    with pytest.raises(TooFewBlocksError):
+        subsampling_variance(np.ones(grid4.n_pixels), grid4, observed=none)
+
+
 def test_asymmetry_regions_and_errors(win, grid4):
     model = power_law(3.0, l_min=2)
     coeffs = _coeffs(win, grid4, 4, 5)
@@ -318,6 +404,16 @@ def test_hausman_requires_positive_variance(win, grid4):
     cp = estimate_cp(coeffs, model)
     with pytest.raises(NonpositiveVarianceError):
         hausman_statistic(ap, cp, 0.0)
+
+
+def test_hausman_identity_violation_raises(win, grid4):
+    model, noise, coeffs = _channel_setup(win, grid4, 4, 17)
+    ap = estimate_ap(coeffs, noise, model)
+    cp = estimate_cp(coeffs, model)
+    assert hausman_statistic(ap, cp, 1.0).meta["identity_residual"] < 1e-10
+    ap.noise_bias = ap.noise_bias * (1.0 + 1e-6)
+    with pytest.raises(SelfCheckError, match="hausman identity violated"):
+        hausman_statistic(ap, cp, 1.0)
 
 
 def test_report_serialization(win, grid4):

@@ -8,7 +8,8 @@ import pytest
 from spinlets import (SphPoint, build_cubature, dilate_mask, geodesic_distance,
                       hemispheres)
 from spinlets.errors import (EmptyObservedRegionError, EmptyRegionError,
-                             InvalidBandwidthError, ResourceLimitError)
+                             InvalidBandwidthError, InvalidMaskFileError,
+                             ResourceLimitError)
 from spinlets.grid import (RegionPair, SkyMask, empty_mask, polar_cap_mask,
                            read_mask, write_mask)
 from spinlets.wigner import iter_d_slices
@@ -161,6 +162,22 @@ def test_mask_io_roundtrip(tmp_path, grid5):
     back = read_mask(path, epsilon=0.05)
     assert np.array_equal(back.excluded, mask.excluded)
     assert np.array_equal(back.dilated, mask.dilated)
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ("-3", "outside 0..152"),          # would wrap to pixel 150
+    ("153", "outside 0..152"),         # first index past the grid
+    ("999", "outside 0..152"),
+    ("7.5", "is not a pixel index"),
+    ("pole", "is not a pixel index"),
+])
+def test_read_mask_rejects_bad_pixel_index(tmp_path, entry, reason):
+    path = tmp_path / "bad.mask"
+    path.write_text(f"mask v1 j=2 B=2.0 npix=153\n4\n\n{entry}\n")
+    with pytest.raises(InvalidMaskFileError) as err:
+        read_mask(path)
+    assert f"{path}:4:" in str(err.value)
+    assert reason in str(err.value)
 
 
 def test_empty_mask_observes_everything(grid5):

@@ -87,6 +87,21 @@ def test_rows_schema_and_order():
     assert len(lines) == 1 + len(rows)
 
 
+def test_raw_table_fields_are_plain_numbers():
+    plan = ExperimentPlan(B=2.0, s=2, j_list=(4,), alpha=3.0, replicates=4,
+                          base_seed=3, channels=3, noise_level=1.0,
+                          kinds=("masked", "ap", "cp", "hausman", "asymmetry"),
+                          mask_fraction=0.1, regions="hemispheres")
+    _, rows = run_experiment(plan)
+    lines = rows_to_csv(rows).strip().splitlines()[1:]
+    assert len(lines) == 4 * 5
+    for line in lines:
+        r, j, kind, *numbers = line.split(",")
+        int(r), int(j)
+        assert kind in plan.kinds
+        assert all(math.isfinite(float(x)) for x in numbers), line
+
+
 def test_reproducible_and_thread_count_invariant():
     _, rows1 = run_experiment(SMALL, threads=1)
     _, rows2 = run_experiment(SMALL, threads=2)

@@ -84,6 +84,50 @@ def test_support_matches_bruteforce_scan(win):
                 assert nonzero.size == len(sup)  # contiguous, no interior zeros
 
 
+def _fresh_profile(window, j, s, ells):
+    """b(sqrt(e_ls)/B^j) straight from the window function, 0 below |s|."""
+    vals = np.zeros(ells.shape)
+    ok = ells >= abs(s)
+    e = (ells[ok] - s) * (ells[ok] + s + 1)
+    vals[ok] = window.b(np.sqrt(e.astype(np.float64)) / window.B ** j)
+    return vals
+
+
+def test_memoized_support_and_profile_match_fresh_evaluation():
+    for B in (1.5, 2.0, 3.0):
+        for j in range(0, 9):
+            for s in (0, 1, 2, 3, -2):
+                ells = np.arange(0, int(B ** (j + 1)) + abs(s) + 12)
+                want = _fresh_profile(build_window(B), j, s, ells)
+                nonzero = np.flatnonzero(want)
+                want_sup = range(ells[nonzero[0]], ells[nonzero[-1]] + 1) \
+                    if nonzero.size else range(0)
+                # fill the memo from either entry point; later calls read it
+                for profile_first in (False, True):
+                    win = build_window(B)
+                    if profile_first:
+                        band_profile(win, j, s, ells)
+                    for _ in range(2):
+                        assert window_support(win, j, s) == want_sup
+                        got = band_profile(win, j, s, ells)
+                        assert got.tobytes() == want.tobytes()
+                        assert band_profile(win, j, s, ells[::-1]).tobytes() \
+                            == want[::-1].tobytes()
+
+
+def test_windows_do_not_share_a_memo():
+    wide, narrow = build_window(3.0), build_window(1.5)
+    ells = np.arange(40)
+    for win in (wide, narrow):
+        window_support(win, 3, 2)
+    assert wide._levels is not narrow._levels
+    assert window_support(narrow, 3, 2) != window_support(wide, 3, 2)
+    for win in (wide, narrow):
+        assert band_profile(win, 3, 2, ells).tobytes() == \
+            _fresh_profile(build_window(win.B), 3, 2, ells).tobytes()
+    assert "_levels" not in repr(wide)
+
+
 def test_support_empty_for_large_spin_small_level(win):
     # lowest eigenvalue already above the top of the band
     sup = window_support(win, 0, 25)
