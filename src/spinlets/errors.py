@@ -66,7 +66,13 @@ class MaskedFlagMismatchError(SpinletsError):
 
 
 class InvalidMaskFileError(SpinletsError):
-    """A mask file line is not a pixel index of its grid; names file and line."""
+    """A mask file is empty, its header is malformed or does not match the
+    grid, or a line is not a pixel index of its grid; names file and field."""
+
+
+class InvalidAlmFileError(SpinletsError):
+    """A SALM file has a bad magic, version, band limit or payload size;
+    names the file and the field."""
 
 
 class SelfCheckError(SpinletsError):

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidChannelCountError, InvalidDegreeError
+from .errors import InvalidAlmFileError, InvalidChannelCountError, InvalidDegreeError
 from .wigner import iter_d_slices
 
 
@@ -275,16 +275,25 @@ def _packed_indices(L):
 
 
 def read_alm(path) -> SpinAlm:
+    """Read a SALM v1 file (see write_alm); a malformed one raises
+    InvalidAlmFileError naming the file and the field."""
     raw = Path(path).read_bytes()
     if raw[:4] != _SALM_MAGIC:
-        raise ValueError(f"{path}: not a SALM file")
+        raise InvalidAlmFileError(
+            f"{path}: magic {raw[:4]!r} is not {_SALM_MAGIC!r}")
+    if len(raw) < 16:
+        raise InvalidAlmFileError(
+            f"{path}: header has {len(raw)} bytes, SALM v1 needs 16")
     version, s, L = struct.unpack("<Iii", raw[4:16])
     if version != 1:
-        raise ValueError(f"{path}: unsupported SALM version {version}")
+        raise InvalidAlmFileError(f"{path}: version {version} is not 1")
+    if L < 0:
+        raise InvalidAlmFileError(f"{path}: band limit L={L} is negative")
     n = (L + 1) * (L + 2) // 2
+    if len(raw) - 16 != 4 * n * 8:
+        raise InvalidAlmFileError(
+            f"{path}: payload has {len(raw) - 16} bytes, L={L} needs {4 * n * 8}")
     data = np.frombuffer(raw[16:], dtype="<f8")
-    if data.size != 4 * n:
-        raise ValueError(f"{path}: truncated SALM payload")
     idx_l, idx_m = _packed_indices(L)
     alm = SpinAlm.zeros(s, L)
     for offset, arr in ((0, alm.alm_e), (2 * n, alm.alm_b)):

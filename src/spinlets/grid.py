@@ -244,16 +244,28 @@ def read_mask(path, epsilon: float = 0.0, grid: CubatureGrid | None = None) -> S
              in enumerate(Path(path).read_text().splitlines(), start=1)
              if line.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty mask file")
-    m = re.fullmatch(r"mask v1 j=(\d+) B=([0-9.eE+-]+) npix=(\d+)", lines[0][1])
+        raise InvalidMaskFileError(f"{path}: empty mask file, no header")
+    lineno, header = lines[0]
+    m = re.fullmatch(r"mask v1 j=(\d+) B=([0-9.eE+-]+) npix=(\d+)", header)
     if m is None:
-        raise ValueError(f"{path}: bad mask header {lines[0][1]!r}")
-    j, B, npix = int(m.group(1)), float(m.group(2)), int(m.group(3))
+        raise InvalidMaskFileError(
+            f"{path}:{lineno}: header {header!r} is not "
+            f"'mask v1 j=<level> B=<bandwidth> npix=<pixels>'")
+    try:
+        B = float(m.group(2))
+    except ValueError:
+        raise InvalidMaskFileError(
+            f"{path}:{lineno}: header field B={m.group(2)!r} is not a number") from None
+    j, npix = int(m.group(1)), int(m.group(3))
     if grid is None:
         grid = build_cubature(j, B)
-    if grid.n_pixels != npix or grid.j != j:
-        raise ValueError(f"{path}: header does not match grid "
-                         f"(j={j}, npix={npix} vs grid j={grid.j}, {grid.n_pixels})")
+    if grid.j != j:
+        raise InvalidMaskFileError(
+            f"{path}:{lineno}: header field j={j} does not match grid level {grid.j}")
+    if grid.n_pixels != npix:
+        raise InvalidMaskFileError(
+            f"{path}:{lineno}: header field npix={npix} does not match the "
+            f"{grid.n_pixels} pixels of the level-{grid.j} grid")
     excluded = np.zeros(npix, dtype=bool)
     for lineno, line in lines[1:]:
         try:

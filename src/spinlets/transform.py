@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BandLimitExceededError, CoverageGapError
 from .fields import SpinAlm, cl_profile
 from .grid import CubatureGrid, SkyMask, build_cubature
-from .wigner import SphPoint, d_table, kernel_K
+from .wigner import SphPoint, d_table, kernel_sum
 from .window import NeedletWindow, band_profile, window_support
 
 
@@ -52,19 +52,21 @@ class NeedletCoefficients:
 def _harmonic_tables(j: int, B: float, s: int, L: int):
     """Per-(grid, spin, degree) tables for the factorized grid transforms.
 
-    Returns (Tm, norms, signs, bins) with Tm[m + L, l, i] = d^l_{-m,s}(theta_i)
-    on the level-j rings, norms[l] = sqrt((2l+1)/4pi), signs[m+L] = (-1)^m,
-    and bins[m + L] the FFT bin of order m.
+    Returns (D, norms, signs, bins) with D the order-major d_table of the
+    level-j rings, D[mu + L, l, i] = d^l_{mu,s}(theta_i), norms[l] =
+    sqrt((2l+1)/4pi), signs[mu + L] = (-1)^mu and bins[mu + L] the FFT bin of
+    order m = -mu (Y_lms carries d^l_{-m,s}).  The transforms read each
+    contiguous (L+1, n_theta) block D[mu + L] in place; only their small
+    coefficient arrays are reversed between m and mu.
     """
     grid = build_cubature(j, B)
-    table = d_table(L, s, grid.theta)  # [l, mu + L, i], mu row index of d
-    Tm = np.ascontiguousarray(table.transpose(1, 0, 2)[::-1])  # mu -> -m
+    D = d_table(L, s, grid.theta)
     ells = np.arange(L + 1)
     norms = np.sqrt((2 * ells + 1) / (4.0 * math.pi))
-    m_all = np.arange(-L, L + 1)
-    signs = np.where(m_all % 2 == 0, 1.0, -1.0)
-    bins = np.mod(m_all, grid.n_phi)
-    return Tm, norms, signs, bins
+    mu = np.arange(-L, L + 1)
+    signs = np.where(mu % 2 == 0, 1.0, -1.0)
+    bins = np.mod(-mu, grid.n_phi)
+    return D, norms, signs, bins
 
 
 def _check_phi_resolution(grid: CubatureGrid, L: int):
@@ -81,10 +83,10 @@ def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> n
     """
     L = coeffs_full.shape[0] - 1
     _check_phi_resolution(grid, L)
-    Tm, norms, signs, bins = _harmonic_tables(grid.j, grid.B, s, L)
-    A = coeffs_full.T * signs[:, None] * norms[None, :]
-    g_re = np.matmul(A.real[:, None, :], Tm)[:, 0, :]
-    g_im = np.matmul(A.imag[:, None, :], Tm)[:, 0, :]
+    D, norms, signs, bins = _harmonic_tables(grid.j, grid.B, s, L)
+    A = coeffs_full.T[::-1] * signs[:, None] * norms[None, :]  # [mu + L, l]
+    g_re = np.matmul(A.real[:, None, :], D)[:, 0, :]
+    g_im = np.matmul(A.imag[:, None, :], D)[:, 0, :]
     buf = np.zeros((grid.n_phi, grid.n_theta), dtype=np.complex128)
     buf[bins] = g_re + 1j * g_im
     f = np.fft.ifft(buf, axis=0) * grid.n_phi
@@ -99,15 +101,15 @@ def analyze_on_grid(map_values: np.ndarray, grid: CubatureGrid, s: int, L: int,
     frame adjoint.  Returns the full-order array [l, m + L].
     """
     _check_phi_resolution(grid, L)
-    Tm, norms, signs, bins = _harmonic_tables(grid.j, grid.B, s, L)
+    D, norms, signs, bins = _harmonic_tables(grid.j, grid.B, s, L)
     w = grid.ring_weights if ring_weights is None else ring_weights
     f = map_values.reshape(grid.n_theta, grid.n_phi)
     F = np.fft.fft(f, axis=1)
-    Fm = F[:, bins].T * w[None, :]
-    inner_re = np.matmul(Tm, Fm.real[:, :, None])[:, :, 0]
-    inner_im = np.matmul(Tm, Fm.imag[:, :, None])[:, :, 0]
+    Fm = F[:, bins].T * w[None, :]  # [mu + L, i]
+    inner_re = np.matmul(D, Fm.real[:, :, None])[:, :, 0]
+    inner_im = np.matmul(D, Fm.imag[:, :, None])[:, :, 0]
     inner = inner_re + 1j * inner_im
-    return (inner * signs[:, None] * norms[None, :]).T
+    return (inner * signs[:, None] * norms[None, :]).T[:, ::-1]
 
 
 def _support_or_raise(window: NeedletWindow, grid: CubatureGrid, j: int, s: int) -> range:
@@ -180,12 +182,8 @@ def needlet_kernel(window: NeedletWindow, grid: CubatureGrid, j: int, k: int,
     """psi_{jk;s}(p) = sqrt(lambda_jk) sum_l b(sqrt(e_ls)/B^j) K^ls(p, xi_jk)."""
     support = _support_or_raise(window, grid, j, s)
     xi = grid.point(k)
-    total = 0.0 + 0.0j
-    if len(support):
-        b = band_profile(window, j, s, np.asarray(support))
-        for bl, l in zip(b, support):
-            if bl != 0.0:
-                total += bl * kernel_K(l, s, p, xi)
+    b = band_profile(window, j, s, np.asarray(support))
+    total = kernel_sum(s, p, xi, support, b)
     lam = grid.weights[k]
     return complex(math.sqrt(lam) * total)
 
@@ -264,11 +262,7 @@ def theoretical_cov(window: NeedletWindow, grid: CubatureGrid, model,
     cl = cl_profile(model, ells)
     if k == k2:
         return complex(lam_k * np.sum(b2 * cl * (2 * ells + 1)) / (4.0 * math.pi))
-    p, q = grid.point(k), grid.point(k2)
-    total = 0.0 + 0.0j
-    for w, l in zip(b2 * cl, support):
-        if w != 0.0:
-            total += w * kernel_K(l, s, p, q)
+    total = kernel_sum(s, grid.point(k), grid.point(k2), support, b2 * cl)
     return complex(math.sqrt(lam_k * lam_k2) * total)
 
 

@@ -143,9 +143,10 @@ def iter_d_slices(L: int, n: int, theta):
     """Yield (l, d) for l = |n| .. L, d of shape (2l+1, ntheta): d^l_{m,n}(theta).
 
     One upward sweep of the degree recursion, vectorized over the row index m
-    and over the colatitudes; no per-m restarts.  theta values must lie
-    strictly inside (0, pi) (endpoints are handled by callers via the exact
-    Kronecker/parity forms).
+    and over the colatitudes; no per-m restarts.  Each degree gets a fresh
+    array of its own 2l+1 rows, so yielded slices stay valid after the sweep
+    moves on.  theta values must lie strictly inside (0, pi) (endpoints are
+    handled by callers via the exact Kronecker/parity forms).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if theta.size and (theta.min() <= 0.0 or theta.max() >= math.pi):
@@ -156,14 +157,9 @@ def iter_d_slices(L: int, n: int, theta):
     nth = theta.size
     l0 = abs(n)
 
-    cur = np.zeros((2 * L + 1, nth))
-    prev = np.zeros_like(cur)
-    m_all = np.arange(-L, L + 1)
-
     # seed row of the sweep: l = |n|, all |m| <= |n|
-    sl0 = slice(L - l0, L + l0 + 1)
     if l0 > 0:
-        mcol = m_all[sl0]
+        mcol = np.arange(-l0, l0 + 1)
         if n >= 0:
             logmag = (0.5 * (gammaln(2 * l0 + 1) - gammaln(l0 + mcol + 1)
                              - gammaln(l0 - mcol + 1))[:, None]
@@ -174,31 +170,56 @@ def iter_d_slices(L: int, n: int, theta):
                              - gammaln(l0 + mcol + 1))[:, None]
                       + np.outer(l0 - mcol, lc) + np.outer(l0 + mcol, ls))
             sign = np.where((mcol + l0) % 2 == 0, 1.0, -1.0)
-        cur[sl0] = sign[:, None] * np.exp(logmag)
+        cur = sign[:, None] * np.exp(logmag)
     else:
-        cur[L] = 1.0
-    yield l0, cur[sl0]
+        cur = np.ones((1, nth))
+    prev = None
+    # the c_prev * prev products of every degree reuse one buffer, so the
+    # sweep allocates only the rows it yields
+    scratch = np.empty((max(2 * L - 1, 0), nth))
+    yield l0, cur
 
     for l in range(l0, L):
-        nxt = np.zeros_like(cur)
-        sl = slice(L - l, L + l + 1)
-        m = m_all[sl]
+        # rows |m| <= l of degree l+1 come from the recursion, the two rows
+        # |m| = l+1 enter with their closed-form boundary values
+        nxt = np.empty((2 * l + 3, nth))
+        inner = nxt[1:-1]
         if l == 0:  # degenerate first step (m = n = 0): Legendre P1 = x
-            nxt[L] = x * cur[L]
+            np.multiply(x, cur[0], out=inner[0])
         else:
+            m = np.arange(-l, l + 1)
             c_next = l * np.sqrt(((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - n * n))
-            c_cur = (2 * l + 1) * (l * (l + 1) * x[None, :] - (m * n)[:, None])
-            c_prev = (l + 1) * np.sqrt(
-                np.maximum((l * l - m * m) * (l * l - n * n), 0))
-            nxt[sl] = (c_cur * cur[sl] - c_prev[:, None] * prev[sl]) / c_next[:, None]
-        # rows |m| = l+1 enter with their closed-form boundary values
+            # inner = c_cur * cur, c_cur = (2l+1) (l(l+1) x - m n), in place
+            np.subtract(l * (l + 1) * x[None, :], (m * n)[:, None], out=inner)
+            inner *= 2 * l + 1
+            inner *= cur
+            if prev is not None:  # prev holds rows |m| <= l-1; c_prev is 0 beyond
+                c_prev = (l + 1) * np.sqrt(
+                    np.maximum((l * l - m * m) * (l * l - n * n), 0))
+                inner[1:-1] -= np.multiply(c_prev[1:-1, None], prev,
+                                           out=scratch[:2 * l - 1])
+            inner /= c_next[:, None]
         logc = 0.5 * _log_binom(2 * (l + 1), l + 1 + n)
-        nxt[L + l + 1] = (-1.0) ** (l + 1 - n) * np.exp(
+        nxt[-1] = (-1.0) ** (l + 1 - n) * np.exp(
             logc + (l + 1 + n) * lc + (l + 1 - n) * ls)
         logc = 0.5 * _log_binom(2 * (l + 1), l + 1 - n)
-        nxt[L - l - 1] = np.exp(logc + (l + 1 - n) * lc + (l + 1 + n) * ls)
+        nxt[0] = np.exp(logc + (l + 1 - n) * lc + (l + 1 + n) * ls)
         prev, cur = cur, nxt
-        yield l + 1, cur[slice(L - l - 1, L + l + 2)]
+        yield l + 1, cur
+
+
+def _point_slices(L: int, n: int, beta: float):
+    """Yield (l, d^l_{m,n}(beta) for m = -l..l) for l = |n| .. L at one colatitude.
+
+    One recursion sweep; beta = 0 and beta = pi take the exact
+    Kronecker/parity forms.
+    """
+    if beta == 0.0 or beta == math.pi:
+        for l in range(abs(n), L + 1):
+            yield l, np.array([_endpoint_d(l, m, n, beta) for m in range(-l, l + 1)])
+        return
+    for l, d in iter_d_slices(L, n, np.array([beta])):
+        yield l, d[:, 0]
 
 
 def wigner_d_slice(l: int, n: int, beta: float) -> WignerDSlice:
@@ -206,25 +227,23 @@ def wigner_d_slice(l: int, n: int, beta: float) -> WignerDSlice:
     _check_indices(l, 0, n)
     if not 0.0 <= beta <= math.pi:
         raise ValueError(f"beta={beta} outside [0, pi]")
-    if beta == 0.0 or beta == math.pi:
-        vals = np.array([_endpoint_d(l, m, n, beta) for m in range(-l, l + 1)])
-        return WignerDSlice(l=l, n=n, beta=beta, values=vals)
-    for ll, d in iter_d_slices(l, n, np.array([beta])):
+    for ll, d in _point_slices(l, n, beta):
         if ll == l:
-            return WignerDSlice(l=l, n=n, beta=beta, values=d[:, 0].copy())
+            return WignerDSlice(l=l, n=n, beta=beta, values=d.copy())
     raise AssertionError("unreachable")
 
 
 def d_table(L: int, n: int, theta) -> np.ndarray:
-    """Dense table t[l, m + L, i] = d^l_{m,n}(theta_i) for l = 0..L.
+    """Order-major table t[mu + L, l, i] = d^l_{mu,n}(theta_i) for l = 0..L.
 
-    Rows with l < |n| or |m| > l are zero.  Used to batch harmonic sums over
-    product grids; see spinlets.transform.
+    Each order's (L+1, ntheta) block is contiguous, the layout the grid
+    transforms of spinlets.transform read.  Entries with l < |n| or
+    l < |mu| are zero.  The degree recursion writes straight into the table.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    table = np.zeros((L + 1, 2 * L + 1, theta.size))
+    table = np.zeros((2 * L + 1, L + 1, theta.size))
     for l, d in iter_d_slices(L, n, theta):
-        table[l, L - l:L + l + 1, :] = d
+        table[L - l:L + l + 1, l, :] = d
     return table
 
 
@@ -249,9 +268,36 @@ def kernel_K(l: int, s: int, p: SphPoint, q: SphPoint) -> complex:
         raise InvalidDegreeError(f"l={l} < |s|={abs(s)}")
     dp = wigner_d_slice(l, s, p.theta).values
     dq = wigner_d_slice(l, s, q.theta).values
+    return _kernel_from_slices(l, dp, dq, p.phi - q.phi)
+
+
+def _kernel_from_slices(l, dp, dq, dphi) -> complex:
     m = np.arange(-l, l + 1)
     # (-1)^m phases cancel between Y(p) and conj(Y(q)); mu = -m reindexes the
     # slice arrays, which run over the row index of d^l_{., s}.
-    phase = np.exp(1j * m * (p.phi - q.phi))
+    phase = np.exp(1j * m * dphi)
     norm = (2 * l + 1) / (4.0 * math.pi)
     return complex(norm * np.sum(phase * dp[::-1] * dq[::-1]))
+
+
+def kernel_sum(s: int, p: SphPoint, q: SphPoint, degrees, weights) -> complex:
+    """sum_l w_l K^ls(p, q) over ascending degrees l >= |s|; w_l = 0 is skipped.
+
+    The same terms, added in the same order, as calling kernel_K per degree,
+    but from one recursion sweep per distinct colatitude instead of a fresh
+    sweep per degree and point: O(L^2) instead of O(L^3).
+    """
+    terms = {int(l): w for l, w in zip(degrees, weights) if w != 0.0}
+    total = 0.0 + 0.0j
+    if not terms:
+        return total
+    if min(terms) < abs(s):
+        raise InvalidDegreeError(f"l={min(terms)} < |s|={abs(s)}")
+    dphi = p.phi - q.phi
+    sweep_p = _point_slices(max(terms), s, p.theta)
+    sweep_q = None if q.theta == p.theta else _point_slices(max(terms), s, q.theta)
+    for l, dp in sweep_p:
+        dq = dp if sweep_q is None else next(sweep_q)[1]
+        if l in terms:
+            total += terms[l] * _kernel_from_slices(l, dp, dq, dphi)
+    return total

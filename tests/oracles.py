@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import sph_harm_y
+from scipy.special import gammaln, sph_harm_y
 
 
 def wigner_d_factorial(l, m, n, beta):
@@ -116,3 +116,99 @@ def block_labels_loop(grid, observed, n_blocks=None):
     mapped = np.array([final.get(r, -1) for r in raw])
     labels[obs_idx] = mapped
     return labels
+
+
+# The degree-major Wigner engine as it stood before the order-major table:
+# every degree fills a zeroed (2L+1)-row buffer and d_table holds
+# [l, mu + L, i].  Kept verbatim (apart from the names) as the bit-for-bit
+# reference for spinlets.wigner.iter_d_slices and spinlets.wigner.d_table.
+
+def _log_binom(a, b):
+    return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
+
+
+def iter_d_slices_buffered(L: int, n: int, theta):
+    """Yield (l, d) for l = |n| .. L, d of shape (2l+1, ntheta): d^l_{m,n}(theta).
+
+    One upward sweep of the degree recursion, vectorized over the row index m
+    and over the colatitudes; no per-m restarts.  theta values must lie
+    strictly inside (0, pi) (endpoints are handled by callers via the exact
+    Kronecker/parity forms).
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    if theta.size and (theta.min() <= 0.0 or theta.max() >= math.pi):
+        raise ValueError("iter_d_slices needs theta strictly inside (0, pi)")
+    x = np.cos(theta)
+    lc = np.log(np.cos(0.5 * theta))
+    ls = np.log(np.sin(0.5 * theta))
+    nth = theta.size
+    l0 = abs(n)
+
+    cur = np.zeros((2 * L + 1, nth))
+    prev = np.zeros_like(cur)
+    m_all = np.arange(-L, L + 1)
+
+    # seed row of the sweep: l = |n|, all |m| <= |n|
+    sl0 = slice(L - l0, L + l0 + 1)
+    if l0 > 0:
+        mcol = m_all[sl0]
+        if n >= 0:
+            logmag = (0.5 * (gammaln(2 * l0 + 1) - gammaln(l0 + mcol + 1)
+                             - gammaln(l0 - mcol + 1))[:, None]
+                      + np.outer(l0 + mcol, lc) + np.outer(l0 - mcol, ls))
+            sign = np.ones(mcol.size)
+        else:
+            logmag = (0.5 * (gammaln(2 * l0 + 1) - gammaln(l0 - mcol + 1)
+                             - gammaln(l0 + mcol + 1))[:, None]
+                      + np.outer(l0 - mcol, lc) + np.outer(l0 + mcol, ls))
+            sign = np.where((mcol + l0) % 2 == 0, 1.0, -1.0)
+        cur[sl0] = sign[:, None] * np.exp(logmag)
+    else:
+        cur[L] = 1.0
+    yield l0, cur[sl0]
+
+    for l in range(l0, L):
+        nxt = np.zeros_like(cur)
+        sl = slice(L - l, L + l + 1)
+        m = m_all[sl]
+        if l == 0:  # degenerate first step (m = n = 0): Legendre P1 = x
+            nxt[L] = x * cur[L]
+        else:
+            c_next = l * np.sqrt(((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - n * n))
+            c_cur = (2 * l + 1) * (l * (l + 1) * x[None, :] - (m * n)[:, None])
+            c_prev = (l + 1) * np.sqrt(
+                np.maximum((l * l - m * m) * (l * l - n * n), 0))
+            nxt[sl] = (c_cur * cur[sl] - c_prev[:, None] * prev[sl]) / c_next[:, None]
+        # rows |m| = l+1 enter with their closed-form boundary values
+        logc = 0.5 * _log_binom(2 * (l + 1), l + 1 + n)
+        nxt[L + l + 1] = (-1.0) ** (l + 1 - n) * np.exp(
+            logc + (l + 1 + n) * lc + (l + 1 - n) * ls)
+        logc = 0.5 * _log_binom(2 * (l + 1), l + 1 - n)
+        nxt[L - l - 1] = np.exp(logc + (l + 1 - n) * lc + (l + 1 + n) * ls)
+        prev, cur = cur, nxt
+        yield l + 1, cur[slice(L - l - 1, L + l + 2)]
+
+
+def d_table_degree_major(L: int, n: int, theta) -> np.ndarray:
+    """Dense table t[l, m + L, i] = d^l_{m,n}(theta_i) for l = 0..L.
+
+    Rows with l < |n| or |m| > l are zero.  Used to batch harmonic sums over
+    product grids; see spinlets.transform.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    table = np.zeros((L + 1, 2 * L + 1, theta.size))
+    for l, d in iter_d_slices_buffered(L, n, theta):
+        table[l, L - l:L + l + 1, :] = d
+    return table
+
+
+def kernel_sum_per_degree(s, p, q, degrees, weights):
+    """sum_l w_l K^ls(p, q) with a fresh spinlets.wigner.kernel_K call per
+    degree, the form needlet_kernel and theoretical_cov summed before
+    spinlets.wigner.kernel_sum; the bit-for-bit reference for it."""
+    from spinlets.wigner import kernel_K
+    total = 0.0 + 0.0j
+    for w, l in zip(weights, degrees):
+        if w != 0.0:
+            total += w * kernel_K(l, s, p, q)
+    return total

@@ -1,6 +1,7 @@
 """Tests for the batch CLI: subcommands, file formats, exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 from spinlets.cli import main, plan_from_config, plan_to_config_text
@@ -110,6 +111,32 @@ def test_transform_bad_mask_index_clean_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1
         assert f"{mask_path}:2: pixel index {entry}" in err
+        assert "Traceback" not in err
+
+
+def test_transform_bad_alm_and_mask_header_clean_error(tmp_path, capsys):
+    bad_alm = tmp_path / "bad.salm"
+    bad_alm.write_bytes(b"SALM" + struct.pack("<Iii", 1, 2, -1))
+    code = run(["transform", "--alm", str(bad_alm), "--levels", "2",
+                "--out-dir", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{bad_alm}: band limit L=-1 is negative" in err
+    assert "Traceback" not in err
+
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "5",
+         "--out", str(alm_path)])
+    capsys.readouterr()
+    mask_path = tmp_path / "bad.mask"
+    for header, field in (("mask v1 j=2 B=2.0 npix=99", "npix=99"),
+                          ("mask j=2", "header 'mask j=2'")):
+        mask_path.write_text(f"{header}\n4\n")
+        code = run(["transform", "--alm", str(alm_path), "--levels", "2",
+                    "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{mask_path}:1:" in err and field in err
         assert "Traceback" not in err
 
 

@@ -1,13 +1,15 @@
 """Tests for spectrum models, Gaussian draws, synthesis, and channels."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from spinlets import (SphPoint, draw_alm, eval_cl, observe_channels, power_law,
                       rotate_stokes, synthesize)
-from spinlets.errors import InvalidChannelCountError, InvalidDegreeError
+from spinlets.errors import (InvalidAlmFileError, InvalidChannelCountError,
+                             InvalidDegreeError)
 from spinlets.fields import (PowerSpectrumModel, SpinAlm, read_alm, write_alm)
 from spinlets.wigner import wigner_d
 
@@ -226,3 +228,36 @@ def test_salm_roundtrip(tmp_path):
     assert back.s == 2 and back.L == 17
     assert np.array_equal(back.alm_e, alm.alm_e)
     assert np.array_equal(back.alm_b, alm.alm_b)
+
+
+def _salm_bytes(version=1, s=2, L=3, magic=b"SALM", n_doubles=None):
+    if n_doubles is None:
+        n_doubles = 4 * (L + 1) * (L + 2) // 2
+    return magic + struct.pack("<Iii", version, s, L) + bytes(8 * n_doubles)
+
+
+@pytest.mark.parametrize("raw, reason", [
+    (_salm_bytes(magic=b"SNBC"), "magic b'SNBC' is not b'SALM'"),
+    (b"", "magic b'' is not b'SALM'"),
+    (b"SALM\x01\x00", "header has 6 bytes, SALM v1 needs 16"),
+    (_salm_bytes(version=2), "version 2 is not 1"),
+    (_salm_bytes(L=-1, n_doubles=0), "band limit L=-1 is negative"),
+    (_salm_bytes(L=-7, n_doubles=0), "band limit L=-7 is negative"),
+    (_salm_bytes(n_doubles=39), "payload has 312 bytes, L=3 needs 320"),
+    (_salm_bytes(n_doubles=41), "payload has 328 bytes, L=3 needs 320"),
+    (_salm_bytes()[:-3], "payload has 317 bytes, L=3 needs 320"),
+])
+def test_read_alm_rejects_malformed_file(tmp_path, raw, reason):
+    path = tmp_path / "bad.salm"
+    path.write_bytes(raw)
+    with pytest.raises(InvalidAlmFileError) as err:
+        read_alm(path)
+    assert str(err.value) == f"{path}: {reason}"
+
+
+def test_read_alm_accepts_minimal_file(tmp_path):
+    path = tmp_path / "zero.salm"
+    path.write_bytes(_salm_bytes(s=0, L=0))
+    alm = read_alm(path)
+    assert (alm.s, alm.L) == (0, 0)
+    assert not np.any(alm.alm_e) and not np.any(alm.alm_b)

@@ -180,6 +180,31 @@ def test_read_mask_rejects_bad_pixel_index(tmp_path, entry, reason):
     assert reason in str(err.value)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("", "empty mask file"),
+    ("\n  \n", "empty mask file"),
+    ("mask v2 j=2 B=2.0 npix=153\n4\n", ":1: header 'mask v2"),
+    ("4\nmask v1 j=2 B=2.0 npix=153\n", ":1: header '4'"),
+    ("\nmask v1 j=2 B=2.0.1 npix=153\n", ":2: header field B='2.0.1'"),
+    ("mask v1 j=2 B=2.0 npix=154\n4\n", ":1: header field npix=154"),
+])
+def test_read_mask_rejects_bad_header(tmp_path, text, reason):
+    path = tmp_path / "bad.mask"
+    path.write_text(text)
+    with pytest.raises(InvalidMaskFileError) as err:
+        read_mask(path)
+    assert str(path) in str(err.value)
+    assert reason in str(err.value)
+
+
+def test_read_mask_rejects_header_of_another_grid(tmp_path, grid5):
+    path = tmp_path / "other.mask"
+    path.write_text("mask v1 j=2 B=2.0 npix=153\n4\n")
+    with pytest.raises(InvalidMaskFileError) as err:
+        read_mask(path, grid=grid5)
+    assert f"{path}:1: header field j=2 does not match grid level 5" in str(err.value)
+
+
 def test_empty_mask_observes_everything(grid5):
     m = empty_mask(grid5, epsilon=0.3)
     assert m.n_observed == grid5.n_pixels

@@ -1,6 +1,7 @@
 """Tests for needlet analysis/synthesis, kernels, and theoretical covariances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ import pytest
 from spinlets import (SphPoint, build_cubature, build_window, draw_alm,
                       needlet_analyze, needlet_kernel, needlet_synthesize,
                       masked_analyze, power_law, theoretical_cov,
-                      theoretical_corr)
+                      theoretical_corr, transform)
 from spinlets.errors import BandLimitExceededError, CoverageGapError
 from spinlets.fields import SpinAlm
 from spinlets.grid import empty_mask, polar_cap_mask
-from spinlets.transform import (peek_coefficients, read_coefficients,
-                                synthesize_on_grid, write_coefficients)
-from spinlets.window import window_support
+from spinlets.transform import (_harmonic_tables, peek_coefficients,
+                                read_coefficients, synthesize_on_grid,
+                                write_coefficients)
+from spinlets.window import band_profile, window_support
+
+from oracles import kernel_sum_per_degree
 
 B, S = 2.0, 2
 
@@ -243,3 +247,59 @@ def test_snbc_roundtrip(tmp_path, win, half_model):
     back = read_coefficients(path, grid, win)
     assert np.array_equal(back.values, coeffs.values)
     assert back.masked == coeffs.masked
+
+
+def test_harmonic_tables_read_d_table_in_place(monkeypatch):
+    built = []
+
+    def recording_d_table(L, n, theta):
+        built.append(d_table(L, n, theta))
+        return built[-1]
+
+    d_table = transform.d_table
+    monkeypatch.setattr(transform, "d_table", recording_d_table)
+    _harmonic_tables.cache_clear()
+    try:
+        D = _harmonic_tables(4, B, S, 24)[0]
+    finally:
+        _harmonic_tables.cache_clear()
+    assert len(built) == 1
+    assert np.shares_memory(D, built[0])
+    assert D.shape == (49, 25, build_cubature(4, B).n_theta)
+    assert all(D[k].flags.c_contiguous for k in range(D.shape[0]))
+
+
+def test_level6_harmonic_tables_peak_memory(win):
+    # One copy of the table plus per-degree recursion rows; building it
+    # degree-major and copying it into the order-major layout peaked at 2x.
+    j = 6
+    L = window_support(win, j, S).stop - 1
+    _harmonic_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        D = _harmonic_tables(j, B, S, L)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _harmonic_tables.cache_clear()
+    assert peak <= 1.25 * D.nbytes, (peak, D.nbytes)
+
+
+def test_needlet_kernel_and_cov_equal_per_degree_kernel_sums(win):
+    j = 4
+    grid = build_cubature(j, B)
+    model = power_law(3.0, l_min=2)
+    sup = window_support(win, j, S)
+    ells = np.asarray(sup)
+    b = band_profile(win, j, S, ells)
+    w = b ** 2 * transform.cl_profile(model, ells)
+    k = grid.n_pixels // 2 + 5
+    for p in (grid.point(k), grid.point(3), SphPoint(0.0, 1.0),
+              SphPoint(math.pi, 2.0), SphPoint(0.7, 4.0)):
+        want = complex(math.sqrt(grid.weights[k])
+                       * kernel_sum_per_degree(S, p, grid.point(k), sup, b))
+        assert needlet_kernel(win, grid, j, k, p, S) == want
+    for k2 in (3, k + 1, k + grid.n_phi, grid.n_pixels - 1):
+        want = complex(math.sqrt(grid.weights[k] * grid.weights[k2])
+                       * kernel_sum_per_degree(S, grid.point(k), grid.point(k2), sup, w))
+        assert theoretical_cov(win, grid, model, j, k, k2, S) == want

@@ -1,14 +1,18 @@
 """Tests for Wigner d recursion, spin harmonics and the degree kernel."""
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
 from spinlets import SphPoint, kernel_K, spin_sph_harm, wigner_d, wigner_d_slice
 from spinlets.errors import IndexOutOfRangeError, InvalidDegreeError
+from spinlets.wigner import d_table, iter_d_slices, kernel_sum
 
-from oracles import scalar_sph_harm, wigner_d_factorial
+from oracles import (d_table_degree_major, iter_d_slices_buffered,
+                     kernel_sum_per_degree, scalar_sph_harm,
+                     wigner_d_factorial)
 
 ANGLES = [0.1, math.pi / 3, math.pi / 2, 2.5]
 
@@ -137,3 +141,68 @@ def test_kernel_bound_and_brute_force():
                     for m in range(-l, l + 1))
         assert k == pytest.approx(complex(brute), rel=1e-11, abs=1e-13)
         assert abs(k) <= (2 * l + 1) / (4 * math.pi) + 1e-12
+
+
+# Spin columns n and band limits L of the engine equivalence tests: every
+# sign and small |n| (n = 0 takes the Legendre first step), L = |n| (seed row
+# only) and L from 1 to 40.
+ENGINE_CASES = [(n, L) for n in (-3, -2, -1, 0, 1, 2, 3, 5)
+                for L in sorted({abs(n), 1, 2, 7, 40}) if L >= abs(n)]
+
+
+def _engine_theta(n, L):
+    rng = np.random.default_rng(7000 + 100 * L + n)
+    return np.sort(rng.uniform(1e-3, math.pi - 1e-3, size=11))
+
+
+@pytest.mark.parametrize("n, L", ENGINE_CASES)
+def test_iter_d_slices_bitwise_equal_to_buffered_engine(n, L):
+    theta = _engine_theta(n, L)
+    kept = []
+    for got, ref in zip_longest(iter_d_slices(L, n, theta),
+                                iter_d_slices_buffered(L, n, theta)):
+        (l, d), (l_ref, d_ref) = got, ref
+        assert l == l_ref
+        assert d.shape == d_ref.shape == (2 * l + 1, theta.size)
+        assert d.tobytes() == d_ref.tobytes(), (n, L, l)
+        kept.append((d, d_ref.copy()))
+    assert [d.shape[0] for d, _ in kept] == [2 * l + 1 for l in range(abs(n), L + 1)]
+    # slices kept across iterations are independent arrays, intact after the sweep
+    for d, ref in kept:
+        assert d.tobytes() == ref.tobytes()
+    for (a, _), (b, _) in zip(kept, kept[1:]):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("n, L", ENGINE_CASES)
+def test_d_table_order_major_bitwise_equal_to_degree_major(n, L):
+    theta = _engine_theta(n, L)
+    table = d_table(L, n, theta)
+    assert table.shape == (2 * L + 1, L + 1, theta.size)
+    assert table.flags.c_contiguous
+    ref = d_table_degree_major(L, n, theta)  # [l, mu + L, i]
+    assert np.ascontiguousarray(table.transpose(1, 0, 2)).tobytes() == ref.tobytes()
+    mu, ell = np.meshgrid(np.arange(-L, L + 1), np.arange(L + 1), indexing="ij")
+    assert np.all(table[(ell < np.abs(mu)) | (ell < abs(n))] == 0.0)
+
+
+@pytest.mark.parametrize("s", [-2, 0, 1, 2, 3])
+def test_kernel_sum_equals_per_degree_kernel_loop(s):
+    rng = np.random.default_rng(40 + s)
+    degrees = range(abs(s), 30)
+    weights = rng.uniform(0.1, 1.0, size=len(degrees))
+    weights[[0, 4, 5]] = 0.0
+    interior = SphPoint(1.1, 0.4)
+    points = [(interior, SphPoint(2.3, 5.0)),           # two colatitudes
+              (interior, SphPoint(1.1, 2.9)),           # one shared colatitude
+              (interior, interior),
+              (SphPoint(0.0, 0.0), interior),           # exact pole forms
+              (interior, SphPoint(math.pi, 1.0)),
+              (SphPoint(0.0, 0.0), SphPoint(math.pi, 0.0))]
+    for p, q in points:
+        got = kernel_sum(s, p, q, degrees, weights)
+        assert got == kernel_sum_per_degree(s, p, q, degrees, weights), (p, q)
+    assert kernel_sum(s, interior, interior, [], []) == 0.0
+    assert kernel_sum(s, interior, interior, degrees, 0.0 * weights) == 0.0
+    with pytest.raises(InvalidDegreeError):
+        kernel_sum(3, interior, interior, [2, 3], [1.0, 1.0])
