@@ -23,10 +23,9 @@ from .fields import (PowerSpectrumModel, SpinAlm, ChannelSet, power_law,
 from .transform import (NeedletCoefficients, needlet_analyze, masked_analyze,
                         needlet_kernel, needlet_synthesize, theoretical_cov,
                         theoretical_corr)
-from .estimators import (EstimateReport, gamma_theoretical, gamma_noise_theoretical,
-                         estimate_masked, estimate_unfeasible, estimate_asymmetry,
-                         estimate_ap, estimate_cp, hausman_statistic,
-                         subsampling_variance)
+from .estimators import (EstimateReport, gamma_theoretical, estimate,
+                         estimate_masked, estimate_asymmetry, estimate_ap,
+                         estimate_cp, hausman_statistic, subsampling_variance)
 from .mc import (ExperimentPlan, DiagnosticsReport, run_experiment,
                  fit_variance_slope, normality_diagnostics)
 
@@ -38,10 +37,9 @@ __all__ = [
     "SpinAlm", "ChannelSet", "power_law", "eval_cl", "draw_alm", "synthesize",
     "rotate_stokes", "observe_channels", "NeedletCoefficients", "needlet_analyze",
     "masked_analyze", "needlet_kernel", "needlet_synthesize", "theoretical_cov",
-    "theoretical_corr", "EstimateReport", "gamma_theoretical",
-    "gamma_noise_theoretical", "estimate_masked", "estimate_unfeasible",
-    "estimate_asymmetry", "estimate_ap", "estimate_cp", "hausman_statistic",
-    "subsampling_variance", "ExperimentPlan", "DiagnosticsReport",
-    "run_experiment", "fit_variance_slope", "normality_diagnostics",
-    "errors",
+    "theoretical_corr", "EstimateReport", "gamma_theoretical", "estimate",
+    "estimate_masked", "estimate_asymmetry", "estimate_ap", "estimate_cp",
+    "hausman_statistic", "subsampling_variance", "ExperimentPlan",
+    "DiagnosticsReport", "run_experiment", "fit_variance_slope",
+    "normality_diagnostics", "errors",
 ]

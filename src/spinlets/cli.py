@@ -18,7 +18,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields as dataclass_fields
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,11 @@ from .grid import build_cubature, empty_mask, hemispheres, read_mask
 from .transform import (masked_analyze, needlet_analyze, needlet_synthesize,
                         peek_coefficients, read_coefficients,
                         synthesize_on_grid, write_coefficients)
-from .window import build_window, window_support
+from .window import build_window
 
-_PLAN_KEYS = [f.name for f in dataclass_fields(mc.ExperimentPlan)]
+# plan key -> declared type of its ExperimentPlan field, in field order
+_PLAN_TYPES = typing.get_type_hints(mc.ExperimentPlan)
+DEMO_CONFIG = Path(__file__).parent / "configs" / "demo_estimate.cfg"
 
 
 def _err(msg: str) -> None:
@@ -69,36 +72,38 @@ def plan_from_config(path) -> mc.ExperimentPlan:
     if "plan" not in parser:
         raise InvalidConfigError(f"config {path}: missing [plan] section")
     section = parser["plan"]
-    unknown = set(section) - set(_PLAN_KEYS)
+    unknown = set(section) - set(_PLAN_TYPES)
     if unknown:
         raise InvalidConfigError(
             f"config {path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key in section:
-        raw = section[key].strip()
-        if key == "j_list":
-            kwargs[key] = _parse_levels(raw)
-        elif key == "kinds":
-            kwargs[key] = tuple(t.strip() for t in raw.split(",") if t.strip())
-        elif key in ("s", "channels", "replicates", "base_seed",
-                     "smoothness_order"):
-            kwargs[key] = int(raw)
-        elif key == "L":
-            kwargs[key] = None if raw.lower() in ("", "none", "auto") else int(raw)
-        elif key == "regions":
-            kwargs[key] = raw
-        else:
-            kwargs[key] = float(raw)
-    plan = mc.ExperimentPlan(**kwargs)
+    plan = mc.ExperimentPlan(**{key: _parse_value(path, key, section[key])
+                                for key in section})
     plan.validate()
     return plan
+
+
+def _parse_value(path, key: str, text: str):
+    """A config value parsed as the declared type of its plan field."""
+    hint, raw = _PLAN_TYPES[key], text.strip()
+    try:
+        if hint == tuple[int, ...]:
+            return _parse_levels(raw)
+        if hint == tuple[str, ...]:
+            return tuple(t.strip() for t in raw.split(",") if t.strip())
+        if hint == int | None:
+            return None if raw.lower() in ("", "none", "auto") else int(raw)
+        return hint(raw)
+    except ValueError as exc:
+        raise InvalidConfigError(
+            f"config {path}: {key} = {raw!r} is not "
+            f"{hint.__name__ if isinstance(hint, type) else hint}") from exc
 
 
 def plan_to_config_text(plan: mc.ExperimentPlan) -> str:
     """Canonical config serialization (idempotent under plan_from_config)."""
     out = io.StringIO()
     out.write("[plan]\n")
-    for key in _PLAN_KEYS:
+    for key in _PLAN_TYPES:
         value = getattr(plan, key)
         if key in ("j_list", "kinds"):
             value = ",".join(str(v) for v in value)
@@ -132,7 +137,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_transform(args) -> int:
     alm = read_alm(args.alm)
-    window = build_window(args.bandwidth, args.smoothness_order)
+    window = build_window(args.bandwidth)
     levels = _parse_levels(args.levels)
     mask = None
     if args.mask is not None:  # validate all inputs before writing anything
@@ -174,62 +179,35 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _load_coefficient_files(paths, bandwidth, smoothness_order):
-    window = build_window(bandwidth, smoothness_order)
-    out = []
-    for path in paths:
-        j, s, npix, masked = peek_coefficients(path)
-        grid = build_cubature(j, bandwidth)
-        if grid.n_pixels != npix:
-            raise InvalidConfigError(
-                f"{path}: pixel count {npix} does not match bandwidth "
-                f"{bandwidth} at level {j}")
-        out.append(read_coefficients(path, grid, window))
-    return out, window
-
-
 def cmd_estimate(args) -> int:
     if args.demo:
-        return _estimate_demo(args)
+        plan = plan_from_config(DEMO_CONFIG)
+        reports = [rep for _, _, rep in mc.replicate_reports(plan, 0)]
+        _write_reports(reports, args.out, args.csv, args.force)
+        return 0
     if not args.coeffs:
         raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
-    kinds = [k.strip() for k in args.kind.split(",") if k.strip()]
-    coeff_list, window = _load_coefficient_files(
-        args.coeffs, args.bandwidth, args.smoothness_order)
+    window = build_window(args.bandwidth)
+    coeff_list = [read_coefficients(
+        path, build_cubature(peek_coefficients(path)[0], args.bandwidth), window)
+        for path in args.coeffs]
     first = coeff_list[0]
-    signal_model = power_law(args.alpha, l_min=max(1, abs(first.s)))
-    reports = []
-    for kind in kinds:
-        try:
-            if kind in ("masked", "unfeasible"):
-                if args.mask is None:
-                    mask = empty_mask(first.grid, epsilon=args.epsilon)
-                else:
-                    mask = read_mask(args.mask, epsilon=args.epsilon,
-                                     grid=first.grid)
-                fn = (estimators.estimate_masked if kind == "masked"
-                      else estimators.estimate_unfeasible)
-                reports.append(fn(first, mask, signal_model))
-            elif kind == "asymmetry":
-                regions = hemispheres(first.grid, epsilon=args.epsilon)
-                reports.append(estimators.estimate_asymmetry(
-                    first, regions, signal_model))
-            elif kind in ("ap", "cp", "hausman"):
-                noise_models = [power_law(args.gamma, l_min=max(1, abs(first.s)),
-                                          kind="noise", amplitude=args.noise_level)
-                                for _ in coeff_list]
-                if kind == "ap":
-                    reports.append(estimators.estimate_ap(
-                        coeff_list, noise_models, signal_model))
-                elif kind == "cp":
-                    reports.append(estimators.estimate_cp(coeff_list, signal_model))
-                else:
-                    reports.append(estimators.estimate_hausman(
-                        coeff_list, noise_models, signal_model))
-            else:
-                raise InvalidConfigError(f"kind: unknown estimator {kind!r}")
-        except SpinletsError as exc:
-            raise type(exc)(f"[kind={kind}] {exc}") from exc
+    kinds = [kind.strip() for kind in args.kind.split(",") if kind.strip()]
+    inputs = {"masked": first, "gapfree": first, "channels": coeff_list,
+              "signal": power_law(args.alpha, l_min=max(1, abs(first.s)))}
+    needs = {name for kind in kinds if kind in estimators.KINDS
+             for name in estimators.KINDS[kind].args}
+    if "mask" in needs:
+        inputs["mask"] = empty_mask(first.grid, epsilon=args.epsilon) \
+            if args.mask is None else \
+            read_mask(args.mask, epsilon=args.epsilon, grid=first.grid)
+    if "regions" in needs:
+        inputs["regions"] = hemispheres(first.grid, epsilon=args.epsilon)
+    if "noise" in needs:
+        inputs["noise"] = [power_law(args.gamma, l_min=max(1, abs(first.s)),
+                                     kind="noise", amplitude=args.noise_level)
+                           for _ in coeff_list]
+    reports = [estimators.estimate(kind, inputs) for kind in kinds]
     _write_reports(reports, args.out, args.csv, args.force)
     return 0
 
@@ -254,59 +232,10 @@ def _write_reports(reports, out_path, csv_path, force) -> None:
         _err(f"wrote {path}")
 
 
-def _estimate_demo(args) -> int:
-    """Small end-to-end pipeline driven by the bundled demo config."""
-    cfg = Path(__file__).parent / "configs" / "demo_estimate.cfg"
-    parser = configparser.ConfigParser()
-    parser.read(cfg)
-    d = parser["demo"]
-    B, s, j = d.getfloat("B"), d.getint("s"), d.getint("j")
-    alpha, gamma = d.getfloat("alpha"), d.getfloat("gamma")
-    noise_level, channels = d.getfloat("noise_level"), d.getint("channels")
-    seed = d.getint("seed")
-
-    window = build_window(B)
-    grid = build_cubature(j, B)
-    eps = 3.0 * B ** (-j)
-    support = window_support(window, j, s)
-    L = support.stop - 1
-    signal_model = power_law(alpha, l_min=max(1, abs(s)))
-    half = signal_model.scaled(0.5)
-    signal = draw_alm(half, half, s, L, (seed, 0))
-    noise_models = [power_law(gamma, l_min=max(1, abs(s)), kind="noise",
-                              amplitude=noise_level) for _ in range(channels)]
-    chans = observe_channels(signal, noise_models, (seed, 1))
-
-    from .grid import polar_cap_mask
-    mask = polar_cap_mask(grid, 0.10, epsilon=eps)
-    pix = synthesize_on_grid(signal.full_coeffs(), grid, s)
-    star = masked_analyze(pix, mask, window, grid, j, s)
-    plain = needlet_analyze(signal, window, grid, j)
-    chan_coeffs = [needlet_analyze(chans.channel(c), window, grid, j)
-                   for c in range(channels)]
-    regions = hemispheres(grid, epsilon=eps)
-    reports = [
-        estimators.estimate_masked(star, mask, signal_model),
-        estimators.estimate_unfeasible(plain, mask, signal_model),
-        estimators.estimate_asymmetry(plain, regions, signal_model),
-        estimators.estimate_ap(chan_coeffs, noise_models, signal_model),
-        estimators.estimate_cp(chan_coeffs, signal_model),
-        estimators.estimate_hausman(chan_coeffs, noise_models, signal_model),
-    ]
-    _write_reports(reports, args.out, args.csv, args.force)
-    return 0
-
-
 def cmd_mc(args) -> int:
     plan = plan_from_config(args.config)
-    overrides = {}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-        plan = replace(plan, **overrides)
+    overrides = {"replicates": args.replicates, "base_seed": args.seed}
+    plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
     plan.validate()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -419,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True, help="e.g. 2..6 or 2,3,4")
     p.add_argument("--mask", default=None)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--smoothness-order", type=int, default=3)
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true")
@@ -427,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run estimators over coefficient files")
     p.add_argument("--kind", default="masked",
-                   help="comma list: masked,unfeasible,asymmetry,ap,cp,hausman")
+                   help="comma list of " + ",".join(estimators.KNOWN_KINDS))
     p.add_argument("--coeffs", nargs="*", default=[],
                    help="SNBC files (one per channel for ap/cp/hausman)")
     p.add_argument("--bandwidth", type=float, default=2.0)
@@ -436,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-level", type=float, default=1.0)
     p.add_argument("--mask", default=None)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--smoothness-order", type=int, default=3)
     p.add_argument("--demo", action="store_true",
-                   help="run the bundled end-to-end demo pipeline")
+                   help="report replicate 0 of the bundled plan "
+                        "configs/demo_estimate.cfg")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--force", action="store_true")

@@ -75,6 +75,11 @@ class InvalidAlmFileError(SpinletsError):
     names the file and the field."""
 
 
+class InvalidCoefficientFileError(SpinletsError):
+    """An SNBC file has a short header, bad magic or version, another grid or
+    a payload of the wrong size; names the file and the field."""
+
+
 class SelfCheckError(SpinletsError):
     """A numerical self-check failed (non-real cross power, Hausman identity)."""
 

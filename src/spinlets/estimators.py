@@ -25,6 +25,9 @@ blocks are much wider than B^-j.
 
 Final scalar reductions use math.fsum, so estimator values do not depend on
 pixel ordering or parallel scheduling.
+
+KINDS gives each estimator kind's inputs, function and paper name; `estimate`
+dispatches on it for the Monte Carlo harness and the CLI alike.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (EmptyObservedRegionError, InvalidChannelCountError,
-                     MaskedFlagMismatchError, MissingNoiseModelError,
-                     NonpositiveVarianceError, SelfCheckError,
-                     TooFewBlocksError)
+                     InvalidConfigError, MaskedFlagMismatchError,
+                     MissingNoiseModelError, NonpositiveVarianceError,
+                     SelfCheckError, SpinletsError, TooFewBlocksError)
 from .fields import PowerSpectrumModel, cl_profile
 from .grid import CubatureGrid, RegionPair, SkyMask
 from .transform import NeedletCoefficients
@@ -46,14 +50,29 @@ from .window import NeedletWindow, band_profile, window_support
 
 FOUR_PI = 4.0 * math.pi
 
-PAPER_KIND = {
-    "masked": "masked_spectral",
-    "unfeasible": "gapfree_spectral",
-    "ap": "auto_power",
-    "cp": "cross_power",
-    "asymmetry": "two_region_difference",
-    "hausman": "hausman_difference",
+
+class Kind(NamedTuple):
+    """`function` (a name in this module) called with the inputs named by
+    `args`; the first is the coefficients read: masked, gapfree or channels."""
+
+    args: tuple
+    function: str
+    paper_name: str
+
+
+KINDS = {
+    "masked": Kind(("masked", "mask", "signal"), "estimate_masked", "masked_spectral"),
+    "unfeasible": Kind(("gapfree", "mask", "signal"), "estimate_masked",
+                       "gapfree_spectral"),
+    "asymmetry": Kind(("gapfree", "regions", "signal"), "estimate_asymmetry",
+                      "two_region_difference"),
+    "ap": Kind(("channels", "noise", "signal"), "estimate_ap", "auto_power"),
+    "cp": Kind(("channels", "signal"), "estimate_cp", "cross_power"),
+    "hausman": Kind(("channels", "noise", "signal"), "estimate_hausman",
+                    "hausman_difference"),
 }
+KNOWN_KINDS = tuple(KINDS)
+PAPER_KIND = {kind: spec.paper_name for kind, spec in KINDS.items()}
 
 
 @dataclass(eq=False)
@@ -106,15 +125,9 @@ def gamma_theoretical(window: NeedletWindow, model: PowerSpectrumModel,
     return float(np.sum(b2 * cl * (2 * ells + 1)))
 
 
-def gamma_noise_theoretical(window: NeedletWindow, noise_model: PowerSpectrumModel,
-                            j: int, s: int) -> float:
-    """Noise band power GammaN_{j;s}, same convention applied to C_lN."""
-    return gamma_theoretical(window, noise_model, j, s)
-
-
 def _grid_meta(grid: CubatureGrid, window: NeedletWindow) -> dict:
     return {"grid": f"j={grid.j} B={grid.B:g} npix={grid.n_pixels}",
-            "window": f"B={window.B:g} order={window.smoothness_order}"}
+            "window": f"B={window.B:g}"}
 
 
 def block_labels(grid: CubatureGrid, observed: np.ndarray,
@@ -222,50 +235,28 @@ def _weighted_estimate(pixel_values: np.ndarray, grid: CubatureGrid,
     return FOUR_PI * num / den
 
 
-def _spectral_report(coeffs: NeedletCoefficients, selection: np.ndarray,
-                     model: PowerSpectrumModel, kind: str) -> EstimateReport:
+def estimate_masked(coeffs: NeedletCoefficients, mask: SkyMask,
+                    model: PowerSpectrumModel) -> EstimateReport:
+    """Band power over the pixels outside the dilated region: kind "masked"
+    for masked coefficients, "unfeasible" (the gap-free benchmark) otherwise."""
+    if mask.grid.fingerprint != coeffs.grid.fingerprint:
+        raise ValueError("mask and coefficients use different grids")
     grid, window = coeffs.grid, coeffs.window
     x = np.abs(coeffs.values) ** 2
-    value = _weighted_estimate(x, grid, selection)
+    value = _weighted_estimate(x, grid, mask.observed)
     target = gamma_theoretical(window, model, coeffs.j, coeffs.s)
     meta = _grid_meta(grid, window)
     if len(window_support(window, coeffs.j, coeffs.s)) == 0:
         meta["empty_support"] = True
         variance = 0.0
     else:
-        variance = subsampling_variance(x, grid, observed=selection)
+        variance = subsampling_variance(x, grid, observed=mask.observed)
+    meta["mask"] = f"excluded={int(mask.excluded.sum())} eps={mask.epsilon:g}"
     return EstimateReport(
-        j=coeffs.j, s=coeffs.s, kind=kind, value=value,
-        theoretical_target=target, variance_estimate=variance,
+        j=coeffs.j, s=coeffs.s, kind="masked" if coeffs.masked else "unfeasible",
+        value=value, theoretical_target=target, variance_estimate=variance,
         standardized=_standardize(value, target, variance),
         meta=meta, pixel_values=x)
-
-
-def estimate_masked(coeffs: NeedletCoefficients, mask: SkyMask,
-                    model: PowerSpectrumModel) -> EstimateReport:
-    """Masked band-power estimate over pixels outside the dilated region."""
-    if not coeffs.masked:
-        raise MaskedFlagMismatchError(
-            "estimate_masked needs coefficients computed with the mask "
-            "(use estimate_unfeasible for gap-free coefficients)")
-    if mask.grid.fingerprint != coeffs.grid.fingerprint:
-        raise ValueError("mask and coefficients use different grids")
-    rep = _spectral_report(coeffs, mask.observed, model, "masked")
-    rep.meta["mask"] = f"excluded={int(mask.excluded.sum())} eps={mask.epsilon:g}"
-    return rep
-
-
-def estimate_unfeasible(coeffs: NeedletCoefficients, mask: SkyMask,
-                        model: PowerSpectrumModel) -> EstimateReport:
-    """Gap-free coefficients summed over the same observed pixel set."""
-    if coeffs.masked:
-        raise MaskedFlagMismatchError(
-            "estimate_unfeasible needs gap-free (unmasked) coefficients")
-    if mask.grid.fingerprint != coeffs.grid.fingerprint:
-        raise ValueError("mask and coefficients use different grids")
-    rep = _spectral_report(coeffs, mask.observed, model, "unfeasible")
-    rep.meta["mask"] = f"excluded={int(mask.excluded.sum())} eps={mask.epsilon:g}"
-    return rep
 
 
 def estimate_asymmetry(coeffs: NeedletCoefficients, regions: RegionPair,
@@ -322,7 +313,7 @@ def estimate_ap(channel_coeffs, noise_models, signal_model: PowerSpectrumModel
     first = coeffs[0]
     grid, window = first.grid, first.window
     lam = grid.weights
-    gamma_n = np.array([gamma_noise_theoretical(window, nm, first.j, first.s)
+    gamma_n = np.array([gamma_theoretical(window, nm, first.j, first.s)
                         for nm in noise_models])
     bias = lam[None, :] * (gamma_n[:, None] / FOUR_PI)  # E|beta_N|^2 per (r, k)
     x = (np.sum(np.abs(beta) ** 2, axis=0) - np.sum(bias, axis=0)) / d
@@ -419,3 +410,21 @@ def estimate_hausman(channel_coeffs, noise_models,
     if variance <= 0.0:
         raise NonpositiveVarianceError("subsampling variance of CP-AP is zero")
     return hausman_statistic(ap, cp, variance)
+
+
+def estimate(kind: str, inputs: dict) -> EstimateReport:
+    """Run estimator `kind` on the inputs its KINDS entry names: "masked",
+    "gapfree", "channels", "mask", "regions", "noise" or "signal"."""
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise InvalidConfigError(f"kind: unknown estimator {kind!r}")
+    try:
+        # by name on each call, so wrappers installed on this module see it
+        rep = globals()[spec.function](*(inputs[name] for name in spec.args))
+        if rep.kind != kind:
+            raise MaskedFlagMismatchError(
+                f"coefficients with masked={rep.kind == 'masked'} give "
+                f"{rep.kind!r}, not {kind!r}")
+    except SpinletsError as exc:
+        raise type(exc)(f"[kind={kind}] {exc}") from exc
+    return rep

@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from . import estimators
 from .errors import (InvalidConfigError, TooFewLevelsError, TooFewSamplesError)
-from .estimators import (estimate_ap, estimate_asymmetry, estimate_cp,
-                         estimate_hausman, estimate_masked, estimate_unfeasible)
+from .estimators import KINDS, KNOWN_KINDS
 from .fields import SpinAlm, draw_alm, observe_channels, power_law
 from .grid import build_cubature, empty_mask, hemispheres, polar_cap_mask
 from .transform import masked_analyze, needlet_analyze, synthesize_on_grid
 from .window import build_window, window_support
-
-KNOWN_KINDS = ("masked", "unfeasible", "ap", "cp", "hausman", "asymmetry")
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
 
@@ -42,7 +40,7 @@ class ExperimentPlan:
 
     B: float = 2.0
     s: int = 2
-    j_list: tuple = (5,)
+    j_list: tuple[int, ...] = (5,)
     L: int | None = None
     alpha: float = 3.0
     gamma: float = 2.5
@@ -50,12 +48,11 @@ class ExperimentPlan:
     channels: int = 0
     replicates: int = 100
     base_seed: int = 0
-    kinds: tuple = ("masked",)
+    kinds: tuple[str, ...] = ("masked",)
     mask_fraction: float = 0.0
     epsilon_scale: float = 3.0
     regions: str = "none"
     noise_bias_factor: float = 1.0
-    smoothness_order: int = 3
 
     def validate(self) -> None:
         if not self.B > 1.0:
@@ -69,8 +66,7 @@ class ExperimentPlan:
         for kind in self.kinds:
             if kind not in KNOWN_KINDS:
                 raise InvalidConfigError(f"kinds: unknown estimator kind {kind!r}")
-        needs_channels = any(k in self.kinds for k in ("ap", "cp", "hausman"))
-        if needs_channels:
+        if "channels" in self.reads():
             if self.channels < 2:
                 raise InvalidConfigError(
                     "channels: ap/cp/hausman need at least 2 channels")
@@ -87,8 +83,12 @@ class ExperimentPlan:
                 f"L: band limit {self.L} below window support "
                 f"{self.required_band_limit()} of the deepest level")
 
+    def reads(self) -> set:
+        """The coefficient sets its kinds read: masked, gapfree, channels."""
+        return {KINDS[kind].args[0] for kind in self.kinds}
+
     def required_band_limit(self) -> int:
-        window = build_window(self.B, self.smoothness_order)
+        window = build_window(self.B)
         tops = [window_support(window, j, self.s).stop - 1 for j in self.j_list]
         return max([t for t in tops if t >= abs(self.s)], default=abs(self.s))
 
@@ -110,7 +110,7 @@ class _PlanContext:
     def __init__(self, plan: ExperimentPlan):
         plan.validate()
         self.plan = plan
-        self.window = build_window(plan.B, plan.smoothness_order)
+        self.window = build_window(plan.B)
         self.signal_model = plan.signal_model()
         self.noise_models = plan.noise_models()
         self.adopted_noise = [m.scaled(plan.noise_bias_factor)
@@ -131,12 +131,8 @@ class _PlanContext:
             self.levels[j] = (grid, mask, regions, max(lj, abs(plan.s)))
 
 
-_WORKER_CTX = None
-
-
-def _init_worker(plan):
-    global _WORKER_CTX
-    _WORKER_CTX = _PlanContext(plan)
+# The context of the running plan; forked pool workers inherit it.
+_CTX = None
 
 
 def _truncate_alm(alm: SpinAlm, L: int) -> SpinAlm:
@@ -148,55 +144,47 @@ def _truncate_alm(alm: SpinAlm, L: int) -> SpinAlm:
     return out
 
 
-def _replicate_rows(ctx: _PlanContext, r: int) -> list:
+def _replicate_reports(ctx: _PlanContext, r: int) -> list:
+    """[(j, kind, EstimateReport)] of replicate r, in plan order."""
     plan = ctx.plan
+    reads = plan.reads()
     half = ctx.signal_model.scaled(0.5)
     signal = draw_alm(half, half, plan.s, ctx.L, (plan.base_seed, r, 0))
-    channels = None
-    if any(k in plan.kinds for k in ("ap", "cp", "hausman")):
-        channels = observe_channels(signal, ctx.noise_models,
-                                    (plan.base_seed, r, 1))
-    rows = []
+    if "channels" in reads:
+        channels = observe_channels(signal, ctx.noise_models, (plan.base_seed, r, 1))
+    out = []
     for j in plan.j_list:
         grid, mask, regions, lj = ctx.levels[j]
         alm_j = _truncate_alm(signal, lj)
-        plain = None
-        reports = {}
-        if any(k in plan.kinds for k in ("unfeasible", "asymmetry")):
-            plain = needlet_analyze(alm_j, ctx.window, grid, j)
-        if "masked" in plan.kinds:
+        inputs = {"mask": mask, "regions": regions, "noise": ctx.adopted_noise,
+                  "signal": ctx.signal_model}
+        if "gapfree" in reads:
+            inputs["gapfree"] = needlet_analyze(alm_j, ctx.window, grid, j)
+        if "masked" in reads:
             pix = synthesize_on_grid(alm_j.full_coeffs(), grid, plan.s)
-            star = masked_analyze(pix, mask, ctx.window, grid, j, plan.s)
-            reports["masked"] = estimate_masked(star, mask, ctx.signal_model)
-        if "unfeasible" in plan.kinds:
-            reports["unfeasible"] = estimate_unfeasible(plain, mask,
-                                                        ctx.signal_model)
-        if "asymmetry" in plan.kinds:
-            reports["asymmetry"] = estimate_asymmetry(plain, regions,
-                                                      ctx.signal_model)
-        if channels is not None:
-            chan_coeffs = [needlet_analyze(_truncate_alm(channels.channel(c), lj),
-                                           ctx.window, grid, j)
-                           for c in range(plan.channels)]
-            if "ap" in plan.kinds:
-                reports["ap"] = estimate_ap(chan_coeffs, ctx.adopted_noise,
-                                            ctx.signal_model)
-            if "cp" in plan.kinds:
-                reports["cp"] = estimate_cp(chan_coeffs, ctx.signal_model)
-            if "hausman" in plan.kinds:
-                reports["hausman"] = estimate_hausman(
-                    chan_coeffs, ctx.adopted_noise, ctx.signal_model)
-        for kind in plan.kinds:
-            rep = reports[kind]
-            rows.append((r, j, kind, rep.value, rep.theoretical_target,
-                         rep.variance_estimate, rep.standardized))
-    return rows
+            inputs["masked"] = masked_analyze(pix, mask, ctx.window, grid, j,
+                                              plan.s)
+        if "channels" in reads:
+            inputs["channels"] = [
+                needlet_analyze(_truncate_alm(channels.channel(c), lj),
+                                ctx.window, grid, j)
+                for c in range(plan.channels)]
+        out.extend((j, kind, estimators.estimate(kind, inputs))
+                   for kind in plan.kinds)
+    return out
 
 
-def _worker_run(r: int) -> tuple:
+def replicate_reports(plan: ExperimentPlan, r: int) -> list:
+    """[(j, kind, EstimateReport)] of replicate r of the plan."""
+    return _replicate_reports(_PlanContext(plan), r)
+
+
+def _run_replicate(r: int) -> tuple:
     try:
-        return r, _replicate_rows(_WORKER_CTX, r), None
-    except Exception as exc:  # propagated to the failure budget
+        return r, [(r, j, kind, rep.value, rep.theoretical_target,
+                    rep.variance_estimate, rep.standardized)
+                   for j, kind, rep in _replicate_reports(_CTX, r)], None
+    except Exception as exc:  # counted against the failure budget
         return r, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -312,37 +300,29 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
     Rows are (replicate, j, kind, value, target, variance, standardized) in
     deterministic order.  Aborts when more than 1% of replicates fail.
     """
-    plan.validate()
-    results = {}
-    failures = []
-    if threads <= 1:
-        ctx = _PlanContext(plan)
-        for r in range(plan.replicates):
-            try:
-                results[r] = _replicate_rows(ctx, r)
-            except Exception as exc:
-                failures.append((r, f"{type(exc).__name__}: {exc}"))
-                if len(failures) > max(1, 0.01 * plan.replicates):
-                    raise RuntimeError(
-                        f"aborting: {len(failures)} replicate failures, "
-                        f"first: r={failures[0][0]}: {failures[0][1]}") from exc
-    else:
-        _PlanContext(plan)  # warm shared caches before forking
-        # fork, not the platform default, so workers inherit the warm caches
-        with ProcessPoolExecutor(max_workers=threads,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(plan,)) as pool:
-            for r, rows, err in pool.map(_worker_run, range(plan.replicates),
-                                         chunksize=max(1, plan.replicates // (4 * threads))):
-                if err is None:
-                    results[r] = rows
-                else:
-                    failures.append((r, err))
-                    if len(failures) > max(1, 0.01 * plan.replicates):
-                        raise RuntimeError(
-                            f"aborting: {len(failures)} replicate failures, "
-                            f"first: r={failures[0][0]}: {failures[0][1]}")
+    global _CTX
+    _CTX = _PlanContext(plan)  # validates; built once, inherited by workers
+    # fork, not the platform default, so the workers inherit _CTX
+    pool = None if threads <= 1 else ProcessPoolExecutor(
+        threads, mp_context=multiprocessing.get_context("fork"))
+    results, failures = {}, []
+    try:
+        outcomes = map(_run_replicate, range(plan.replicates)) if pool is None \
+            else pool.map(_run_replicate, range(plan.replicates),
+                          chunksize=max(1, plan.replicates // (4 * threads)))
+        for r, rows, err in outcomes:
+            if err is None:
+                results[r] = rows
+                continue
+            failures.append((r, err))
+            if len(failures) > max(1, 0.01 * plan.replicates):
+                raise RuntimeError(
+                    f"aborting: {len(failures)} replicate failures, "
+                    f"first: r={failures[0][0]}: {failures[0][1]}")
+    finally:
+        _CTX = None
+        if pool is not None:
+            pool.shutdown()
     if failures:
         warnings.warn(f"{len(failures)} replicate(s) failed: {failures[:3]}",
                       RuntimeWarning, stacklevel=2)

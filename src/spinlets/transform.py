@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BandLimitExceededError, CoverageGapError
+from .errors import (BandLimitExceededError, CoverageGapError,
+                     InvalidCoefficientFileError)
 from .fields import SpinAlm, cl_profile
 from .grid import CubatureGrid, SkyMask, build_cubature
 from .wigner import SphPoint, d_table, kernel_sum
@@ -277,6 +278,7 @@ def theoretical_corr(window: NeedletWindow, grid: CubatureGrid, model,
 
 
 _SNBC_MAGIC = b"SNBC"
+_SNBC_HEADER = 21  # magic + struct "<IIiIB"
 
 
 def write_coefficients(path, coeffs: NeedletCoefficients) -> None:
@@ -291,30 +293,39 @@ def write_coefficients(path, coeffs: NeedletCoefficients) -> None:
         fh.write(flat.tobytes())
 
 
-def peek_coefficients(path) -> tuple:
-    """Header of an SNBC file: (j, spin, npix, masked) without the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(21)
-    if head[:4] != _SNBC_MAGIC:
-        raise ValueError(f"{path}: not an SNBC file")
-    version, j, s, npix, masked = struct.unpack("<IIiIB", head[4:21])
+def _snbc_header(path, raw: bytes) -> tuple:
+    """(j, spin, npix, masked) of an SNBC file whose first bytes are raw."""
+    if len(raw) < _SNBC_HEADER:
+        raise InvalidCoefficientFileError(
+            f"{path}: header has {len(raw)} bytes, SNBC v1 needs {_SNBC_HEADER}")
+    if raw[:4] != _SNBC_MAGIC:
+        raise InvalidCoefficientFileError(
+            f"{path}: magic {raw[:4]!r} is not {_SNBC_MAGIC!r}")
+    version, j, s, npix, masked = struct.unpack("<IIiIB", raw[4:_SNBC_HEADER])
     if version != 1:
-        raise ValueError(f"{path}: unsupported SNBC version {version}")
+        raise InvalidCoefficientFileError(f"{path}: version {version} is not 1")
     return j, s, npix, bool(masked)
 
 
+def peek_coefficients(path) -> tuple:
+    """Header of an SNBC file: (j, spin, npix, masked) without the payload."""
+    with open(path, "rb") as fh:
+        return _snbc_header(path, fh.read(_SNBC_HEADER))
+
+
 def read_coefficients(path, grid: CubatureGrid, window: NeedletWindow) -> NeedletCoefficients:
+    """Read an SNBC v1 file on `grid`; errors name the file and the field."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _SNBC_MAGIC:
-        raise ValueError(f"{path}: not an SNBC file")
-    version, j, s, npix, masked = struct.unpack("<IIiIB", raw[4:21])
-    if version != 1:
-        raise ValueError(f"{path}: unsupported SNBC version {version}")
-    if npix != grid.n_pixels or j != grid.j:
-        raise ValueError(f"{path}: file (j={j}, npix={npix}) does not match grid")
-    data = np.frombuffer(raw[21:], dtype="<f8")
-    if data.size != 2 * npix:
-        raise ValueError(f"{path}: truncated SNBC payload")
+    j, s, npix, masked = _snbc_header(path, raw)
+    if (j, npix) != (grid.j, grid.n_pixels):
+        raise InvalidCoefficientFileError(
+            f"{path}: header j={j}, npix={npix} does not match the grid "
+            f"(j={grid.j}, npix={grid.n_pixels})")
+    if len(raw) - _SNBC_HEADER != 16 * npix:
+        raise InvalidCoefficientFileError(
+            f"{path}: payload has {len(raw) - _SNBC_HEADER} bytes, "
+            f"npix={npix} needs {16 * npix}")
+    data = np.frombuffer(raw[_SNBC_HEADER:], dtype="<f8")
     values = data[0::2] + 1j * data[1::2]
-    return NeedletCoefficients(j=j, s=s, values=values, masked=bool(masked),
+    return NeedletCoefficients(j=j, s=s, values=values, masked=masked,
                                grid=grid, window=window)

@@ -56,31 +56,11 @@ def _psi_interpolator():
     return PchipInterpolator(nodes, cumulative)
 
 
-@functools.lru_cache(maxsize=8)
-def _psi_derivative_maxima(orders: int = 4):
-    """max |psi^(r)|, r = 1..orders, from a fine tabulation of the bump.
-
-    psi^(r) = f^(r-1) / integral(f); used for the smoothness-proxy bound.
-    """
-    t = np.linspace(-1.0, 1.0, 200001)
-    f = _bump(t)
-    total = np.trapezoid(f, t)
-    maxima = []
-    g = f / total
-    for _ in range(orders):
-        maxima.append(float(np.max(np.abs(g))))
-        g = np.gradient(g, t)
-    return tuple(maxima)
-
-
 @dataclass(frozen=True)
 class NeedletWindow:
     """Compactly supported needlet window on [1/B, B]."""
 
     B: float
-    smoothness_order: int
-    samples_x: np.ndarray = field(repr=False)
-    samples_b: np.ndarray = field(repr=False)
     # (j, s) -> (support range, b over the support); filled by _level.  Both
     # depend only on (B, j, s), so a window owns them for its lifetime.
     _levels: dict = field(default_factory=dict, init=False, compare=False,
@@ -110,26 +90,12 @@ class NeedletWindow:
     def b(self, x):
         return np.sqrt(self.b_squared(x))
 
-    def derivative_bound(self, r: int) -> float:
-        """Analytic bound on |d^r/dx^r b^2(x)| implied by the construction."""
-        if not 1 <= r <= 4:
-            raise ValueError("derivative bound available for orders 1..4")
-        sigma = 2.0 * self.B / (self.B - 1.0)
-        return 2.0 * _psi_derivative_maxima()[r - 1] * sigma ** r
 
-
-def build_window(B: float, smoothness_order: int = 3) -> NeedletWindow:
+def build_window(B: float) -> NeedletWindow:
     """Construct the needlet window for bandwidth B > 1."""
     if not B > 1.0:
         raise InvalidBandwidthError(f"bandwidth B={B} must be > 1")
-    if smoothness_order < 1:
-        raise ValueError("smoothness_order must be >= 1")
-    w = NeedletWindow(B=float(B), smoothness_order=int(smoothness_order),
-                      samples_x=np.empty(0), samples_b=np.empty(0))
-    x = np.linspace(1.0 / B, B, 2048)
-    object.__setattr__(w, "samples_x", x)
-    object.__setattr__(w, "samples_b", w.b(x))
-    return w
+    return NeedletWindow(B=float(B))
 
 
 def eval_b(window: NeedletWindow, x) -> float | np.ndarray:

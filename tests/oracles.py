@@ -212,3 +212,22 @@ def kernel_sum_per_degree(s, p, q, degrees, weights):
         if w != 0.0:
             total += w * kernel_K(l, s, p, q)
     return total
+
+
+def window_derivative_bound(B, r):
+    """Bound on |d^r/dx^r b^2(x)| implied by the window's construction.
+
+    b^2(x) = phi(x/B) - phi(x) with phi(t) = psi(1 - sigma (t - 1/B)) on its
+    ramp, sigma = 2B/(B-1), so each term's r-th derivative is at most
+    sigma^r max|psi^(r)|.  psi^(r) = f^(r-1) / integral(f) for the bump
+    f(t) = exp(-1/(1-t^2)), differentiated numerically on a fine grid.
+    """
+    t = np.linspace(-1.0, 1.0, 200001)
+    f = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    f[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+    g = f / np.trapezoid(f, t)
+    for _ in range(r - 1):
+        g = np.gradient(g, t)
+    sigma = 2.0 * B / (B - 1.0)
+    return 2.0 * float(np.max(np.abs(g))) * sigma ** r

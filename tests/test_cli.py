@@ -4,9 +4,13 @@ import json
 import struct
 from pathlib import Path
 
-from spinlets.cli import main, plan_from_config, plan_to_config_text
+import pytest
+
+from spinlets.cli import (DEMO_CONFIG, main, plan_from_config,
+                          plan_to_config_text)
+from spinlets.errors import InvalidConfigError
 from spinlets.fields import read_alm
-from spinlets.mc import ExperimentPlan
+from spinlets.mc import ExperimentPlan, rows_to_csv, run_experiment
 
 
 def run(args):
@@ -160,6 +164,17 @@ def test_estimate_kind_flag_contract(tmp_path, capsys):
     assert "channel" in capsys.readouterr().err.lower()
 
 
+def test_estimate_malformed_snbc_clean_error(tmp_path, capsys):
+    short = tmp_path / "short.snbc"
+    short.write_bytes(b"SNBC\x01")
+    code = run(["estimate", "--kind", "masked", "--coeffs", str(short),
+                "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{short}: header has 5 bytes" in err
+    assert "Traceback" not in err
+
+
 def test_estimate_demo_full_pipeline(tmp_path):
     out = tmp_path / "report.json"
     csv = tmp_path / "report.csv"
@@ -170,6 +185,31 @@ def test_estimate_demo_full_pipeline(tmp_path):
     header = csv.read_text().splitlines()[0]
     assert header == "j,s,kind,paper_kind,value,target,variance,standardized"
     assert len(csv.read_text().strip().splitlines()) == 1 + len(reports)
+
+
+def test_estimate_demo_reports_replicate_zero_of_its_plan(tmp_path):
+    # --demo is replicate 0 of a bundled plan, so its report values are the
+    # rows `spinlets mc` writes for that plan
+    out = tmp_path / "report.json"
+    assert run(["estimate", "--demo", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    plan = plan_from_config(DEMO_CONFIG)
+    assert plan.replicates == 1
+    _, rows = run_experiment(plan)
+    assert len(rows) == len(reports) == len(plan.kinds)
+    for rep, row in zip(reports, rows):
+        assert (0, rep["j"], rep["kind"]) == row[:3]
+        assert (rep["value"], rep["theoretical_target"],
+                rep["variance_estimate"], rep["standardized"]) == row[3:]
+    # the gap-free map's kinds keep the values of the earlier demo pipeline
+    values = {rep["kind"]: rep["value"] for rep in reports}
+    assert values["masked"] == 0.09459863713897398
+    assert values["unfeasible"] == 0.09205971461705569
+    assert values["asymmetry"] == 0.0037833395856900764
+    assert all(rep["meta"]["window"] == "B=2" for rep in reports)
+    cfg = tmp_path / "mc"
+    assert run(["mc", "--config", str(DEMO_CONFIG), "--out-dir", str(cfg)]) == 0
+    assert (cfg / "raw.csv").read_text() == rows_to_csv(rows)
 
 
 def test_mc_bundled_config_and_threads(tmp_path):
@@ -193,6 +233,37 @@ def test_mc_invalid_levels_named(tmp_path, capsys):
     bad.write_text("[plan]\nj_list =\nkinds = masked\n")
     assert run(["mc", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 1
     assert "levels" in capsys.readouterr().err
+
+
+def test_config_values_parsed_by_declared_type(tmp_path, capsys):
+    path = tmp_path / "plan.cfg"
+    path.write_text("[plan]\nj_list = 3..5\nL = auto\nkinds = masked, unfeasible\n"
+                    "mask_fraction = 0.1\nregions = none\nreplicates = 7\n")
+    plan = plan_from_config(path)
+    assert (plan.j_list, plan.L, plan.kinds, plan.mask_fraction,
+            plan.regions, plan.replicates) == \
+        ((3, 4, 5), None, ("masked", "unfeasible"), 0.1, "none", 7)
+    for line, named in (("replicates = ten", "replicates = 'ten' is not int"),
+                        ("B = two", "B = 'two' is not float"),
+                        ("L = big", "L = 'big' is not int | None"),
+                        ("j_list = 3..x", "j_list = '3..x' is not tuple[int, ...]")):
+        path.write_text(f"[plan]\n{line}\n")
+        with pytest.raises(InvalidConfigError) as err:
+            plan_from_config(path)
+        assert str(err.value) == f"config {path}: {named}"
+        assert run(["mc", "--config", str(path), "--out-dir",
+                    str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config {path}: {named}" in err and "Traceback" not in err
+
+
+def test_config_with_smoothness_order_rejected(tmp_path):
+    # the window has no smoothness knob; an old plan.cfg naming one is refused
+    path = tmp_path / "plan.cfg"
+    path.write_text("[plan]\nj_list = 3\nkinds = masked\nsmoothness_order = 3\n")
+    with pytest.raises(InvalidConfigError,
+                       match=r"unknown keys \['smoothness_order'\]"):
+        plan_from_config(path)
 
 
 def test_config_roundtrip_idempotent(tmp_path):

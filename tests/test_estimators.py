@@ -6,17 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from spinlets import (build_cubature, build_window, draw_alm, estimate_ap,
-                      estimate_asymmetry, estimate_cp, estimate_masked,
-                      estimate_unfeasible, gamma_noise_theoretical,
-                      gamma_theoretical, hausman_statistic, hemispheres,
-                      needlet_analyze, masked_analyze, power_law,
+from spinlets import (build_cubature, build_window, draw_alm, estimate,
+                      estimate_ap, estimate_asymmetry, estimate_cp,
+                      estimate_masked, gamma_theoretical, hausman_statistic,
+                      hemispheres, needlet_analyze, masked_analyze, power_law,
                       subsampling_variance)
+from spinlets import estimators
 from spinlets.errors import (EmptyRegionError, InvalidChannelCountError,
-                             MaskedFlagMismatchError, MissingNoiseModelError,
-                             NonpositiveVarianceError, SelfCheckError,
-                             TooFewBlocksError)
-from spinlets.estimators import PAPER_KIND, block_labels, estimate_hausman
+                             InvalidConfigError, MaskedFlagMismatchError,
+                             MissingNoiseModelError, NonpositiveVarianceError,
+                             SelfCheckError, TooFewBlocksError)
+from spinlets.estimators import (KINDS, PAPER_KIND, block_labels,
+                                 estimate_hausman)
 from spinlets.fields import PowerSpectrumModel
 from spinlets.grid import empty_mask, polar_cap_mask
 from spinlets.transform import synthesize_on_grid
@@ -78,26 +79,55 @@ def test_gamma_empty_support_warns(win):
     assert any("empty window support" in str(w.message) for w in rec)
 
 
-def test_gamma_noise_matches_gamma_when_spectra_equal(win):
-    model = power_law(2.5, l_min=2, kind="noise")
-    assert gamma_noise_theoretical(win, model, 5, S) == \
-        gamma_theoretical(win, model, 5, S)
+def test_gamma_of_silent_noise_model_is_zero(win):
     silent = power_law(2.5, l_min=2, kind="noise", amplitude=0.0)
-    assert gamma_noise_theoretical(win, silent, 5, S) == 0.0
+    assert gamma_theoretical(win, silent, 5, S) == 0.0
 
 
 def test_masked_flag_contracts(win, grid4):
+    # estimate_masked reports the kind its coefficients give; the dispatch
+    # refuses a requested kind that the coefficients do not give
     model = power_law(3.0, l_min=2)
     mask = empty_mask(grid4)
     plain = _coeffs(win, grid4, 4, 1)
-    with pytest.raises(MaskedFlagMismatchError):
-        estimate_masked(plain, mask, model)
     pix = synthesize_on_grid(
         draw_alm(model.scaled(0.5), model.scaled(0.5), S, 31, 1).full_coeffs(),
         grid4, S)
     star = masked_analyze(pix, mask, win, grid4, 4, S)
-    with pytest.raises(MaskedFlagMismatchError):
-        estimate_unfeasible(star, mask, model)
+    assert estimate_masked(plain, mask, model).kind == "unfeasible"
+    assert estimate_masked(star, mask, model).kind == "masked"
+    for kind, coeffs in (("masked", plain), ("unfeasible", star)):
+        inputs = {"masked": coeffs, "gapfree": coeffs, "mask": mask,
+                  "signal": model}
+        with pytest.raises(MaskedFlagMismatchError, match=f"kind={kind}"):
+            estimate(kind, inputs)
+    inputs = {"masked": star, "gapfree": plain, "mask": mask,
+              "signal": model}
+    for kind in ("masked", "unfeasible"):
+        rep = estimate(kind, inputs)
+        assert rep.kind == kind
+        assert rep.value == estimate_masked(inputs[KINDS[kind].args[0]],
+                                            mask, model).value
+
+
+def test_dispatch_looks_estimators_up_at_call_time(win, grid4, monkeypatch):
+    with pytest.raises(InvalidConfigError, match="nope"):
+        estimate("nope", {})
+    # the estimator is looked up by name on each call, so a replacement
+    # installed on the module (as a tracer installs its wrappers) is used
+    model, noise, coeffs = _channel_setup(win, grid4, 4, 18)
+    calls = []
+
+    def recording_cp(*args):
+        calls.append(len(args))
+        return estimate_cp(*args)
+
+    monkeypatch.setattr(estimators, "estimate_cp", recording_cp)
+    rep = estimate("cp", {"channels": coeffs, "signal": model})
+    assert rep.kind == "cp" and calls == [2]
+    estimate("hausman", {"channels": coeffs, "noise": noise,
+                         "signal": model})
+    assert calls == [2, 2]
 
 
 def test_masked_zero_map_gives_zero(win, grid4):
@@ -119,7 +149,7 @@ def test_unfeasible_equals_masked_on_empty_mask(win, grid4):
     star = masked_analyze(pix, mask, win, grid4, 4, S)
     plain = needlet_analyze(alm, win, grid4, 4)
     a = estimate_masked(star, mask, model)
-    b = estimate_unfeasible(plain, mask, model)
+    b = estimate_masked(plain, mask, model)
     assert a.value == pytest.approx(b.value, rel=1e-10)
     assert a.theoretical_target == b.theoretical_target
 
@@ -128,10 +158,10 @@ def test_estimator_phase_invariance(win, grid4):
     model = power_law(3.0, l_min=2)
     mask = empty_mask(grid4)
     coeffs = _coeffs(win, grid4, 4, 3)
-    base = estimate_unfeasible(coeffs, mask, model)
+    base = estimate_masked(coeffs, mask, model)
     rng = np.random.default_rng(0)
     coeffs.values = coeffs.values * 1j ** rng.integers(0, 4, coeffs.values.size)
-    rotated = estimate_unfeasible(coeffs, mask, model)
+    rotated = estimate_masked(coeffs, mask, model)
     assert rotated.value == base.value  # bit-level for |.|^2 statistics
 
 
@@ -420,7 +450,7 @@ def test_report_serialization(win, grid4):
     model = power_law(3.0, l_min=2)
     mask = empty_mask(grid4)
     coeffs = _coeffs(win, grid4, 4, 16)
-    rep = estimate_unfeasible(coeffs, mask, model)
+    rep = estimate_masked(coeffs, mask, model)
     d = rep.to_dict()
     assert set(d) == {"j", "s", "kind", "paper_kind", "value",
                       "theoretical_target", "variance_estimate",

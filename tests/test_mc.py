@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spinlets import fit_variance_slope, normality_diagnostics, run_experiment
+from spinlets import (estimators, fit_variance_slope, mc,
+                      normality_diagnostics, run_experiment)
 from spinlets.errors import (InvalidConfigError, TooFewLevelsError,
                              TooFewSamplesError)
 from spinlets.mc import RAW_HEADER, ExperimentPlan, rows_to_csv
@@ -108,6 +109,33 @@ def test_reproducible_and_thread_count_invariant():
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
     _, rows3 = run_experiment(SMALL, threads=1)
     assert rows_to_csv(rows1) == rows_to_csv(rows3)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failure_budget_same_for_serial_and_pool(threads, monkeypatch):
+    # 12 replicates allow one failure: one is warned about and left out,
+    # a second aborts the run; forked workers see the patched functions
+    draw_alm = mc.draw_alm
+
+    def failing_draw(*args):
+        if args[-1][1] == 3:
+            raise ValueError("boom")
+        return draw_alm(*args)
+
+    monkeypatch.setattr(mc, "draw_alm", failing_draw)
+    with pytest.warns(RuntimeWarning, match=r"1 replicate\(s\) failed: "
+                                            r"\[\(3, 'ValueError: boom'\)\]"):
+        _, rows = run_experiment(SMALL, threads=threads)
+    assert sorted({row[0] for row in rows}) == [r for r in range(12) if r != 3]
+
+    def failing_estimate(*args):
+        raise ValueError("bad")
+
+    monkeypatch.setattr(estimators, "estimate_masked", failing_estimate)
+    with pytest.raises(RuntimeError, match=r"aborting: 2 replicate failures, "
+                                           r"first: r=0: ValueError: bad"):
+        run_experiment(SMALL, threads=threads)
+    assert mc._CTX is None
 
 
 def test_replicate_independence_lag1():

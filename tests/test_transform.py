@@ -10,7 +10,8 @@ from spinlets import (SphPoint, build_cubature, build_window, draw_alm,
                       needlet_analyze, needlet_kernel, needlet_synthesize,
                       masked_analyze, power_law, theoretical_cov,
                       theoretical_corr, transform)
-from spinlets.errors import BandLimitExceededError, CoverageGapError
+from spinlets.errors import (BandLimitExceededError, CoverageGapError,
+                             InvalidCoefficientFileError)
 from spinlets.fields import SpinAlm
 from spinlets.grid import empty_mask, polar_cap_mask
 from spinlets.transform import (_harmonic_tables, peek_coefficients,
@@ -247,6 +248,38 @@ def test_snbc_roundtrip(tmp_path, win, half_model):
     back = read_coefficients(path, grid, win)
     assert np.array_equal(back.values, coeffs.values)
     assert back.masked == coeffs.masked
+
+
+def test_snbc_malformed_files_name_the_field(tmp_path, win, half_model):
+    grid = build_cubature(3, B)
+    coeffs = needlet_analyze(draw_alm(half_model, half_model, S, 15, 8),
+                             win, grid, 3)
+    path = tmp_path / "lev3.snbc"
+    write_coefficients(path, coeffs)
+    good = path.read_bytes()
+    cases = [
+        (good[:5], "header has 5 bytes, SNBC v1 needs 21", True),
+        (b"SNBX" + good[4:], "magic b'SNBX' is not b'SNBC'", True),
+        (good[:4] + (2).to_bytes(4, "little") + good[8:], "version 2 is not 1",
+         True),
+        (good[:-16], f"payload has {16 * grid.n_pixels - 16} bytes, "
+                     f"npix={grid.n_pixels} needs {16 * grid.n_pixels}", False),
+        (good + b"\0", f"payload has {16 * grid.n_pixels + 1} bytes", False),
+    ]
+    for data, field, in_header in cases:
+        path.write_bytes(data)
+        readers = [lambda: read_coefficients(path, grid, win)]
+        if in_header:
+            readers.append(lambda: peek_coefficients(path))
+        for read in readers:
+            with pytest.raises(InvalidCoefficientFileError) as err:
+                read()
+            assert str(err.value).startswith(f"{path}: {field}")
+    path.write_bytes(good)
+    with pytest.raises(InvalidCoefficientFileError,
+                       match=r"header j=3, npix=\d+ does not match the grid "
+                             r"\(j=4, npix=\d+\)"):
+        read_coefficients(path, build_cubature(4, B), win)
 
 
 def test_harmonic_tables_read_d_table_in_place(monkeypatch):

@@ -9,10 +9,12 @@ from spinlets import build_window, eval_b, eval_e_ls, window_support
 from spinlets.errors import InvalidBandwidthError, InvalidDegreeError
 from spinlets.window import band_profile
 
+from oracles import window_derivative_bound
+
 
 @pytest.fixture(scope="module")
 def win():
-    return build_window(2.0, smoothness_order=3)
+    return build_window(2.0)
 
 
 def test_invalid_bandwidth():
@@ -49,11 +51,6 @@ def test_partition_of_unity_random(win):
     for j in range(0, 18):
         total += win.b_squared(x / win.B ** j)
     assert np.max(np.abs(total - 1.0)) < 1e-10
-
-
-def test_eval_matches_tabulation(win):
-    again = eval_b(win, win.samples_x)
-    assert np.max(np.abs(again - win.samples_b)) < 1e-12
 
 
 def test_eigenvalues():
@@ -145,8 +142,8 @@ def test_smoothness_proxy(win):
     # centered finite differences of b^2 stay within 10x the construction
     # bound, and do not explode when the step is refined
     lo, hi = 1.0 / win.B, win.B
-    for r in range(1, min(win.smoothness_order, 4) + 1):
-        bound = win.derivative_bound(r)
+    for r in range(1, 4):
+        bound = window_derivative_bound(win.B, r)
         for h in (2e-3, 1e-3):
             x = np.arange(lo - 0.05, hi + 0.05, h)
             d = win.b_squared(x)
