@@ -185,6 +185,9 @@ def cmd_estimate(args) -> int:
         reports = [rep for _, _, rep in mc.replicate_reports(plan, 0)]
         _write_reports(reports, args.out, args.csv, args.force)
         return 0
+    kinds = [kind.strip() for kind in args.kind.split(",") if kind.strip()]
+    if not kinds:
+        raise InvalidConfigError(f"kind: {args.kind!r} names no estimator kind")
     if not args.coeffs:
         raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
     window = build_window(args.bandwidth)
@@ -192,7 +195,6 @@ def cmd_estimate(args) -> int:
         path, build_cubature(peek_coefficients(path)[0], args.bandwidth), window)
         for path in args.coeffs]
     first = coeff_list[0]
-    kinds = [kind.strip() for kind in args.kind.split(",") if kind.strip()]
     inputs = {"masked": first, "gapfree": first, "channels": coeff_list,
               "signal": power_law(args.alpha, l_min=max(1, abs(first.s)))}
     needs = {name for kind in kinds if kind in estimators.KINDS

@@ -31,19 +31,16 @@ from .errors import InvalidAlmFileError, InvalidChannelCountError, InvalidDegree
 from .wigner import iter_d_slices
 
 
-def rng_from_key(seed) -> np.random.Generator:
-    """Generator keyed by an int or tuple of ints (counter-style sub-seeding)."""
-    if isinstance(seed, (int, np.integer)):
-        key = (int(seed),)
-    else:
-        key = tuple(int(x) for x in seed)
-    return np.random.default_rng(np.random.SeedSequence(key))
-
-
 def seed_key(seed) -> tuple:
+    """The integer tuple of a seed given as an int or a tuple of ints."""
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(x) for x in seed)
+
+
+def rng_from_key(seed) -> np.random.Generator:
+    """Generator keyed by an int or tuple of ints (counter-style sub-seeding)."""
+    return np.random.default_rng(np.random.SeedSequence(seed_key(seed)))
 
 
 @dataclass(frozen=True)
@@ -167,9 +164,10 @@ def draw_alm(model_e: PowerSpectrumModel, model_b: PowerSpectrumModel,
 def synthesize(alm: SpinAlm, points) -> np.ndarray:
     """Pointwise field values sum_{lm} a_{l;ms} Y_{lms}(p) by direct summation.
 
-    `points` is a sequence of SphPoint or a (theta, phi) array pair.  Meant
-    for arbitrary point sets; gridded maps go through the factorized path in
-    spinlets.transform.
+    `points` is a sequence of SphPoint or a (theta, phi) array pair; one
+    recursion sweep over all their colatitudes, poles included, gives every
+    d-value.  Meant for arbitrary point sets; gridded maps go through the
+    factorized path in spinlets.transform.
     """
     if isinstance(points, tuple) and len(points) == 2:
         theta = np.asarray(points[0], dtype=np.float64)
@@ -181,37 +179,20 @@ def synthesize(alm: SpinAlm, points) -> np.ndarray:
 
     L, s = alm.L, alm.s
     coeffs = alm.full_coeffs()
-    out = np.zeros(theta.shape, dtype=np.complex128)
+    out = np.zeros(theta.size, dtype=np.complex128)
     if not np.any(coeffs):
-        return out
+        return out.reshape(theta.shape)
 
-    interior = (theta > 0.0) & (theta < math.pi)
     mu = np.arange(-L, L + 1)
     # d^l_{mu,s} pairs with order m = -mu; phases e^{im phi} = e^{-i mu phi}
-    if np.any(interior):
-        th, ph = theta[interior], phi[interior]
-        phases = np.exp(-1j * np.outer(mu, ph))
-        acc = np.zeros(th.shape, dtype=np.complex128)
-        for l, d in iter_d_slices(L, s, th):
-            w = coeffs[l, ::-1][(L - l):(L + l + 1)]  # index mu: a_{l,-mu}
-            sign = np.where((mu[L - l:L + l + 1] % 2) == 0, 1.0, -1.0)
-            norm = math.sqrt((2 * l + 1) / (4.0 * math.pi))
-            acc += norm * np.einsum(
-                "m,mp,mp->p", w * sign, phases[L - l:L + l + 1], d)
-        out[interior] = acc
-    # poles: d^l_{-m,s}(0) = delta_{-m,s}, d^l_{-m,s}(pi) = (-1)^(l-s) delta_{m,s}
-    for k in np.flatnonzero(~interior):
-        pole_north = theta[k] == 0.0
-        m = -s if pole_north else s
-        if abs(m) > L:
-            continue
-        total = 0.0 + 0.0j
-        for l in range(max(abs(s), abs(m)), L + 1):
-            d = 1.0 if pole_north else (-1.0) ** (l - s)
-            norm = math.sqrt((2 * l + 1) / (4.0 * math.pi))
-            total += coeffs[l, m + L] * (-1.0) ** m * norm * d * np.exp(1j * m * phi[k])
-        out[k] = total
-    return out
+    phases = np.exp(-1j * np.outer(mu, phi.ravel()))
+    for l, d in iter_d_slices(L, s, theta.ravel()):
+        w = coeffs[l, ::-1][(L - l):(L + l + 1)]  # index mu: a_{l,-mu}
+        sign = np.where((mu[L - l:L + l + 1] % 2) == 0, 1.0, -1.0)
+        norm = math.sqrt((2 * l + 1) / (4.0 * math.pi))
+        out += norm * np.einsum(
+            "m,mp,mp->p", w * sign, phases[L - l:L + l + 1], d)
+    return out.reshape(theta.shape)
 
 
 def rotate_stokes(value, gamma: float, s: int = 2):

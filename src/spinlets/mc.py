@@ -63,6 +63,8 @@ class ExperimentPlan:
             raise InvalidConfigError("j_list: needs levels j >= 0")
         if len(set(self.j_list)) != len(self.j_list):
             raise InvalidConfigError("j_list: duplicate levels")
+        if not self.kinds:
+            raise InvalidConfigError("kinds: needs at least one estimator kind")
         for kind in self.kinds:
             if kind not in KNOWN_KINDS:
                 raise InvalidConfigError(f"kinds: unknown estimator kind {kind!r}")

@@ -122,18 +122,26 @@ def _support_or_raise(window: NeedletWindow, grid: CubatureGrid, j: int, s: int)
     return support
 
 
-def _banded_coeffs(full: np.ndarray, window: NeedletWindow, j: int, s: int,
-                   support: range) -> np.ndarray:
-    """b-weighted full-order coefficients, truncated to the window support."""
-    L_in = full.shape[0] - 1
-    L_out = support.stop - 1
-    ells = np.arange(L_out + 1)
-    b = band_profile(window, j, s, ells)
-    out = np.zeros((L_out + 1, 2 * L_out + 1), dtype=np.complex128)
-    L_use = min(L_in, L_out)
-    out[:L_use + 1, L_out - L_use:L_out + L_use + 1] = full[:L_use + 1,
-                                                            L_in - L_use:L_in + L_use + 1]
-    return out * b[:, None]
+def _level_coefficients(full, window: NeedletWindow, grid: CubatureGrid, j: int,
+                        s: int, support: range, masked: bool) -> NeedletCoefficients:
+    """beta_{jk;s} = sqrt(lambda_k) sum_l b_l sum_m full_{lm} Y_lms(xi_k).
+
+    `full` is a full-order [l, m + L] array, or a callable returning one,
+    called only when the window support is not empty; degrees of the
+    support above its band limit contribute zero.
+    """
+    values = np.zeros(grid.n_pixels, dtype=np.complex128)
+    if len(support):
+        full = full()
+        L_in, L_out = full.shape[0] - 1, support.stop - 1
+        b = band_profile(window, j, s, np.arange(L_out + 1))
+        banded = np.zeros((L_out + 1, 2 * L_out + 1), dtype=np.complex128)
+        L_use = min(L_in, L_out)
+        banded[:L_use + 1, L_out - L_use:L_out + L_use + 1] = \
+            full[:L_use + 1, L_in - L_use:L_in + L_use + 1]
+        values = synthesize_on_grid(banded * b[:, None], grid, s) * np.sqrt(grid.weights)
+    return NeedletCoefficients(j=j, s=s, values=values, masked=masked,
+                               grid=grid, window=window)
 
 
 def needlet_analyze(alm: SpinAlm, window: NeedletWindow, grid: CubatureGrid,
@@ -143,16 +151,9 @@ def needlet_analyze(alm: SpinAlm, window: NeedletWindow, grid: CubatureGrid,
     Degrees of the window support above the field's band limit carry no
     power by definition of the input and contribute zero.
     """
-    s = alm.s
-    support = _support_or_raise(window, grid, j, s)
-    if len(support) == 0:
-        values = np.zeros(grid.n_pixels, dtype=np.complex128)
-        return NeedletCoefficients(j=j, s=s, values=values, masked=False,
-                                   grid=grid, window=window)
-    banded = _banded_coeffs(alm.full_coeffs(), window, j, s, support)
-    values = synthesize_on_grid(banded, grid, s) * np.sqrt(grid.weights)
-    return NeedletCoefficients(j=j, s=s, values=values, masked=False,
-                               grid=grid, window=window)
+    support = _support_or_raise(window, grid, j, alm.s)
+    return _level_coefficients(alm.full_coeffs, window, grid, j, alm.s,
+                               support, masked=False)
 
 
 def masked_analyze(map_values: np.ndarray, mask: SkyMask, window: NeedletWindow,
@@ -165,17 +166,12 @@ def masked_analyze(map_values: np.ndarray, mask: SkyMask, window: NeedletWindow,
     if mask.grid is not grid and mask.grid.fingerprint != grid.fingerprint:
         raise ValueError("mask and coefficients must share the grid")
     support = _support_or_raise(window, grid, j, s)
-    if len(support) == 0:
-        values = np.zeros(grid.n_pixels, dtype=np.complex128)
-        return NeedletCoefficients(j=j, s=s, values=values, masked=True,
-                                   grid=grid, window=window)
-    gap_filled = np.where(mask.excluded, 0.0 + 0.0j, map_values)
-    L_sup = support.stop - 1
-    pseudo = analyze_on_grid(gap_filled, grid, s, L_sup)
-    banded = _banded_coeffs(pseudo, window, j, s, support)
-    values = synthesize_on_grid(banded, grid, s) * np.sqrt(grid.weights)
-    return NeedletCoefficients(j=j, s=s, values=values, masked=True,
-                               grid=grid, window=window)
+
+    def pseudo():  # pseudo-coefficients of the gap-filled map
+        gap_filled = np.where(mask.excluded, 0.0 + 0.0j, map_values)
+        return analyze_on_grid(gap_filled, grid, s, support.stop - 1)
+
+    return _level_coefficients(pseudo, window, grid, j, s, support, masked=True)
 
 
 def needlet_kernel(window: NeedletWindow, grid: CubatureGrid, j: int, k: int,

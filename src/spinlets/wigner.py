@@ -8,10 +8,13 @@ with d^l_{m,n} the standard Wigner small-d matrix, d^l_{m,n}(0) = delta_{mn},
 d^1_{00}(beta) = cos(beta).  For s = 0 this reduces to the usual scalar
 spherical harmonic with Condon-Shortley phase.
 
-d-values are computed by a three-term recursion in degree l at fixed (m, n),
-seeded at l = max(|m|, |n|) with the closed-form boundary element (evaluated
-in log space so high degrees neither overflow nor underflow).  Everything is
-a pure function; there is no shared mutable state.
+Every d-value comes from one engine, iter_d_slices: a single upward sweep
+of the three-term recursion in degree l at fixed column n, vectorized over
+the rows m and the colatitudes.  It is seeded at l = |n| with the closed-form
+row d^{|n|}_{m,n}, and at each degree the two boundary rows |m| = l enter in
+closed form (both evaluated in log space, so high degrees neither overflow
+nor underflow).  Columns at exactly 0 or pi take the exact Kronecker/parity
+forms.  Everything is a pure function; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -68,89 +71,45 @@ def _check_indices(l, m, n):
         raise IndexOutOfRangeError(f"indices (m={m}, n={n}) out of range for l={l}")
 
 
-def _endpoint_d(l, m, n, beta):
-    # beta = 0 and beta = pi are exact Kronecker/parity cases; the recursion
-    # coefficients would hit 0/0 there.
-    if beta == 0.0:
-        return 1.0 if m == n else 0.0
-    return (-1.0) ** (l - n) if m == -n else 0.0
-
-
-def _log_half_angle(beta):
-    # log cos(beta/2), log sin(beta/2) for beta strictly inside (0, pi)
-    return math.log(math.cos(0.5 * beta)), math.log(math.sin(0.5 * beta))
-
-
 def _log_binom(a, b):
     return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
-
-
-def _column_seed(n, m_arr, lc, ls):
-    """d^{|n|}_{m,n} for all |m| <= |n|, the first row of the l-recursion."""
-    l0 = abs(n)
-    m = np.asarray(m_arr, dtype=np.int64)
-    if n >= 0:
-        logmag = 0.5 * (gammaln(2 * l0 + 1) - gammaln(l0 + m + 1)
-                        - gammaln(l0 - m + 1)) + (l0 + m) * lc + (l0 - m) * ls
-        sign = np.ones_like(m, dtype=np.float64)
-    else:
-        logmag = 0.5 * (gammaln(2 * l0 + 1) - gammaln(l0 - m + 1)
-                        - gammaln(l0 + m + 1)) + (l0 - m) * lc + (l0 + m) * ls
-        sign = np.where((m + l0) % 2 == 0, 1.0, -1.0)
-    return sign * np.exp(logmag)
-
-
-def _row_seeds(l, n, lc, ls):
-    """d^l_{+l,n} and d^l_{-l,n}: elements entering the recursion at degree l."""
-    top = (-1.0) ** (l - n) * math.exp(
-        0.5 * _log_binom(2 * l, l + n) + (l + n) * lc + (l - n) * ls)
-    bot = math.exp(0.5 * _log_binom(2 * l, l - n) + (l - n) * lc + (l + n) * ls)
-    return top, bot
 
 
 def wigner_d(l: int, m: int, n: int, beta: float) -> float:
     """Wigner small-d matrix element d^l_{m,n}(beta), beta in [0, pi]."""
     _check_indices(l, m, n)
-    if not 0.0 <= beta <= math.pi:
-        raise ValueError(f"beta={beta} outside [0, pi]")
-    if beta == 0.0 or beta == math.pi:
-        return _endpoint_d(l, m, n, beta)
-
-    lc, ls = _log_half_angle(beta)
-    l0 = max(abs(m), abs(n))
-    if abs(n) >= abs(m):
-        d_cur = float(_column_seed(n, np.array([m]), lc, ls)[0])
-    else:
-        top, bot = _row_seeds(l0, n, lc, ls)
-        d_cur = top if m > 0 else bot
-    if l == l0:
-        return d_cur
-
-    x = math.cos(beta)
-    d_prev = 0.0
-    for k in range(l0, l):
-        if k == 0:  # only reachable for m = n = 0: Legendre step P1 = x
-            d_prev, d_cur = d_cur, x * d_cur
-            continue
-        c_next = k * math.sqrt(((k + 1) ** 2 - m * m) * ((k + 1) ** 2 - n * n))
-        c_cur = (2 * k + 1) * (k * (k + 1) * x - m * n)
-        c_prev = (k + 1) * math.sqrt((k * k - m * m) * (k * k - n * n))
-        d_prev, d_cur = d_cur, (c_cur * d_cur - c_prev * d_prev) / c_next
-    return d_cur
+    return wigner_d_slice(l, n, beta).value(m)
 
 
 def iter_d_slices(L: int, n: int, theta):
     """Yield (l, d) for l = |n| .. L, d of shape (2l+1, ntheta): d^l_{m,n}(theta).
 
-    One upward sweep of the degree recursion, vectorized over the row index m
-    and over the colatitudes; no per-m restarts.  Each degree gets a fresh
-    array of its own 2l+1 rows, so yielded slices stay valid after the sweep
-    moves on.  theta values must lie strictly inside (0, pi) (endpoints are
-    handled by callers via the exact Kronecker/parity forms).
+    theta values lie in [0, pi].  One upward sweep of the degree recursion,
+    vectorized over the row index m and over the colatitudes; no per-m
+    restarts.  Columns at exactly 0 or pi, where the half-angle logarithms
+    of the seeds diverge, take the exact forms d = delta_{mn} and
+    (-1)^(l-n) delta_{m,-n}; the recursion runs on the other columns.  Each
+    degree gets a fresh array of its own 2l+1 rows, so yielded slices stay
+    valid after the sweep moves on.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    if theta.size and (theta.min() <= 0.0 or theta.max() >= math.pi):
-        raise ValueError("iter_d_slices needs theta strictly inside (0, pi)")
+    if theta.size and not (theta.min() >= 0.0 and theta.max() <= math.pi):
+        raise ValueError(f"theta outside [0, pi]: {theta.min()}..{theta.max()}")
+    north, south = theta == 0.0, theta == math.pi
+    inside = ~(north | south)
+    poles = not inside.all()
+
+    def emit(l, d):
+        if not poles:
+            return d
+        full = np.zeros((2 * l + 1, inside.size))
+        full[:, inside] = d
+        full[l + n, north] = 1.0
+        full[l - n, south] = (-1.0) ** (l - n)
+        return full
+
+    if poles:
+        theta = theta[inside]
     x = np.cos(theta)
     lc = np.log(np.cos(0.5 * theta))
     ls = np.log(np.sin(0.5 * theta))
@@ -177,7 +136,7 @@ def iter_d_slices(L: int, n: int, theta):
     # the c_prev * prev products of every degree reuse one buffer, so the
     # sweep allocates only the rows it yields
     scratch = np.empty((max(2 * L - 1, 0), nth))
-    yield l0, cur
+    yield l0, emit(l0, cur)
 
     for l in range(l0, L):
         # rows |m| <= l of degree l+1 come from the recursion, the two rows
@@ -205,32 +164,15 @@ def iter_d_slices(L: int, n: int, theta):
         logc = 0.5 * _log_binom(2 * (l + 1), l + 1 - n)
         nxt[0] = np.exp(logc + (l + 1 - n) * lc + (l + 1 + n) * ls)
         prev, cur = cur, nxt
-        yield l + 1, cur
-
-
-def _point_slices(L: int, n: int, beta: float):
-    """Yield (l, d^l_{m,n}(beta) for m = -l..l) for l = |n| .. L at one colatitude.
-
-    One recursion sweep; beta = 0 and beta = pi take the exact
-    Kronecker/parity forms.
-    """
-    if beta == 0.0 or beta == math.pi:
-        for l in range(abs(n), L + 1):
-            yield l, np.array([_endpoint_d(l, m, n, beta) for m in range(-l, l + 1)])
-        return
-    for l, d in iter_d_slices(L, n, np.array([beta])):
-        yield l, d[:, 0]
+        yield l + 1, emit(l + 1, cur)
 
 
 def wigner_d_slice(l: int, n: int, beta: float) -> WignerDSlice:
     """All d^l_{m,n}(beta) for m = -l..l in a single recursion sweep."""
     _check_indices(l, 0, n)
-    if not 0.0 <= beta <= math.pi:
-        raise ValueError(f"beta={beta} outside [0, pi]")
-    for ll, d in _point_slices(l, n, beta):
-        if ll == l:
-            return WignerDSlice(l=l, n=n, beta=beta, values=d.copy())
-    raise AssertionError("unreachable")
+    for _, d in iter_d_slices(l, n, beta):
+        pass  # the sweep ends at degree l
+    return WignerDSlice(l=l, n=n, beta=beta, values=d[:, 0].copy())
 
 
 def d_table(L: int, n: int, theta) -> np.ndarray:
@@ -264,28 +206,14 @@ def kernel_K(l: int, s: int, p: SphPoint, q: SphPoint) -> complex:
     Direct summation over m; at p = q this is (2l+1)/4pi by the addition
     theorem.
     """
-    if l < abs(s):
-        raise InvalidDegreeError(f"l={l} < |s|={abs(s)}")
-    dp = wigner_d_slice(l, s, p.theta).values
-    dq = wigner_d_slice(l, s, q.theta).values
-    return _kernel_from_slices(l, dp, dq, p.phi - q.phi)
-
-
-def _kernel_from_slices(l, dp, dq, dphi) -> complex:
-    m = np.arange(-l, l + 1)
-    # (-1)^m phases cancel between Y(p) and conj(Y(q)); mu = -m reindexes the
-    # slice arrays, which run over the row index of d^l_{., s}.
-    phase = np.exp(1j * m * dphi)
-    norm = (2 * l + 1) / (4.0 * math.pi)
-    return complex(norm * np.sum(phase * dp[::-1] * dq[::-1]))
+    return kernel_sum(s, p, q, [l], [1.0])
 
 
 def kernel_sum(s: int, p: SphPoint, q: SphPoint, degrees, weights) -> complex:
     """sum_l w_l K^ls(p, q) over ascending degrees l >= |s|; w_l = 0 is skipped.
 
-    The same terms, added in the same order, as calling kernel_K per degree,
-    but from one recursion sweep per distinct colatitude instead of a fresh
-    sweep per degree and point: O(L^2) instead of O(L^3).
+    One recursion sweep over the colatitudes of p and q serves every degree:
+    O(L^2) instead of the O(L^3) of a fresh sweep per degree.
     """
     terms = {int(l): w for l, w in zip(degrees, weights) if w != 0.0}
     total = 0.0 + 0.0j
@@ -294,10 +222,13 @@ def kernel_sum(s: int, p: SphPoint, q: SphPoint, degrees, weights) -> complex:
     if min(terms) < abs(s):
         raise InvalidDegreeError(f"l={min(terms)} < |s|={abs(s)}")
     dphi = p.phi - q.phi
-    sweep_p = _point_slices(max(terms), s, p.theta)
-    sweep_q = None if q.theta == p.theta else _point_slices(max(terms), s, q.theta)
-    for l, dp in sweep_p:
-        dq = dp if sweep_q is None else next(sweep_q)[1]
+    thetas = [p.theta] if q.theta == p.theta else [p.theta, q.theta]
+    for l, d in iter_d_slices(max(terms), s, thetas):
         if l in terms:
-            total += terms[l] * _kernel_from_slices(l, dp, dq, dphi)
+            # (-1)^m phases cancel between Y(p) and conj(Y(q)); mu = -m
+            # reindexes the rows of d^l_{., s}
+            phase = np.exp(1j * np.arange(-l, l + 1) * dphi)
+            norm = (2 * l + 1) / (4.0 * math.pi)
+            total += terms[l] * complex(
+                norm * np.sum(phase * d[::-1, 0] * d[::-1, -1]))
     return total

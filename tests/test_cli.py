@@ -235,6 +235,23 @@ def test_mc_invalid_levels_named(tmp_path, capsys):
     assert "levels" in capsys.readouterr().err
 
 
+def test_empty_kinds_refused(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[plan]\nj_list = 3\nkinds =\nreplicates = 2\n")
+    out = tmp_path / "o"
+    assert run(["mc", "--config", str(bad), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "kinds" in err and "Traceback" not in err
+    assert not (out / "raw.csv").exists()
+    for kind in ("", ",", " , "):
+        report = tmp_path / "r.json"
+        assert run(["estimate", "--kind", kind, "--coeffs", "absent.snbc",
+                    "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "kind" in err and "Traceback" not in err
+        assert not report.exists()
+
+
 def test_config_values_parsed_by_declared_type(tmp_path, capsys):
     path = tmp_path / "plan.cfg"
     path.write_text("[plan]\nj_list = 3..5\nL = auto\nkinds = masked, unfeasible\n"

@@ -11,7 +11,8 @@ from spinlets import (SphPoint, draw_alm, eval_cl, observe_channels, power_law,
 from spinlets.errors import (InvalidAlmFileError, InvalidChannelCountError,
                              InvalidDegreeError)
 from spinlets.fields import (PowerSpectrumModel, SpinAlm, read_alm, write_alm)
-from spinlets.wigner import wigner_d
+
+from oracles import wigner_d_factorial
 
 
 def test_power_law_value():
@@ -105,7 +106,8 @@ def test_synthesize_zero_and_single_mode():
     alm.alm_e[s, 0] = 1.0
     vals = synthesize(alm, pts)
     for p, v in zip(pts, vals):
-        want = math.sqrt((2 * s + 1) / (4 * math.pi)) * wigner_d(s, 0, s, p.theta)
+        want = math.sqrt((2 * s + 1) / (4 * math.pi)) * \
+            wigner_d_factorial(s, 0, s, p.theta)
         assert v == pytest.approx(want + 0j, abs=1e-13)
 
 
@@ -209,8 +211,16 @@ def test_synthesize_at_poles():
     alm = draw_alm(half, half, s, L, 14)
     vals = synthesize(alm, [SphPoint(0.0, 0.0), SphPoint(math.pi, 1.0),
                             SphPoint(1e-9, 0.3)])
-    # poles pick out the single m = -s / m = +s mode; nearby points agree
-    assert np.isfinite(vals).all()
+    # poles pick out a single order: Y_lms(0, phi) keeps only m = -s, with
+    # d^l_{s,s}(0) = 1; Y_lms(pi, phi) keeps only m = +s, with
+    # d^l_{-s,s}(pi) = (-1)^(l-s)
+    a = alm.full_coeffs()  # [l, m + L]
+    north = south = 0.0j
+    for l in range(s, L + 1):
+        norm = math.sqrt((2 * l + 1) / (4 * math.pi))
+        north += a[l, L - s] * (-1) ** s * norm * np.exp(-1j * s * 0.0)
+        south += a[l, L + s] * (-1) ** s * norm * (-1) ** (l - s) * np.exp(1j * s * 1.0)
+    assert abs(vals[0] - north) < 1e-13 and abs(vals[1] - south) < 1e-13
     near = synthesize(alm, [SphPoint(1e-6, 0.3)])
     assert abs(near[0] - vals[2]) < 1e-4 * max(1.0, abs(vals[2]))
 

@@ -64,6 +64,8 @@ def test_plan_validation_messages():
         ExperimentPlan(j_list=()).validate()
     with pytest.raises(InvalidConfigError, match="kinds"):
         ExperimentPlan(kinds=("nope",)).validate()
+    with pytest.raises(InvalidConfigError, match="kinds"):
+        ExperimentPlan(kinds=()).validate()
     with pytest.raises(InvalidConfigError, match="channels"):
         ExperimentPlan(kinds=("cp",), channels=1).validate()
     with pytest.raises(InvalidConfigError, match="regions"):

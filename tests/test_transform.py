@@ -108,6 +108,31 @@ def test_masked_zero_map(win):
     assert np.all(star.values == 0.0)
 
 
+@pytest.mark.parametrize("j", [3, 4, 5, 6])
+def test_z_rotation_by_one_pixel_rolls_coefficients(win, half_model, j):
+    # metamorphic, no reference implementation: a z-rotation by one longitude
+    # step multiplies a_lm by e^{-im 2pi/n_phi}, keeps the local frame (no
+    # spin phase) and moves every ring by one pixel; the polar cap maps to
+    # itself, so masked coefficients roll too
+    grid = build_cubature(j, B)
+    mask = polar_cap_mask(grid, 0.10)
+    for s in range(4):
+        L = window_support(win, j, s).stop - 1
+        alm = draw_alm(half_model, half_model, s, L, (808, j, s))
+        turned = alm.copy()
+        phase = np.exp(-1j * np.arange(L + 1) * 2 * math.pi / grid.n_phi)
+        turned.alm_e *= phase
+        turned.alm_b *= phase
+        maps = [synthesize_on_grid(a.full_coeffs(), grid, s) for a in (alm, turned)]
+        pairs = [[needlet_analyze(a, win, grid, j) for a in (alm, turned)],
+                 [masked_analyze(f, mask, win, grid, j, s) for f in maps]]
+        for before, after in pairs:
+            want = np.roll(before.values.reshape(grid.n_theta, grid.n_phi), 1, axis=1)
+            got = after.values.reshape(grid.n_theta, grid.n_phi)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+                (j, s, before.masked)
+
+
 def test_masked_coefficient_error_decays_with_margin(win, half_model):
     # E|beta - beta*|^2 drops sharply as the distance to the mask grows
     j, reps = 5, 40

@@ -57,7 +57,7 @@ def test_slice_matches_elementwise_and_is_unitary():
             if l <= 7:
                 for m in range(-l, l + 1):
                     assert sl.value(m) == pytest.approx(
-                        wigner_d(l, m, n, beta), rel=1e-12, abs=1e-15)
+                        wigner_d_factorial(l, m, n, beta), rel=1e-12, abs=1e-15)
 
 
 def test_symmetry_negate_both_indices():
@@ -172,6 +172,29 @@ def test_iter_d_slices_bitwise_equal_to_buffered_engine(n, L):
         assert d.tobytes() == ref.tobytes()
     for (a, _), (b, _) in zip(kept, kept[1:]):
         assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("n, L", ENGINE_CASES)
+def test_iter_d_slices_exact_endpoint_columns(n, L):
+    interior = _engine_theta(n, L)
+    theta = np.concatenate([[0.0, math.pi], interior[:5], [math.pi, 0.0],
+                            interior[5:], [0.0]])
+    inside = (theta > 0.0) & (theta < math.pi)
+    for got, ref in zip_longest(iter_d_slices(L, n, theta),
+                                iter_d_slices(L, n, interior)):
+        (l, d), (l_ref, d_ref) = got, ref
+        assert l == l_ref and d.shape == (2 * l + 1, theta.size)
+        assert np.ascontiguousarray(d[:, inside]).tobytes() == d_ref.tobytes()
+        m = np.arange(-l, l + 1)
+        north = np.where(m == n, 1.0, 0.0)
+        south = np.where(m == -n, (-1.0) ** (l - n), 0.0)
+        for col in np.flatnonzero(theta == 0.0):
+            assert np.array_equal(d[:, col], north)
+        for col in np.flatnonzero(theta == math.pi):
+            assert np.array_equal(d[:, col], south)
+    for bad in ([-1e-12], [math.pi + 1e-12], [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            next(iter_d_slices(L, n, np.array(bad)))
 
 
 @pytest.mark.parametrize("n, L", ENGINE_CASES)
