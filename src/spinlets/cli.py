@@ -37,6 +37,10 @@ from .window import build_window
 # plan key -> declared type of its ExperimentPlan field, in field order
 _PLAN_TYPES = typing.get_type_hints(mc.ExperimentPlan)
 DEMO_CONFIG = Path(__file__).parent / "configs" / "demo_estimate.cfg"
+# what a config line that configparser refuses does wrong
+_SYNTAX = {configparser.MissingSectionHeaderError: "key before the [plan] header",
+           configparser.DuplicateOptionError: "key given twice",
+           configparser.DuplicateSectionError: "section given twice"}
 
 
 def _err(msg: str) -> None:
@@ -64,11 +68,20 @@ def _parse_levels(text: str) -> tuple:
 
 def plan_from_config(path) -> mc.ExperimentPlan:
     """Parse an ExperimentPlan from a [plan] section of flat key=value text."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     parser.optionxform = str  # plan keys are case-sensitive (B vs b)
-    read = parser.read(path)
-    if not read:
-        raise InvalidConfigError(f"config: cannot read {path}")
+    try:
+        parser.read_string(Path(path).read_text(encoding="utf-8"), str(path))
+    except OSError as exc:
+        raise InvalidConfigError(f"config: cannot read {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(
+            f"config {path}: byte {exc.start} is not UTF-8") from None
+    except configparser.Error as exc:  # no [plan] header, a key given twice
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise InvalidConfigError(f"config {path}:{lineno}: "
+                                 f"{_SYNTAX.get(type(exc), 'not key = value')}") from None
     if "plan" not in parser:
         raise InvalidConfigError(f"config {path}: missing [plan] section")
     section = parser["plan"]
@@ -90,8 +103,6 @@ def _parse_value(path, key: str, text: str):
             return _parse_levels(raw)
         if hint == tuple[str, ...]:
             return tuple(t.strip() for t in raw.split(",") if t.strip())
-        if hint == int | None:
-            return None if raw.lower() in ("", "none", "auto") else int(raw)
         return hint(raw)
     except ValueError as exc:
         raise InvalidConfigError(
@@ -107,8 +118,6 @@ def plan_to_config_text(plan: mc.ExperimentPlan) -> str:
         value = getattr(plan, key)
         if key in ("j_list", "kinds"):
             value = ",".join(str(v) for v in value)
-        elif key == "L":
-            value = "auto" if value is None else value
         out.write(f"{key} = {value}\n")
     return out.getvalue()
 
@@ -141,7 +150,7 @@ def cmd_transform(args) -> int:
     levels = _parse_levels(args.levels)
     mask = None
     if args.mask is not None:  # validate all inputs before writing anything
-        mask = read_mask(args.mask, epsilon=args.epsilon, grid=None)
+        mask = read_mask(args.mask)
         bad = [j for j in levels if j != mask.grid.j]
         if bad:
             raise InvalidConfigError(
@@ -197,8 +206,7 @@ def cmd_estimate(args) -> int:
     first = coeff_list[0]
     inputs = {"masked": first, "gapfree": first, "channels": coeff_list,
               "signal": power_law(args.alpha, l_min=max(1, abs(first.s)))}
-    needs = {name for kind in kinds if kind in estimators.KINDS
-             for name in estimators.KINDS[kind].args}
+    needs = estimators.inputs_read(kinds)
     if "mask" in needs:
         inputs["mask"] = empty_mask(first.grid, epsilon=args.epsilon) \
             if args.mask is None else \
@@ -349,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, default=2.0)
     p.add_argument("--levels", required=True, help="e.g. 2..6 or 2,3,4")
     p.add_argument("--mask", default=None)
-    p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true")

@@ -75,6 +75,11 @@ KNOWN_KINDS = tuple(KINDS)
 PAPER_KIND = {kind: spec.paper_name for kind, spec in KINDS.items()}
 
 
+def inputs_read(kinds) -> set:
+    """Every input name the KINDS entries of `kinds` read (unknown kinds: none)."""
+    return {name for kind in kinds if kind in KINDS for name in KINDS[kind].args}
+
+
 @dataclass(eq=False)
 class EstimateReport:
     """One estimator evaluation: value, target, variance, standardized form."""

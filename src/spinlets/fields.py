@@ -47,16 +47,15 @@ def rng_from_key(seed) -> np.random.Generator:
 class PowerSpectrumModel:
     """Angular power spectrum C_l = amplitude * l^(-alpha) * g(l), l >= l_min.
 
-    g is a slowly varying factor bounded in [1/g_bound, g_bound] (g = 1 when
-    None).  `amplitude` is an overall scale: the total spectrum of a field,
-    or a deliberate misscaling when testing noise misspecification.
+    g is a slowly varying factor, bounded away from 0 and infinity (g = 1
+    when None).  `amplitude` is an overall scale: the total spectrum of a
+    field, or a deliberate misscaling when testing noise misspecification.
     """
 
     alpha: float
     l_min: int = 1
     kind: str = "signal"
     g: Callable | None = None
-    g_bound: float = 1.0
     amplitude: float = 1.0
 
     def scaled(self, factor: float) -> "PowerSpectrumModel":
@@ -207,10 +206,6 @@ class ChannelSet:
     signal: SpinAlm
     noise: list
     noise_models: list
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.noise)
 
     def channel(self, r: int) -> SpinAlm:
         return self.signal + self.noise[r]

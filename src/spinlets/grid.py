@@ -88,6 +88,8 @@ def build_cubature(j: int, B: float, max_pixels: int = 8_000_000) -> CubatureGri
         raise ValueError("level j must be >= 0")
     if not B > 1.0:
         raise InvalidBandwidthError(f"bandwidth B={B} must be > 1")
+    if (j + 1) * math.log(B) > math.log(max_pixels):  # before B^(j+1) overflows
+        raise ResourceLimitError(f"level j={j} needs > {max_pixels} pixels (cap)")
     n = math.ceil(B ** (j + 1))
     n_theta, n_phi = n + 1, 2 * n + 1
     if n_theta * n_phi > max_pixels:
@@ -143,7 +145,7 @@ class SkyMask:
     grid: CubatureGrid
     excluded: np.ndarray = field(repr=False)
     epsilon: float = 0.0
-    dilated: np.ndarray = field(default=None, repr=False)
+    dilated: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.epsilon < 0.0:
@@ -240,9 +242,13 @@ def write_mask(path, mask: SkyMask) -> None:
 
 def read_mask(path, epsilon: float = 0.0, grid: CubatureGrid | None = None) -> SkyMask:
     """Read a mask file; rebuilds the level grid from the header unless given."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidMaskFileError(
+            f"{path}: byte {exc.start} is not UTF-8") from None
     lines = [(n, line.strip()) for n, line
-             in enumerate(Path(path).read_text().splitlines(), start=1)
-             if line.strip()]
+             in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise InvalidMaskFileError(f"{path}: empty mask file, no header")
     lineno, header = lines[0]
@@ -251,12 +257,14 @@ def read_mask(path, epsilon: float = 0.0, grid: CubatureGrid | None = None) -> S
         raise InvalidMaskFileError(
             f"{path}:{lineno}: header {header!r} is not "
             f"'mask v1 j=<level> B=<bandwidth> npix=<pixels>'")
-    try:
-        B = float(m.group(2))
-    except ValueError:
-        raise InvalidMaskFileError(
-            f"{path}:{lineno}: header field B={m.group(2)!r} is not a number") from None
-    j, npix = int(m.group(1)), int(m.group(3))
+    values = []
+    for name, parse, value in zip(("j", "B", "npix"), (int, float, int), m.groups()):
+        try:
+            values.append(parse(value))
+        except ValueError:
+            raise InvalidMaskFileError(f"{path}:{lineno}: header field "
+                                       f"{name}={value!r} is not a number") from None
+    j, B, npix = values
     if grid is None:
         grid = build_cubature(j, B)
     if grid.j != j:

@@ -1,14 +1,17 @@
 """Monte Carlo experiment harness: replicate generation and diagnostics.
 
-A plan is declarative (bandwidth, spin, levels, spectra, mask/region layout,
+A plan is declarative (bandwidth, spin, levels, spectra, mask layout,
 estimator kinds, replicate count, base seed).  Every replicate r derives its
 randomness from the seed key (base_seed, r, channel), so results are
 reproducible and independent of scheduling; the raw statistic table is
 byte-identical at any worker count.
 
-Per level j the signal is truncated to the window support's top degree
-before synthesis, which keeps the level grid's quadrature exact (the
-coefficients only see support degrees anyway).
+What a plan builds follows from its levels and kinds.  The band limit is the
+top degree of the deepest level's window support, and a level's coefficients
+see only its own support degrees.  A level gets a mask only when a kind reads
+"mask" and hemispheres only when a kind reads "regions".  The masked map of
+level j is synthesized from degrees up to its support top, which keeps the
+level grid's quadrature exact.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from scipy.special import ndtr
 
 from . import estimators
 from .errors import (InvalidConfigError, TooFewLevelsError, TooFewSamplesError)
-from .estimators import KINDS, KNOWN_KINDS
-from .fields import SpinAlm, draw_alm, observe_channels, power_law
-from .grid import build_cubature, empty_mask, hemispheres, polar_cap_mask
+from .estimators import KNOWN_KINDS, inputs_read
+from .fields import draw_alm, observe_channels, power_law
+from .grid import build_cubature, hemispheres, polar_cap_mask
 from .transform import masked_analyze, needlet_analyze, synthesize_on_grid
 from .window import build_window, window_support
 
@@ -41,7 +44,6 @@ class ExperimentPlan:
     B: float = 2.0
     s: int = 2
     j_list: tuple[int, ...] = (5,)
-    L: int | None = None
     alpha: float = 3.0
     gamma: float = 2.5
     noise_level: float = 0.0
@@ -51,7 +53,6 @@ class ExperimentPlan:
     kinds: tuple[str, ...] = ("masked",)
     mask_fraction: float = 0.0
     epsilon_scale: float = 3.0
-    regions: str = "none"
     noise_bias_factor: float = 1.0
 
     def validate(self) -> None:
@@ -68,34 +69,20 @@ class ExperimentPlan:
         for kind in self.kinds:
             if kind not in KNOWN_KINDS:
                 raise InvalidConfigError(f"kinds: unknown estimator kind {kind!r}")
-        if "channels" in self.reads():
+        if "channels" in inputs_read(self.kinds):
             if self.channels < 2:
                 raise InvalidConfigError(
                     "channels: ap/cp/hausman need at least 2 channels")
             if self.noise_level < 0:
                 raise InvalidConfigError("noise_level: must be >= 0")
-        if self.regions not in ("none", "hemispheres"):
-            raise InvalidConfigError(f"regions: unknown layout {self.regions!r}")
-        if "asymmetry" in self.kinds and self.regions == "none":
-            raise InvalidConfigError("regions: asymmetry estimator needs regions")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise InvalidConfigError("mask_fraction: must be in [0, 1)")
-        if self.L is not None and self.L < self.required_band_limit():
-            raise InvalidConfigError(
-                f"L: band limit {self.L} below window support "
-                f"{self.required_band_limit()} of the deepest level")
 
-    def reads(self) -> set:
-        """The coefficient sets its kinds read: masked, gapfree, channels."""
-        return {KINDS[kind].args[0] for kind in self.kinds}
-
-    def required_band_limit(self) -> int:
+    def band_limit(self) -> int:
+        """Top degree of the deepest level's window support (|s| if all empty)."""
         window = build_window(self.B)
         tops = [window_support(window, j, self.s).stop - 1 for j in self.j_list]
         return max([t for t in tops if t >= abs(self.s)], default=abs(self.s))
-
-    def band_limit(self) -> int:
-        return self.L if self.L is not None else self.required_band_limit()
 
     def signal_model(self):
         return power_law(self.alpha, l_min=max(1, abs(self.s)), kind="signal")
@@ -112,6 +99,10 @@ class _PlanContext:
     def __init__(self, plan: ExperimentPlan):
         plan.validate()
         self.plan = plan
+        self.reads = inputs_read(plan.kinds)
+        # grids first: a level beyond the pixel cap is refused before any
+        # window support is computed for it
+        grids = {j: build_cubature(j, plan.B) for j in plan.j_list}
         self.window = build_window(plan.B)
         self.signal_model = plan.signal_model()
         self.noise_models = plan.noise_models()
@@ -119,57 +110,44 @@ class _PlanContext:
                               for m in self.noise_models]
         self.L = plan.band_limit()
         self.levels = {}
-        for j in plan.j_list:
-            grid = build_cubature(j, plan.B)
+        for j, grid in grids.items():
             eps = plan.epsilon_scale * plan.B ** (-j)
-            if plan.mask_fraction > 0.0:
-                mask = polar_cap_mask(grid, plan.mask_fraction, epsilon=eps)
-            else:
-                mask = empty_mask(grid, epsilon=eps)
+            mask = polar_cap_mask(grid, plan.mask_fraction, epsilon=eps) \
+                if "mask" in self.reads else None
             regions = hemispheres(grid, epsilon=eps) \
-                if plan.regions == "hemispheres" else None
+                if "regions" in self.reads else None
             support = window_support(self.window, j, plan.s)
-            lj = min(self.L, support.stop - 1) if len(support) else abs(plan.s)
-            self.levels[j] = (grid, mask, regions, max(lj, abs(plan.s)))
+            lj = support.stop - 1 if len(support) else abs(plan.s)
+            self.levels[j] = (grid, mask, regions, lj)
 
 
 # The context of the running plan; forked pool workers inherit it.
 _CTX = None
 
 
-def _truncate_alm(alm: SpinAlm, L: int) -> SpinAlm:
-    if L >= alm.L:
-        return alm
-    out = SpinAlm.zeros(alm.s, L)
-    out.alm_e[:] = alm.alm_e[:L + 1, :L + 1]
-    out.alm_b[:] = alm.alm_b[:L + 1, :L + 1]
-    return out
-
-
 def _replicate_reports(ctx: _PlanContext, r: int) -> list:
     """[(j, kind, EstimateReport)] of replicate r, in plan order."""
-    plan = ctx.plan
-    reads = plan.reads()
+    plan, reads, L = ctx.plan, ctx.reads, ctx.L
     half = ctx.signal_model.scaled(0.5)
-    signal = draw_alm(half, half, plan.s, ctx.L, (plan.base_seed, r, 0))
+    signal = draw_alm(half, half, plan.s, L, (plan.base_seed, r, 0))
     if "channels" in reads:
         channels = observe_channels(signal, ctx.noise_models, (plan.base_seed, r, 1))
+    if "masked" in reads:
+        full = signal.full_coeffs()
     out = []
     for j in plan.j_list:
         grid, mask, regions, lj = ctx.levels[j]
-        alm_j = _truncate_alm(signal, lj)
         inputs = {"mask": mask, "regions": regions, "noise": ctx.adopted_noise,
                   "signal": ctx.signal_model}
         if "gapfree" in reads:
-            inputs["gapfree"] = needlet_analyze(alm_j, ctx.window, grid, j)
+            inputs["gapfree"] = needlet_analyze(signal, ctx.window, grid, j)
         if "masked" in reads:
-            pix = synthesize_on_grid(alm_j.full_coeffs(), grid, plan.s)
+            pix = synthesize_on_grid(full[:lj + 1, L - lj:L + lj + 1], grid, plan.s)
             inputs["masked"] = masked_analyze(pix, mask, ctx.window, grid, j,
                                               plan.s)
         if "channels" in reads:
             inputs["channels"] = [
-                needlet_analyze(_truncate_alm(channels.channel(c), lj),
-                                ctx.window, grid, j)
+                needlet_analyze(channels.channel(c), ctx.window, grid, j)
                 for c in range(plan.channels)]
         out.extend((j, kind, estimators.estimate(kind, inputs))
                    for kind in plan.kinds)

@@ -43,11 +43,6 @@ class SphPoint:
             raise ValueError(f"theta={self.theta} outside [0, pi]")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi),
-                         math.cos(self.theta)])
-
 
 @dataclass(frozen=True)
 class WignerDSlice:

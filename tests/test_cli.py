@@ -73,8 +73,7 @@ def test_masked_pipeline_end_to_end(tmp_path):
     write_mask(mask_path, polar_cap_mask(grid, 0.10))
     out_dir = tmp_path / "coeffs"
     assert run(["transform", "--alm", str(alm_path), "--levels", "4",
-                "--mask", str(mask_path), "--epsilon", "0.19",
-                "--out-dir", str(out_dir)]) == 0
+                "--mask", str(mask_path), "--out-dir", str(out_dir)]) == 0
     report = tmp_path / "rep.json"
     assert run(["estimate", "--kind", "masked",
                 "--coeffs", str(out_dir / "level04.snbc"),
@@ -254,15 +253,13 @@ def test_empty_kinds_refused(tmp_path, capsys):
 
 def test_config_values_parsed_by_declared_type(tmp_path, capsys):
     path = tmp_path / "plan.cfg"
-    path.write_text("[plan]\nj_list = 3..5\nL = auto\nkinds = masked, unfeasible\n"
-                    "mask_fraction = 0.1\nregions = none\nreplicates = 7\n")
+    path.write_text("[plan]\nj_list = 3..5\nkinds = masked, unfeasible\n"
+                    "mask_fraction = 0.1\nreplicates = 7\n")
     plan = plan_from_config(path)
-    assert (plan.j_list, plan.L, plan.kinds, plan.mask_fraction,
-            plan.regions, plan.replicates) == \
-        ((3, 4, 5), None, ("masked", "unfeasible"), 0.1, "none", 7)
+    assert (plan.j_list, plan.kinds, plan.mask_fraction, plan.replicates) == \
+        ((3, 4, 5), ("masked", "unfeasible"), 0.1, 7)
     for line, named in (("replicates = ten", "replicates = 'ten' is not int"),
                         ("B = two", "B = 'two' is not float"),
-                        ("L = big", "L = 'big' is not int | None"),
                         ("j_list = 3..x", "j_list = '3..x' is not tuple[int, ...]")):
         path.write_text(f"[plan]\n{line}\n")
         with pytest.raises(InvalidConfigError) as err:
@@ -275,16 +272,66 @@ def test_config_values_parsed_by_declared_type(tmp_path, capsys):
 
 
 def test_config_with_smoothness_order_rejected(tmp_path):
-    # the window has no smoothness knob; an old plan.cfg naming one is refused
+    # the window has no smoothness knob, and the band limit and regions
+    # follow from the levels and kinds; an old plan.cfg naming one is refused
     path = tmp_path / "plan.cfg"
-    path.write_text("[plan]\nj_list = 3\nkinds = masked\nsmoothness_order = 3\n")
-    with pytest.raises(InvalidConfigError,
-                       match=r"unknown keys \['smoothness_order'\]"):
+    for key, line in (("smoothness_order", "smoothness_order = 3"),
+                      ("L", "L = auto"), ("regions", "regions = hemispheres")):
+        path.write_text(f"[plan]\nj_list = 3\nkinds = masked\n{line}\n")
+        with pytest.raises(InvalidConfigError,
+                           match=rf"unknown keys \['{key}'\]"):
+            plan_from_config(path)
+
+
+@pytest.mark.parametrize("data, named", [
+    (b"j_list = 3\nkinds = masked\n", ":1: key before the [plan] header"),
+    (b"[plan]\nj_list = 3\nj_list = 4\n", ":3: key given twice"),
+    (b"[plan]\nj_list = 3\n[plan]\n", ":3: section given twice"),
+    (b"[plan]\nj_list = 3\nkinds\n", ":3: not key = value"),
+    (b"[plan]\nkinds = masked\xe9\n", ": byte 21 is not UTF-8"),
+])
+def test_config_syntax_errors_named(tmp_path, capsys, data, named):
+    path = tmp_path / "plan.cfg"
+    path.write_bytes(data)
+    with pytest.raises(InvalidConfigError) as err:
         plan_from_config(path)
+    assert str(err.value) == f"config {path}{named}"
+    assert run(["mc", "--config", str(path), "--out-dir",
+                str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"config {path}{named}" in err and "Traceback" not in err
+
+
+def test_levels_beyond_the_grid_cap_refused(tmp_path, capsys):
+    # a mask header, an SNBC header and a plan each name a level whose grid
+    # is far beyond the pixel cap: a named error, no overflow traceback
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "5",
+         "--out", str(alm_path)])
+    mask_path = tmp_path / "deep.mask"
+    mask_path.write_text("mask v1 j=5000 B=2.0 npix=153\n4\n")
+    snbc_path = tmp_path / "deep.snbc"
+    snbc_path.write_bytes(b"SNBC" + struct.pack("<IIiIB", 1, 4_000_000, 2, 1, 0)
+                          + bytes(16))
+    cases = [(["transform", "--alm", str(alm_path), "--levels", "5000",
+               "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")], 5000),
+             (["estimate", "--kind", "unfeasible", "--coeffs", str(snbc_path),
+               "--out", str(tmp_path / "r.json")], 4_000_000)]
+    for j in (5000, 40):
+        plan_path = tmp_path / f"plan{j}.cfg"
+        plan_path.write_text(f"[plan]\nj_list = {j}\nreplicates = 1\n")
+        cases.append((["mc", "--config", str(plan_path), "--out-dir",
+                       str(tmp_path / f"mc{j}")], j))
+    capsys.readouterr()
+    for argv, j in cases:
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"level j={j} needs > 8000000 pixels (cap)" in err
+        assert "Traceback" not in err
 
 
 def test_config_roundtrip_idempotent(tmp_path):
-    plan = ExperimentPlan(B=2.0, s=2, j_list=(3, 4, 5), L=None, alpha=3.0,
+    plan = ExperimentPlan(B=2.0, s=2, j_list=(3, 4, 5), alpha=3.0,
                           gamma=2.5, noise_level=1.0, channels=3,
                           replicates=250, base_seed=9,
                           kinds=("ap", "cp", "hausman"))

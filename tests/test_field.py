@@ -25,16 +25,16 @@ def test_power_law_value():
 def test_rational_spectrum_satisfies_condition():
     # C_l = F1(l) / (l^beta F2(l)) with deg q1, q2 has alpha = beta + q2 - q1
     beta, q1, q2 = 2.5, 1, 2
+    g_bound = 5.0
     f1 = lambda l: 3.0 * l + 1.0
     f2 = lambda l: l ** 2 + 2.0 * l + 5.0
     model = PowerSpectrumModel(alpha=beta + q2 - q1, l_min=1,
-                               g=lambda l: f1(l) * l ** (q2 - q1) / f2(l),
-                               g_bound=5.0)
+                               g=lambda l: f1(l) * l ** (q2 - q1) / f2(l))
     ells = np.arange(1, 2000)
     direct = f1(ells) / (ells ** beta * f2(ells))
     assert np.allclose(eval_cl(model, ells), direct, rtol=1e-12)
     g_vals = eval_cl(model, ells) * ells ** model.alpha
-    assert np.all(g_vals < model.g_bound) and np.all(g_vals > 1 / model.g_bound)
+    assert np.all(g_vals < g_bound) and np.all(g_vals > 1 / g_bound)
 
 
 def test_model_bounds():

@@ -27,6 +27,10 @@ def test_build_errors():
         build_cubature(2, 1.0)
     with pytest.raises(ResourceLimitError):
         build_cubature(12, 2.0, max_pixels=1000)
+    # refused before B^(j+1) can overflow a float
+    for j, B in ((5000, 2.0), (4_000_000, 2.0), (40, 2.0), (1, 1e300)):
+        with pytest.raises(ResourceLimitError, match=f"level j={j} needs"):
+            build_cubature(j, B)
 
 
 def test_weights_sum_to_sphere_area(grid5):
@@ -93,6 +97,12 @@ def test_geodesic_distance_basics():
 def test_dilate_zero_is_identity(grid5):
     mask = polar_cap_mask(grid5, 0.1, epsilon=0.0)
     assert np.array_equal(mask.dilated, mask.excluded)
+
+
+def test_dilated_set_is_computed_not_passed(grid5):
+    with pytest.raises(TypeError):
+        SkyMask(grid=grid5, excluded=np.zeros(grid5.n_pixels, dtype=bool),
+                dilated=np.ones(grid5.n_pixels, dtype=bool))
 
 
 def test_dilate_full_sphere_rejected(grid5):
@@ -195,6 +205,14 @@ def test_read_mask_rejects_bad_header(tmp_path, text, reason):
         read_mask(path)
     assert str(path) in str(err.value)
     assert reason in str(err.value)
+
+
+def test_read_mask_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.mask"
+    path.write_bytes(b"mask v1 j=2 B=2.0 npix=153\n4\xff\n")
+    with pytest.raises(InvalidMaskFileError) as err:
+        read_mask(path)
+    assert str(err.value) == f"{path}: byte 28 is not UTF-8"
 
 
 def test_read_mask_rejects_header_of_another_grid(tmp_path, grid5):

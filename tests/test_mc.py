@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinlets import (estimators, fit_variance_slope, mc,
                       normality_diagnostics, run_experiment)
+from spinlets.cli import plan_from_config
 from spinlets.errors import (InvalidConfigError, TooFewLevelsError,
                              TooFewSamplesError)
 from spinlets.mc import RAW_HEADER, ExperimentPlan, rows_to_csv
@@ -68,10 +70,32 @@ def test_plan_validation_messages():
         ExperimentPlan(kinds=()).validate()
     with pytest.raises(InvalidConfigError, match="channels"):
         ExperimentPlan(kinds=("cp",), channels=1).validate()
-    with pytest.raises(InvalidConfigError, match="regions"):
-        ExperimentPlan(kinds=("asymmetry",)).validate()
-    with pytest.raises(InvalidConfigError, match="L"):
-        ExperimentPlan(j_list=(5,), L=10).validate()
+
+
+def test_context_builds_only_the_inputs_its_kinds_read():
+    configs = Path(mc.__file__).parent / "configs"
+    for name, mask, regions in (("hausman.cfg", False, False),
+                                ("asymmetry.cfg", False, True),
+                                ("clt_masked.cfg", True, False),
+                                ("demo_estimate.cfg", True, True)):
+        plan = plan_from_config(configs / name)
+        ctx = mc._PlanContext(plan)
+        reads = estimators.inputs_read(plan.kinds)
+        assert ctx.reads == reads
+        assert ("mask" in reads, "regions" in reads) == (mask, regions), name
+        for j in plan.j_list:
+            _, got_mask, got_regions, _ = ctx.levels[j]
+            assert (got_mask is not None, got_regions is not None) == \
+                (mask, regions), name
+
+
+def test_inputs_read_collects_every_input_of_the_kinds():
+    assert estimators.inputs_read(["cp"]) == {"channels", "signal"}
+    assert estimators.inputs_read(["masked", "asymmetry"]) == \
+        {"masked", "mask", "gapfree", "regions", "signal"}
+    assert estimators.inputs_read(estimators.KNOWN_KINDS) == \
+        {"masked", "gapfree", "channels", "mask", "regions", "noise", "signal"}
+    assert estimators.inputs_read(["nope"]) == set()
 
 
 SMALL = ExperimentPlan(B=2.0, s=2, j_list=(3,), alpha=3.0, replicates=12,
@@ -94,7 +118,7 @@ def test_raw_table_fields_are_plain_numbers():
     plan = ExperimentPlan(B=2.0, s=2, j_list=(4,), alpha=3.0, replicates=4,
                           base_seed=3, channels=3, noise_level=1.0,
                           kinds=("masked", "ap", "cp", "hausman", "asymmetry"),
-                          mask_fraction=0.1, regions="hemispheres")
+                          mask_fraction=0.1)
     _, rows = run_experiment(plan)
     lines = rows_to_csv(rows).strip().splitlines()[1:]
     assert len(lines) == 4 * 5
