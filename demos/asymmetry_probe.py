@@ -9,28 +9,26 @@ independent draws stitched at the equator) it strays far positive.
 
 import numpy as np
 
-from spinlets import (build_cubature, build_window, draw_alm,
-                      estimate_asymmetry, hemispheres, masked_analyze,
-                      needlet_analyze, power_law)
+from spinlets import (build_cubature, draw_alm, estimate_asymmetry,
+                      hemispheres, masked_analyze, needlet_analyze, power_law)
 from spinlets.grid import empty_mask
 from spinlets.transform import synthesize_on_grid
 from spinlets.window import window_support
 
 B, SPIN, J, R = 2.0, 2, 5, 60
 
-window = build_window(B)
 grid = build_cubature(J, B)
 model = power_law(3.0, l_min=SPIN)
 half = model.scaled(0.5)
 regions = hemispheres(grid, epsilon=3.0 * B ** (-J))
-L = window_support(window, J, SPIN).stop - 1
+L = window_support(grid.window, J, SPIN).stop - 1
 north = grid.cos_theta_pixels > 0.0
 
 print("isotropic field (null):")
 stats = []
 for r in range(R):
     alm = draw_alm(half, half, SPIN, L, (51, r))
-    coeffs = needlet_analyze(alm, window, grid, J)
+    coeffs = needlet_analyze(alm, grid)
     stats.append(estimate_asymmetry(coeffs, regions, model).standardized)
 stats = np.array(stats)
 print(f"  standardized difference: mean {stats.mean():+.2f}, "
@@ -46,7 +44,7 @@ for r in range(R):
     pix = np.where(north,
                    synthesize_on_grid(strong.full_coeffs(), grid, SPIN),
                    synthesize_on_grid(south.full_coeffs(), grid, SPIN))
-    coeffs = masked_analyze(pix, mask, window, grid, J, SPIN)
+    coeffs = masked_analyze(pix, mask, SPIN)
     stats.append(estimate_asymmetry(coeffs, regions, model).standardized)
 stats = np.array(stats)
 print(f"  standardized difference: mean {stats.mean():+.2f}, "

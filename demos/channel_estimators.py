@@ -10,7 +10,7 @@ when the bias term is inflated.
 
 import numpy as np
 
-from spinlets import (build_cubature, build_window, draw_alm, estimate_ap,
+from spinlets import (build_cubature, draw_alm, estimate_ap,
                       estimate_cp, gamma_theoretical, needlet_analyze,
                       observe_channels, power_law)
 from spinlets.estimators import estimate_hausman
@@ -18,14 +18,13 @@ from spinlets.window import window_support
 
 B, SPIN, J, D, R = 2.0, 2, 5, 3, 60
 
-window = build_window(B)
 grid = build_cubature(J, B)
 signal_model = power_law(3.0, l_min=SPIN)
 noise_models = [power_law(2.5, l_min=SPIN, kind="noise", amplitude=1.0)
                 for _ in range(D)]
 half = signal_model.scaled(0.5)
-gamma = gamma_theoretical(window, signal_model, J, SPIN)
-L = window_support(window, J, SPIN).stop - 1
+gamma = gamma_theoretical(grid.window, signal_model, J, SPIN)
+L = window_support(grid.window, J, SPIN).stop - 1
 print(f"level j = {J}, D = {D} channels, target band power {gamma:.6e}\n")
 
 for factor, label in ((1.0, "correct noise model"),
@@ -35,8 +34,7 @@ for factor, label in ((1.0, "correct noise model"),
     for r in range(R):
         signal = draw_alm(half, half, SPIN, L, (31, r, 0))
         chans = observe_channels(signal, noise_models, (31, r, 1))
-        coeffs = [needlet_analyze(chans.channel(c), window, grid, J)
-                  for c in range(D)]
+        coeffs = [needlet_analyze(chans.channel(c), grid) for c in range(D)]
         ap = estimate_ap(coeffs, adopted, signal_model)
         cp = estimate_cp(coeffs, signal_model)
         ap_vals.append(ap.value)

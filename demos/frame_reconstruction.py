@@ -35,7 +35,7 @@ alm.alm_b[SPIN, :] = 0.0
 levels = []
 for j in range(0, 7):
     grid = build_cubature(j, B)
-    levels.append(needlet_analyze(alm, window, grid, j))
+    levels.append(needlet_analyze(alm, grid))
     power = float(np.sum(np.abs(levels[-1].values) ** 2))
     print(f"level {j}: {grid.n_pixels:6d} cubature points, "
           f"sum |beta|^2 = {power:.6e}")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from spinlets import (build_cubature, build_window, draw_alm, estimate_masked,
+from spinlets import (build_cubature, draw_alm, estimate_masked,
                       gamma_theoretical, masked_analyze, power_law)
 from spinlets.grid import polar_cap_mask
 from spinlets.transform import synthesize_on_grid
@@ -20,12 +20,11 @@ from spinlets.window import window_support
 
 B, SPIN, J, R = 2.0, 2, 5, 120
 
-window = build_window(B)
 grid = build_cubature(J, B)
 model = power_law(3.0, l_min=SPIN)
 half = model.scaled(0.5)
-gamma = gamma_theoretical(window, model, J, SPIN)
-L = window_support(window, J, SPIN).stop - 1
+gamma = gamma_theoretical(grid.window, model, J, SPIN)
+L = window_support(grid.window, J, SPIN).stop - 1
 width = B ** (-J)
 print(f"level j = {J}: grid {grid.n_theta} x {grid.n_phi} pixels, "
       f"band power Gamma = {gamma:.6e}")
@@ -36,7 +35,7 @@ for eps_scale in (3.0, 6.0):
     for r in range(R):
         alm = draw_alm(half, half, SPIN, L, (2024, r))
         pix = synthesize_on_grid(alm.full_coeffs(), grid, SPIN)
-        star = masked_analyze(pix, mask, window, grid, J, SPIN)
+        star = masked_analyze(pix, mask, SPIN)
         vals.append(estimate_masked(star, mask, model).value)
     vals = np.array(vals)
     se = vals.std(ddof=1) / math.sqrt(R)

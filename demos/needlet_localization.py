@@ -9,18 +9,17 @@ what limits band-power estimation close to a mask edge.
 
 import numpy as np
 
-from spinlets import build_cubature, build_window, needlet_kernel
+from spinlets import build_cubature, needlet_kernel
 from spinlets.wigner import SphPoint
 
 B, SPIN = 2.0, 2
 
-window = build_window(B)
 for j in (4, 5):
     grid = build_cubature(j, B)
     k0 = (grid.n_theta // 2) * grid.n_phi
     th0 = grid.theta_pixels[k0]
     width = B ** (-j)
-    peak = abs(needlet_kernel(window, grid, j, k0, grid.point(k0), SPIN))
+    peak = abs(needlet_kernel(grid, k0, grid.point(k0), SPIN))
     print(f"\nlevel j = {j} (width B^-j = {width:.4f} rad), "
           f"|psi| at the centre = {peak:.3f}")
     print("   d/width    |psi|        relative")
@@ -28,5 +27,5 @@ for j in (4, 5):
         d = mult * width
         if th0 + d > np.pi - 0.05:
             break
-        val = abs(needlet_kernel(window, grid, j, k0, SphPoint(th0 + d, 0.0), SPIN))
+        val = abs(needlet_kernel(grid, k0, SphPoint(th0 + d, 0.0), SPIN))
         print(f"   {mult:7.1f}    {val:.3e}    {val / peak:.3e}")

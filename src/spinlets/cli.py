@@ -25,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, mc
-from .errors import InvalidConfigError, SpinletsError
+from .errors import InvalidConfigError, ResourceLimitError, SpinletsError
 from .fields import (draw_alm, observe_channels, power_law, read_alm,
                      seed_key, write_alm)
-from .grid import build_cubature, empty_mask, hemispheres, read_mask
+from .grid import build_cubature, empty_mask, grid_size, hemispheres, read_mask
 from .transform import (masked_analyze, needlet_analyze, needlet_synthesize,
-                        peek_coefficients, read_coefficients,
-                        synthesize_on_grid, write_coefficients)
+                        read_coefficients, synthesize_on_grid,
+                        write_coefficients)
 from .window import build_window
 
 # plan key -> declared type of its ExperimentPlan field, in field order
@@ -54,11 +54,19 @@ def _check_output(path, force: bool) -> Path:
     return path
 
 
-def _parse_levels(text: str) -> tuple:
+def _parse_levels(text: str, B: float, name: str = "levels") -> tuple:
+    """`lo..hi` or `a,b,c`; a range is bounded before it is expanded: its
+    bottom by 0 and its top by the pixel cap of the level-hi grid at B."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        levels = tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(t) for t in text.split("..", 1))
+        if lo < 0:
+            raise InvalidConfigError(f"{name}: needs levels j >= 0")
+        try:
+            grid_size(hi, B)
+        except ResourceLimitError as exc:
+            raise InvalidConfigError(f"{name}: {exc}") from None
+        levels = tuple(range(lo, hi + 1))
     else:
         levels = tuple(int(t) for t in text.split(",") if t.strip())
     if not levels:
@@ -89,18 +97,21 @@ def plan_from_config(path) -> mc.ExperimentPlan:
     if unknown:
         raise InvalidConfigError(
             f"config {path}: unknown keys {sorted(unknown)}")
-    plan = mc.ExperimentPlan(**{key: _parse_value(path, key, section[key])
-                                for key in section})
+    values = {}
+    for key in sorted(section, key=lambda k: k != "B"):  # levels are checked at B
+        values[key] = _parse_value(path, key, section[key],
+                                   values.get("B", mc.ExperimentPlan.B))
+    plan = mc.ExperimentPlan(**values)
     plan.validate()
     return plan
 
 
-def _parse_value(path, key: str, text: str):
+def _parse_value(path, key: str, text: str, B: float):
     """A config value parsed as the declared type of its plan field."""
     hint, raw = _PLAN_TYPES[key], text.strip()
     try:
         if hint == tuple[int, ...]:
-            return _parse_levels(raw)
+            return _parse_levels(raw, B, key)
         if hint == tuple[str, ...]:
             return tuple(t.strip() for t in raw.split(",") if t.strip())
         return hint(raw)
@@ -146,8 +157,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_transform(args) -> int:
     alm = read_alm(args.alm)
-    window = build_window(args.bandwidth)
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels, args.bandwidth)
     mask = None
     if args.mask is not None:  # validate all inputs before writing anything
         mask = read_mask(args.mask)
@@ -160,17 +170,19 @@ def cmd_transform(args) -> int:
             raise InvalidConfigError(
                 f"mask {args.mask} was built for B={mask.grid.B}, "
                 f"got --bandwidth {args.bandwidth}")
+    # every level's grid, and so the pixel cap, before the first file
+    grids = [mask.grid if mask is not None else build_cubature(j, args.bandwidth)
+             for j in levels]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for j in levels:
-        grid = mask.grid if mask is not None else build_cubature(j, args.bandwidth)
+    for grid in grids:
         if mask is not None:
             pix = synthesize_on_grid(alm.full_coeffs(), grid, alm.s)
-            coeffs = masked_analyze(pix, mask, window, grid, j, alm.s)
+            coeffs = masked_analyze(pix, mask, alm.s)
         else:
-            coeffs = needlet_analyze(alm, window, grid, j)
-        path = _check_output(out_dir / f"level{j:02d}.snbc", args.force)
+            coeffs = needlet_analyze(alm, grid)
+        path = _check_output(out_dir / f"level{grid.j:02d}.snbc", args.force)
         write_coefficients(path, coeffs)
         written.append(coeffs)
         _err(f"wrote {path} ({coeffs.values.size} coefficients, "
@@ -199,10 +211,7 @@ def cmd_estimate(args) -> int:
         raise InvalidConfigError(f"kind: {args.kind!r} names no estimator kind")
     if not args.coeffs:
         raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
-    window = build_window(args.bandwidth)
-    coeff_list = [read_coefficients(
-        path, build_cubature(peek_coefficients(path)[0], args.bandwidth), window)
-        for path in args.coeffs]
+    coeff_list = [read_coefficients(path, args.bandwidth) for path in args.coeffs]
     first = coeff_list[0]
     inputs = {"masked": first, "gapfree": first, "channels": coeff_list,
               "signal": power_law(args.alpha, l_min=max(1, abs(first.s)))}
@@ -309,13 +318,11 @@ def cmd_selftest(args) -> int:
 
     def _roundtrip():
         s, L, B = 2, 14, 2.0
-        window = build_window(B)
         half = power_law(3.0, l_min=max(1, s)).scaled(0.5)
         alm = draw_alm(half, half, s, L, 42)
         alm.alm_e[s, :] = 0.0
         alm.alm_b[s, :] = 0.0
-        levels = [needlet_analyze(alm, window, build_cubature(j, B), j)
-                  for j in range(0, 5)]
+        levels = [needlet_analyze(alm, build_cubature(j, B)) for j in range(0, 5)]
         recon = needlet_synthesize(levels, L=L)
         assert np.max(np.abs(recon.alm_e - alm.alm_e)) < 1e-8
         assert np.max(np.abs(recon.alm_b - alm.alm_b)) < 1e-8

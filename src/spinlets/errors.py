@@ -80,6 +80,10 @@ class InvalidCoefficientFileError(SpinletsError):
     a payload of the wrong size; names the file and the field."""
 
 
+class ReplicateFailuresError(SpinletsError, RuntimeError):
+    """More Monte Carlo replicates failed than the failure budget allows."""
+
+
 class SelfCheckError(SpinletsError):
     """A numerical self-check failed (non-real cross power, Hausman identity)."""
 

@@ -130,9 +130,9 @@ def gamma_theoretical(window: NeedletWindow, model: PowerSpectrumModel,
     return float(np.sum(b2 * cl * (2 * ells + 1)))
 
 
-def _grid_meta(grid: CubatureGrid, window: NeedletWindow) -> dict:
+def _grid_meta(grid: CubatureGrid) -> dict:
     return {"grid": f"j={grid.j} B={grid.B:g} npix={grid.n_pixels}",
-            "window": f"B={window.B:g}"}
+            "window": f"B={grid.B:g}"}
 
 
 def block_labels(grid: CubatureGrid, observed: np.ndarray,
@@ -246,19 +246,19 @@ def estimate_masked(coeffs: NeedletCoefficients, mask: SkyMask,
     for masked coefficients, "unfeasible" (the gap-free benchmark) otherwise."""
     if mask.grid.fingerprint != coeffs.grid.fingerprint:
         raise ValueError("mask and coefficients use different grids")
-    grid, window = coeffs.grid, coeffs.window
+    grid = coeffs.grid
     x = np.abs(coeffs.values) ** 2
     value = _weighted_estimate(x, grid, mask.observed)
-    target = gamma_theoretical(window, model, coeffs.j, coeffs.s)
-    meta = _grid_meta(grid, window)
-    if len(window_support(window, coeffs.j, coeffs.s)) == 0:
+    target = gamma_theoretical(grid.window, model, grid.j, coeffs.s)
+    meta = _grid_meta(grid)
+    if len(window_support(grid.window, grid.j, coeffs.s)) == 0:
         meta["empty_support"] = True
         variance = 0.0
     else:
         variance = subsampling_variance(x, grid, observed=mask.observed)
     meta["mask"] = f"excluded={int(mask.excluded.sum())} eps={mask.epsilon:g}"
     return EstimateReport(
-        j=coeffs.j, s=coeffs.s, kind="masked" if coeffs.masked else "unfeasible",
+        j=grid.j, s=coeffs.s, kind="masked" if coeffs.masked else "unfeasible",
         value=value, theoretical_target=target, variance_estimate=variance,
         standardized=_standardize(value, target, variance),
         meta=meta, pixel_values=x)
@@ -269,9 +269,9 @@ def estimate_asymmetry(coeffs: NeedletCoefficients, regions: RegionPair,
     """Difference of per-region band-power estimates over eps-interiors."""
     if regions.grid.fingerprint != coeffs.grid.fingerprint:
         raise ValueError("regions and coefficients use different grids")
-    grid, window = coeffs.grid, coeffs.window
+    grid = coeffs.grid
     x = np.abs(coeffs.values) ** 2
-    gamma = gamma_theoretical(window, model, coeffs.j, coeffs.s)
+    gamma = gamma_theoretical(grid.window, model, grid.j, coeffs.s)
     vals, variances = [], []
     for which in (1, 2):
         sel = regions.interior(which)
@@ -279,7 +279,7 @@ def estimate_asymmetry(coeffs: NeedletCoefficients, regions: RegionPair,
         variances.append(subsampling_variance(x, grid, observed=sel))
     value = vals[0] - vals[1]
     variance = variances[0] + variances[1]
-    meta = _grid_meta(grid, window)
+    meta = _grid_meta(grid)
     meta.update({
         "regions": f"|A1|={int(regions.a1.sum())} |A2|={int(regions.a2.sum())} "
                    f"eps={regions.epsilon:g}",
@@ -288,7 +288,7 @@ def estimate_asymmetry(coeffs: NeedletCoefficients, regions: RegionPair,
         "gamma_target": gamma,
     })
     return EstimateReport(
-        j=coeffs.j, s=coeffs.s, kind="asymmetry", value=value,
+        j=grid.j, s=coeffs.s, kind="asymmetry", value=value,
         theoretical_target=0.0, variance_estimate=variance,
         standardized=_standardize(value, 0.0, variance),
         meta=meta, pixel_values=x)
@@ -300,9 +300,8 @@ def _channel_beta(channel_coeffs) -> tuple:
         raise InvalidChannelCountError("no channels provided")
     first = coeffs[0]
     for c in coeffs[1:]:
-        if (c.j, c.s) != (first.j, first.s) or \
-                c.grid.fingerprint != first.grid.fingerprint:
-            raise ValueError("channel coefficients must share (j, s, grid)")
+        if c.s != first.s or c.grid.fingerprint != first.grid.fingerprint:
+            raise ValueError("channel coefficients must share (s, grid)")
     return coeffs, np.stack([c.values for c in coeffs])
 
 
@@ -316,19 +315,19 @@ def estimate_ap(channel_coeffs, noise_models, signal_model: PowerSpectrumModel
         raise MissingNoiseModelError(
             f"got {len(noise_models)} noise spectra for {d} channels")
     first = coeffs[0]
-    grid, window = first.grid, first.window
+    grid = first.grid
     lam = grid.weights
-    gamma_n = np.array([gamma_theoretical(window, nm, first.j, first.s)
+    gamma_n = np.array([gamma_theoretical(grid.window, nm, grid.j, first.s)
                         for nm in noise_models])
     bias = lam[None, :] * (gamma_n[:, None] / FOUR_PI)  # E|beta_N|^2 per (r, k)
     x = (np.sum(np.abs(beta) ** 2, axis=0) - np.sum(bias, axis=0)) / d
     value = math.fsum(x.tolist())
-    target = gamma_theoretical(window, signal_model, first.j, first.s)
+    target = gamma_theoretical(grid.window, signal_model, grid.j, first.s)
     variance = subsampling_variance(x, grid)
-    meta = _grid_meta(grid, window)
+    meta = _grid_meta(grid)
     meta["channels"] = d
     return EstimateReport(
-        j=first.j, s=first.s, kind="ap", value=value,
+        j=grid.j, s=first.s, kind="ap", value=value,
         theoretical_target=target, variance_estimate=variance,
         standardized=_standardize(value, target, variance),
         meta=meta, pixel_values=x, channel_values=[c.values for c in coeffs],
@@ -353,13 +352,13 @@ def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateRep
         raise SelfCheckError(f"cross-power came out non-real: {total!r}")
     x = acc.real
     value = total.real
-    grid, window = first.grid, first.window
-    target = gamma_theoretical(window, signal_model, first.j, first.s)
+    grid = first.grid
+    target = gamma_theoretical(grid.window, signal_model, grid.j, first.s)
     variance = subsampling_variance(x, grid)
-    meta = _grid_meta(grid, window)
+    meta = _grid_meta(grid)
     meta["channels"] = d
     return EstimateReport(
-        j=first.j, s=first.s, kind="cp", value=value,
+        j=grid.j, s=first.s, kind="cp", value=value,
         theoretical_target=target, variance_estimate=variance,
         standardized=_standardize(value, target, variance),
         meta=meta, pixel_values=x, channel_values=[c.values for c in coeffs])

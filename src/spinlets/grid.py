@@ -22,13 +22,18 @@ from .errors import (EmptyObservedRegionError, EmptyRegionError,
                      InvalidBandwidthError, InvalidMaskFileError,
                      ResourceLimitError)
 from .wigner import SphPoint
+from .window import NeedletWindow, build_window
 
 _DOT_CHUNK = 1 << 22  # elements per distance-matrix block
 
 
 @dataclass(frozen=True, eq=False)
 class CubatureGrid:
-    """Cubature points xi_jk and weights lambda_jk for one needlet level."""
+    """Cubature points xi_jk, weights lambda_jk and window b(./B^j) of level j.
+
+    The pair (j, B) fixes the level: its window is built from B, so every
+    function of a level reads j, B and the window from its grid.
+    """
 
     j: int
     B: float
@@ -37,6 +42,10 @@ class CubatureGrid:
     phi: np.ndarray = field(repr=False)         # ring longitudes
     ring_weights: np.ndarray = field(repr=False)  # lambda per pixel, one per ring
     band_limit: int = 0
+    window: NeedletWindow = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "window", build_window(self.B))
 
     @property
     def n_theta(self) -> int:
@@ -82,19 +91,26 @@ class CubatureGrid:
         return SphPoint(float(self.theta[i]), float(self.phi[q]))
 
 
-def build_cubature(j: int, B: float, max_pixels: int = 8_000_000) -> CubatureGrid:
-    """Build the level-j grid; exact for harmonic products up to 2*ceil(B^(j+1))."""
-    if j < 0:
-        raise ValueError("level j must be >= 0")
+def grid_size(j: int, B: float, max_pixels: int = 8_000_000) -> int:
+    """n = ceil(B^(j+1)) of the level-j grid (n + 1 rings of 2n + 1 pixels);
+    raises ResourceLimitError past the pixel cap."""
     if not B > 1.0:
         raise InvalidBandwidthError(f"bandwidth B={B} must be > 1")
     if (j + 1) * math.log(B) > math.log(max_pixels):  # before B^(j+1) overflows
         raise ResourceLimitError(f"level j={j} needs > {max_pixels} pixels (cap)")
     n = math.ceil(B ** (j + 1))
-    n_theta, n_phi = n + 1, 2 * n + 1
-    if n_theta * n_phi > max_pixels:
+    if (n + 1) * (2 * n + 1) > max_pixels:
         raise ResourceLimitError(
-            f"level j={j} needs {n_theta * n_phi} pixels > cap {max_pixels}")
+            f"level j={j} needs {(n + 1) * (2 * n + 1)} pixels > cap {max_pixels}")
+    return n
+
+
+def build_cubature(j: int, B: float, max_pixels: int = 8_000_000) -> CubatureGrid:
+    """Build the level-j grid; exact for harmonic products up to 2*ceil(B^(j+1))."""
+    if j < 0:
+        raise ValueError("level j must be >= 0")
+    n = grid_size(j, B, max_pixels)
+    n_theta, n_phi = n + 1, 2 * n + 1
     x, w = np.polynomial.legendre.leggauss(n_theta)
     order = np.argsort(-x)  # theta ascending = cos(theta) descending
     x, w = x[order], w[order]
@@ -148,8 +164,8 @@ class SkyMask:
     dilated: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if not self.epsilon >= 0.0:
+            raise ValueError(f"epsilon={self.epsilon} must be >= 0")
         excl = np.asarray(self.excluded, dtype=bool)
         if excl.shape != (self.grid.n_pixels,):
             raise ValueError("mask length does not match grid pixel count")
@@ -187,8 +203,6 @@ def polar_cap_mask(grid: CubatureGrid, sky_fraction: float,
 
 def dilate_mask(mask: SkyMask, epsilon: float) -> SkyMask:
     """Mask with dilation radius epsilon (recomputed from the raw region G)."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
     return SkyMask(grid=mask.grid, excluded=mask.excluded, epsilon=epsilon)
 
 
@@ -210,8 +224,8 @@ class RegionPair:
             raise ValueError("region length does not match grid pixel count")
         if (a1 & a2).any():
             raise EmptyRegionError("regions are not disjoint")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if not self.epsilon >= 0.0:
+            raise ValueError(f"epsilon={self.epsilon} must be >= 0")
         object.__setattr__(self, "_interior_cache", {})
 
     def interior(self, which: int) -> np.ndarray:

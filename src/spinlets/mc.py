@@ -27,7 +27,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import estimators
-from .errors import (InvalidConfigError, TooFewLevelsError, TooFewSamplesError)
+from .errors import (InvalidConfigError, ReplicateFailuresError,
+                     TooFewLevelsError, TooFewSamplesError)
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, power_law
 from .grid import build_cubature, hemispheres, polar_cap_mask
@@ -56,6 +57,9 @@ class ExperimentPlan:
     noise_bias_factor: float = 1.0
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfigError(f"{name}: {value} is not a finite number")
         if not self.B > 1.0:
             raise InvalidConfigError("B: bandwidth must be > 1")
         if self.replicates < 1:
@@ -77,6 +81,8 @@ class ExperimentPlan:
                 raise InvalidConfigError("noise_level: must be >= 0")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise InvalidConfigError("mask_fraction: must be in [0, 1)")
+        if self.epsilon_scale < 0.0:
+            raise InvalidConfigError("epsilon_scale: must be >= 0")
 
     def band_limit(self) -> int:
         """Top degree of the deepest level's window support (|s| if all empty)."""
@@ -103,7 +109,6 @@ class _PlanContext:
         # grids first: a level beyond the pixel cap is refused before any
         # window support is computed for it
         grids = {j: build_cubature(j, plan.B) for j in plan.j_list}
-        self.window = build_window(plan.B)
         self.signal_model = plan.signal_model()
         self.noise_models = plan.noise_models()
         self.adopted_noise = [m.scaled(plan.noise_bias_factor)
@@ -116,7 +121,7 @@ class _PlanContext:
                 if "mask" in self.reads else None
             regions = hemispheres(grid, epsilon=eps) \
                 if "regions" in self.reads else None
-            support = window_support(self.window, j, plan.s)
+            support = window_support(grid.window, j, plan.s)
             lj = support.stop - 1 if len(support) else abs(plan.s)
             self.levels[j] = (grid, mask, regions, lj)
 
@@ -140,14 +145,13 @@ def _replicate_reports(ctx: _PlanContext, r: int) -> list:
         inputs = {"mask": mask, "regions": regions, "noise": ctx.adopted_noise,
                   "signal": ctx.signal_model}
         if "gapfree" in reads:
-            inputs["gapfree"] = needlet_analyze(signal, ctx.window, grid, j)
+            inputs["gapfree"] = needlet_analyze(signal, grid)
         if "masked" in reads:
             pix = synthesize_on_grid(full[:lj + 1, L - lj:L + lj + 1], grid, plan.s)
-            inputs["masked"] = masked_analyze(pix, mask, ctx.window, grid, j,
-                                              plan.s)
+            inputs["masked"] = masked_analyze(pix, mask, plan.s)
         if "channels" in reads:
             inputs["channels"] = [
-                needlet_analyze(channels.channel(c), ctx.window, grid, j)
+                needlet_analyze(channels.channel(c), grid)
                 for c in range(plan.channels)]
         out.extend((j, kind, estimators.estimate(kind, inputs))
                    for kind in plan.kinds)
@@ -296,7 +300,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
                 continue
             failures.append((r, err))
             if len(failures) > max(1, 0.01 * plan.replicates):
-                raise RuntimeError(
+                raise ReplicateFailuresError(
                     f"aborting: {len(failures)} replicate failures, "
                     f"first: r={failures[0][0]}: {failures[0][1]}")
     finally:

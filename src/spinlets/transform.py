@@ -30,19 +30,17 @@ from .errors import (BandLimitExceededError, CoverageGapError,
 from .fields import SpinAlm, cl_profile
 from .grid import CubatureGrid, SkyMask, build_cubature
 from .wigner import SphPoint, d_table, kernel_sum
-from .window import NeedletWindow, band_profile, window_support
+from .window import band_profile, window_support
 
 
 @dataclass(eq=False)
 class NeedletCoefficients:
-    """Complex beta_{jk;s} (or masked beta*_{jk;s}) for one level j."""
+    """Complex beta_{jk;s} (or masked beta*_{jk;s}) on one level's grid."""
 
-    j: int
     s: int
     values: np.ndarray  # complex, one per grid pixel
     masked: bool
     grid: CubatureGrid
-    window: NeedletWindow
 
     def __post_init__(self):
         if self.values.shape != (self.grid.n_pixels,):
@@ -113,73 +111,62 @@ def analyze_on_grid(map_values: np.ndarray, grid: CubatureGrid, s: int, L: int,
     return (inner * signs[:, None] * norms[None, :]).T[:, ::-1]
 
 
-def _support_or_raise(window: NeedletWindow, grid: CubatureGrid, j: int, s: int) -> range:
-    support = window_support(window, j, s)
+def _support_or_raise(grid: CubatureGrid, s: int) -> range:
+    support = window_support(grid.window, grid.j, s)
     if len(support) and grid.band_limit < 2 * (support.stop - 1):
         raise BandLimitExceededError(
-            f"level j={j} needs exactness degree {2 * (support.stop - 1)}, "
+            f"level j={grid.j} needs exactness degree {2 * (support.stop - 1)}, "
             f"grid provides {grid.band_limit}")
     return support
 
 
-def _level_coefficients(full, window: NeedletWindow, grid: CubatureGrid, j: int,
-                        s: int, support: range, masked: bool) -> NeedletCoefficients:
+def _level_coefficients(full, grid: CubatureGrid, s: int, support: range,
+                        masked: bool) -> NeedletCoefficients:
     """beta_{jk;s} = sqrt(lambda_k) sum_l b_l sum_m full_{lm} Y_lms(xi_k).
 
     `full` is a full-order [l, m + L] array, or a callable returning one,
-    called only when the window support is not empty; degrees of the
-    support above its band limit contribute zero.
+    called only when the window support is not empty.  The sum stops at the
+    lower of the field's band limit and the support top: degrees above the
+    band limit carry no power by definition of the input.
     """
     values = np.zeros(grid.n_pixels, dtype=np.complex128)
     if len(support):
         full = full()
-        L_in, L_out = full.shape[0] - 1, support.stop - 1
-        b = band_profile(window, j, s, np.arange(L_out + 1))
-        banded = np.zeros((L_out + 1, 2 * L_out + 1), dtype=np.complex128)
-        L_use = min(L_in, L_out)
-        banded[:L_use + 1, L_out - L_use:L_out + L_use + 1] = \
-            full[:L_use + 1, L_in - L_use:L_in + L_use + 1]
-        values = synthesize_on_grid(banded * b[:, None], grid, s) * np.sqrt(grid.weights)
-    return NeedletCoefficients(j=j, s=s, values=values, masked=masked,
-                               grid=grid, window=window)
+        L_in = full.shape[0] - 1
+        L_use = min(L_in, support.stop - 1)
+        b = band_profile(grid.window, grid.j, s, np.arange(L_use + 1))
+        banded = full[:L_use + 1, L_in - L_use:L_in + L_use + 1] * b[:, None]
+        values = synthesize_on_grid(banded, grid, s) * np.sqrt(grid.weights)
+    return NeedletCoefficients(s=s, values=values, masked=masked, grid=grid)
 
 
-def needlet_analyze(alm: SpinAlm, window: NeedletWindow, grid: CubatureGrid,
-                    j: int) -> NeedletCoefficients:
-    """Spectral needlet coefficients of a band-limited field at level j.
-
-    Degrees of the window support above the field's band limit carry no
-    power by definition of the input and contribute zero.
-    """
-    support = _support_or_raise(window, grid, j, alm.s)
-    return _level_coefficients(alm.full_coeffs, window, grid, j, alm.s,
-                               support, masked=False)
+def needlet_analyze(alm: SpinAlm, grid: CubatureGrid) -> NeedletCoefficients:
+    """Spectral needlet coefficients of a band-limited field at the grid's level."""
+    support = _support_or_raise(grid, alm.s)
+    return _level_coefficients(alm.full_coeffs, grid, alm.s, support, masked=False)
 
 
-def masked_analyze(map_values: np.ndarray, mask: SkyMask, window: NeedletWindow,
-                   grid: CubatureGrid, j: int, s: int) -> NeedletCoefficients:
-    """Masked coefficients beta*: quadrature over S^2 \\ G of a gridded map.
+def masked_analyze(map_values: np.ndarray, mask: SkyMask, s: int) -> NeedletCoefficients:
+    """Masked coefficients beta*: quadrature over S^2 \\ G of a map on mask.grid.
 
     Computed for every pixel k; restricting to k outside the dilated region
     is the estimator's job.
     """
-    if mask.grid is not grid and mask.grid.fingerprint != grid.fingerprint:
-        raise ValueError("mask and coefficients must share the grid")
-    support = _support_or_raise(window, grid, j, s)
+    grid = mask.grid
+    support = _support_or_raise(grid, s)
 
     def pseudo():  # pseudo-coefficients of the gap-filled map
         gap_filled = np.where(mask.excluded, 0.0 + 0.0j, map_values)
         return analyze_on_grid(gap_filled, grid, s, support.stop - 1)
 
-    return _level_coefficients(pseudo, window, grid, j, s, support, masked=True)
+    return _level_coefficients(pseudo, grid, s, support, masked=True)
 
 
-def needlet_kernel(window: NeedletWindow, grid: CubatureGrid, j: int, k: int,
-                   p: SphPoint, s: int) -> complex:
+def needlet_kernel(grid: CubatureGrid, k: int, p: SphPoint, s: int) -> complex:
     """psi_{jk;s}(p) = sqrt(lambda_jk) sum_l b(sqrt(e_ls)/B^j) K^ls(p, xi_jk)."""
-    support = _support_or_raise(window, grid, j, s)
+    support = _support_or_raise(grid, s)
     xi = grid.point(k)
-    b = band_profile(window, j, s, np.asarray(support))
+    b = band_profile(grid.window, grid.j, s, np.asarray(support))
     total = kernel_sum(s, p, xi, support, b)
     lam = grid.weights[k]
     return complex(math.sqrt(lam) * total)
@@ -197,18 +184,19 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
     levels = list(coeff_levels)
     if not levels:
         raise ValueError("need at least one coefficient level")
-    s = levels[0].s
-    window = levels[0].window
+    s, B = levels[0].s, levels[0].grid.B
     if any(c.s != s for c in levels):
         raise ValueError("levels mix spins")
+    if any(c.grid.B != B for c in levels):
+        raise ValueError("levels mix bandwidths B")
 
-    l_cap = max((window_support(window, c.j, s).stop - 1 for c in levels),
-                default=0)
+    l_cap = max((window_support(c.grid.window, c.grid.j, s).stop - 1
+                 for c in levels), default=0)
     l_cap = max(l_cap, abs(s))
     ells = np.arange(l_cap + 1)
     coverage = np.zeros(l_cap + 1)
     for c in levels:
-        coverage += band_profile(window, c.j, s, ells) ** 2
+        coverage += band_profile(c.grid.window, c.grid.j, s, ells) ** 2
     if L is None:
         covered = np.flatnonzero(coverage >= 1.0 - 1e-6)
         L = int(covered.max()) if covered.size else abs(s)
@@ -216,11 +204,12 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
             if l > l_cap or coverage[l] < 1.0 - 1e-6]
     if gaps:
         raise CoverageGapError(
-            f"levels {sorted(c.j for c in levels)} leave coverage gaps at degrees {gaps}")
+            f"levels {sorted(c.grid.j for c in levels)} leave coverage gaps "
+            f"at degrees {gaps}")
 
     acc = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
     for c in levels:
-        support = window_support(window, c.j, s)
+        support = window_support(c.grid.window, c.grid.j, s)
         if len(support) == 0:
             continue
         L_j = min(support.stop - 1, L)
@@ -228,7 +217,7 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
             continue
         adj = analyze_on_grid(c.values, c.grid, s, L_j,
                               ring_weights=np.sqrt(c.grid.ring_weights))
-        b = band_profile(window, c.j, s, np.arange(L_j + 1))
+        b = band_profile(c.grid.window, c.grid.j, s, np.arange(L_j + 1))
         acc[:L_j + 1, L - L_j:L + L_j + 1] += adj * b[:, None]
 
     alm = SpinAlm.zeros(s, L)
@@ -243,19 +232,18 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
     return alm
 
 
-def theoretical_cov(window: NeedletWindow, grid: CubatureGrid, model,
-                    j: int, k: int, k2: int, s: int) -> complex:
+def theoretical_cov(grid: CubatureGrid, model, k: int, k2: int, s: int) -> complex:
     """Cov(beta_{jk;s}, conj beta_{jk2;s}) implied by the model spectrum.
 
     sqrt(lambda_k lambda_k2) sum_l b^2(sqrt(e_ls)/B^j) C_l K^ls(xi_k, xi_k2);
     at k = k2 the addition theorem collapses K^ls to (2l+1)/4pi.
     """
-    support = window_support(window, j, s)
+    support = window_support(grid.window, grid.j, s)
     lam_k, lam_k2 = grid.weights[k], grid.weights[k2]
     if len(support) == 0:
         return 0.0 + 0.0j
     ells = np.asarray(support)
-    b2 = band_profile(window, j, s, ells) ** 2
+    b2 = band_profile(grid.window, grid.j, s, ells) ** 2
     cl = cl_profile(model, ells)
     if k == k2:
         return complex(lam_k * np.sum(b2 * cl * (2 * ells + 1)) / (4.0 * math.pi))
@@ -263,14 +251,13 @@ def theoretical_cov(window: NeedletWindow, grid: CubatureGrid, model,
     return complex(math.sqrt(lam_k * lam_k2) * total)
 
 
-def theoretical_corr(window: NeedletWindow, grid: CubatureGrid, model,
-                     j: int, k: int, k2: int, s: int) -> complex:
+def theoretical_corr(grid: CubatureGrid, model, k: int, k2: int, s: int) -> complex:
     """Correlation form of theoretical_cov (1 at k = k2)."""
-    var = theoretical_cov(window, grid, model, j, k, k, s).real
-    var2 = theoretical_cov(window, grid, model, j, k2, k2, s).real
+    var = theoretical_cov(grid, model, k, k, s).real
+    var2 = theoretical_cov(grid, model, k2, k2, s).real
     if var <= 0.0 or var2 <= 0.0:
         return 0.0 + 0.0j
-    return theoretical_cov(window, grid, model, j, k, k2, s) / math.sqrt(var * var2)
+    return theoretical_cov(grid, model, k, k2, s) / math.sqrt(var * var2)
 
 
 _SNBC_MAGIC = b"SNBC"
@@ -282,15 +269,17 @@ def write_coefficients(path, coeffs: NeedletCoefficients) -> None:
     float64 (re, im) per pixel, little-endian."""
     with open(path, "wb") as fh:
         fh.write(_SNBC_MAGIC)
-        fh.write(struct.pack("<IIiIB", 1, coeffs.j, coeffs.s,
+        fh.write(struct.pack("<IIiIB", 1, coeffs.grid.j, coeffs.s,
                              coeffs.values.size, 1 if coeffs.masked else 0))
         flat = np.empty(2 * coeffs.values.size, dtype="<f8")
         flat[0::2], flat[1::2] = coeffs.values.real, coeffs.values.imag
         fh.write(flat.tobytes())
 
 
-def _snbc_header(path, raw: bytes) -> tuple:
-    """(j, spin, npix, masked) of an SNBC file whose first bytes are raw."""
+def read_coefficients(path, B: float) -> NeedletCoefficients:
+    """Read an SNBC v1 file on the grid of its header's level at bandwidth B;
+    errors name the file and the field."""
+    raw = Path(path).read_bytes()
     if len(raw) < _SNBC_HEADER:
         raise InvalidCoefficientFileError(
             f"{path}: header has {len(raw)} bytes, SNBC v1 needs {_SNBC_HEADER}")
@@ -300,28 +289,16 @@ def _snbc_header(path, raw: bytes) -> tuple:
     version, j, s, npix, masked = struct.unpack("<IIiIB", raw[4:_SNBC_HEADER])
     if version != 1:
         raise InvalidCoefficientFileError(f"{path}: version {version} is not 1")
-    return j, s, npix, bool(masked)
-
-
-def peek_coefficients(path) -> tuple:
-    """Header of an SNBC file: (j, spin, npix, masked) without the payload."""
-    with open(path, "rb") as fh:
-        return _snbc_header(path, fh.read(_SNBC_HEADER))
-
-
-def read_coefficients(path, grid: CubatureGrid, window: NeedletWindow) -> NeedletCoefficients:
-    """Read an SNBC v1 file on `grid`; errors name the file and the field."""
-    raw = Path(path).read_bytes()
-    j, s, npix, masked = _snbc_header(path, raw)
-    if (j, npix) != (grid.j, grid.n_pixels):
+    grid = build_cubature(j, B)
+    if npix != grid.n_pixels:
         raise InvalidCoefficientFileError(
-            f"{path}: header j={j}, npix={npix} does not match the grid "
-            f"(j={grid.j}, npix={grid.n_pixels})")
+            f"{path}: header field npix={npix} does not match the "
+            f"{grid.n_pixels} pixels of the level-{j} grid")
     if len(raw) - _SNBC_HEADER != 16 * npix:
         raise InvalidCoefficientFileError(
             f"{path}: payload has {len(raw) - _SNBC_HEADER} bytes, "
             f"npix={npix} needs {16 * npix}")
     data = np.frombuffer(raw[_SNBC_HEADER:], dtype="<f8")
     values = data[0::2] + 1j * data[1::2]
-    return NeedletCoefficients(j=j, s=s, values=values, masked=masked,
-                               grid=grid, window=window)
+    return NeedletCoefficients(s=s, values=values, masked=bool(masked),
+                               grid=grid)

@@ -124,46 +124,30 @@ def window_support(window: NeedletWindow, j: int, s: int) -> range:
 
 
 def _level(window: NeedletWindow, j: int, s: int) -> tuple:
-    """(support, b(sqrt(e_ls)/B^j) over the support), memoized on the window."""
+    """(support, b(sqrt(e_ls)/B^j) over the support), memoized on the window.
+
+    b is evaluated once over the analytic support t_lo < l(l+1) < t_hi,
+    with t_lo = B^(2(j-1)) + s(s+1) and t_hi = B^(2(j+1)) + s(s+1), and the
+    edge degrees where it is exactly 0 are trimmed.  An empty support starts
+    one past the top of the analytic one.
+    """
     j, s = int(j), int(s)
     level = window._levels.get((j, s))
     if level is None:
-        support = _support(window, j, s)
-        ells = np.arange(support.start, support.stop, dtype=np.int64)
-        e = (ells - s) * (ells + s + 1)  # > 0 on the support
-        profile = window.b(np.sqrt(e.astype(np.float64)) / window.B ** j)
-        level = window._levels[(j, s)] = (support, profile)
+        B, ss = window.B, s * (s + 1)
+        t_lo, t_hi = B ** (2 * (j - 1)) + ss, B ** (2 * (j + 1)) + ss
+        ells = np.arange(abs(s), int(math.sqrt(t_hi)) + 2, dtype=np.int64)
+        lo = abs(s) + int(np.count_nonzero(ells * (ells + 1) <= t_lo))
+        hi = abs(s) + int(np.count_nonzero(ells * (ells + 1) < t_hi))
+        ells = ells[lo - abs(s):hi - abs(s)]
+        e = (ells - s) * (ells + s + 1)  # > 0 on the analytic support
+        profile = window.b(np.sqrt(e.astype(np.float64)) / B ** j)
+        nz = np.flatnonzero(profile)
+        first, stop = (lo + int(nz[0]), lo + int(nz[-1]) + 1) if nz.size \
+            else (hi, hi)
+        level = window._levels[(j, s)] = (range(first, stop),
+                                          profile[first - lo:stop - lo])
     return level
-
-
-def _support(window: NeedletWindow, j: int, s: int) -> range:
-    B = window.B
-    ss = s * (s + 1)
-    t_lo = B ** (2 * (j - 1)) + ss
-    t_hi = B ** (2 * (j + 1)) + ss
-
-    def _first_above(t):
-        # smallest integer l with l(l+1) > t
-        l = max(0, int((-1.0 + math.sqrt(max(1.0 + 4.0 * t, 0.0))) / 2.0) - 1)
-        while l * (l + 1) <= t:
-            l += 1
-        return l
-
-    l_lo = max(_first_above(t_lo), abs(s))
-    l_hi = _first_above(t_hi) - 1  # largest l with l(l+1) < t_hi, bar exact ties
-    while l_hi >= 0 and l_hi * (l_hi + 1) >= t_hi:
-        l_hi -= 1
-
-    def _b_at(l):
-        return window.b(math.sqrt((l - s) * (l + s + 1)) / B ** j)
-
-    while l_lo <= l_hi and _b_at(l_lo) == 0.0:
-        l_lo += 1
-    while l_hi >= l_lo and _b_at(l_hi) == 0.0:
-        l_hi -= 1
-    if l_hi < l_lo:
-        return range(l_lo, l_lo)
-    return range(l_lo, l_hi + 1)
 
 
 def band_profile(window: NeedletWindow, j: int, s: int, ells) -> np.ndarray:

@@ -231,3 +231,36 @@ def window_derivative_bound(B, r):
         g = np.gradient(g, t)
     sigma = 2.0 * B / (B - 1.0)
     return 2.0 * float(np.max(np.abs(g))) * sigma ** r
+
+
+def window_support_scalar(window, j, s):
+    """The window support as first written: scalar search for the analytic
+    ends t_lo < l(l+1) < t_hi, then a degree-by-degree trim of the edge
+    degrees where b is exactly 0."""
+    B = window.B
+    ss = s * (s + 1)
+    t_lo = B ** (2 * (j - 1)) + ss
+    t_hi = B ** (2 * (j + 1)) + ss
+
+    def _first_above(t):
+        # smallest integer l with l(l+1) > t
+        l = max(0, int((-1.0 + math.sqrt(max(1.0 + 4.0 * t, 0.0))) / 2.0) - 1)
+        while l * (l + 1) <= t:
+            l += 1
+        return l
+
+    l_lo = max(_first_above(t_lo), abs(s))
+    l_hi = _first_above(t_hi) - 1  # largest l with l(l+1) < t_hi, bar exact ties
+    while l_hi >= 0 and l_hi * (l_hi + 1) >= t_hi:
+        l_hi -= 1
+
+    def _b_at(l):
+        return window.b(math.sqrt((l - s) * (l + s + 1)) / B ** j)
+
+    while l_lo <= l_hi and _b_at(l_lo) == 0.0:
+        l_lo += 1
+    while l_hi >= l_lo and _b_at(l_hi) == 0.0:
+        l_hi -= 1
+    if l_hi < l_lo:
+        return range(l_lo, l_lo)
+    return range(l_lo, l_hi + 1)

@@ -124,13 +124,12 @@ def test_criterion_03_cubature_exactness():
 
 # ---------------------------------------------------------------- 4
 def test_criterion_04_tight_frame_isometry():
-    win = build_window(B)
     L = 30
     half = power_law(3.0, l_min=2).scaled(0.5)
     alm = draw_alm(half, half, S, L, 404)
     alm.alm_e[S, :] = 0.0  # the e_ls = 0 degree is outside every window
     alm.alm_b[S, :] = 0.0
-    levels = [needlet_analyze(alm, win, build_cubature(j, B), j)
+    levels = [needlet_analyze(alm, build_cubature(j, B))
               for j in range(0, 7)]
     recon = needlet_synthesize(levels, L=L)
     err = max(float(np.max(np.abs(recon.alm_e - alm.alm_e))),
@@ -189,7 +188,7 @@ def test_criterion_05_coefficient_covariance():
     for (k1, k2) in pairs:
         i1, i2 = list(pix).index(k1), list(pix).index(k2)
         prod = beta[:, i1] * np.conj(beta[:, i2])
-        theo = theoretical_cov(win, grid, model, j, k1, k2, S)
+        theo = theoretical_cov(grid, model, k1, k2, S)
         for emp, want, se in (
                 (prod.real.mean(), theo.real, prod.real.std(ddof=1) / math.sqrt(R)),
                 (prod.imag.mean(), theo.imag, prod.imag.std(ddof=1) / math.sqrt(R))):
@@ -204,7 +203,6 @@ def test_criterion_05_coefficient_covariance():
 # ---------------------------------------------------------------- 6
 def test_criterion_06_uncorrelation_decay():
     j = 5
-    win = build_window(B)
     grid = build_cubature(j, B)
     model = power_law(3.0, l_min=2)
     k0 = (grid.n_theta // 2) * grid.n_phi  # equator ring, phi = 0
@@ -224,7 +222,7 @@ def test_criterion_06_uncorrelation_decay():
         d = geodesic_distance(p0, grid.point(k))
         if d < 5 * scale or d > 64 * scale:
             continue  # stay below the antipodal focusing region
-        corr = abs(theoretical_corr(win, grid, model, j, k0, k, S))
+        corr = abs(theoretical_corr(grid, model, k0, k, S))
         xs.append(math.log1p(B ** j * d))
         ys.append(corr)
     xs, ys = np.array(xs), np.array(ys)
@@ -250,7 +248,7 @@ def _abs_psi(job):
     grid = build_cubature(j, B)
     k0 = (grid.n_theta // 2) * grid.n_phi
     p = SphPoint(grid.theta_pixels[k0] + t, 0.0)
-    return abs(needlet_kernel(build_window(B), grid, j, k0, p, S))
+    return abs(needlet_kernel(grid, k0, p, S))
 
 
 def test_criterion_07_localization():
@@ -358,7 +356,7 @@ def test_criterion_11_asymmetry_null():
     std, z1, z2 = [], [], []
     for r in range(R):
         alm = draw_alm(half, half, S, sup.stop - 1, (777, r))
-        coeffs = needlet_analyze(alm, win, grid, j)
+        coeffs = needlet_analyze(alm, grid)
         rep = estimate_asymmetry(coeffs, regions, model)
         std.append(rep.standardized)
         z1.append((rep.meta["region1_value"] - gamma)
@@ -416,7 +414,7 @@ def test_criterion_13_hausman(channel_null_run):
     for r in range(20):
         signal = draw_alm(half, half, S, sup.stop - 1, (20240513, r, 0))
         chans = observe_channels(signal, noise, (20240513, r, 1))
-        coeffs = [needlet_analyze(chans.channel(c), win, grid, 4)
+        coeffs = [needlet_analyze(chans.channel(c), grid)
                   for c in range(3)]
         rep = estimate_hausman(coeffs, noise, model)
         worst_resid = max(worst_resid, rep.meta["identity_residual"])

@@ -330,6 +330,60 @@ def test_levels_beyond_the_grid_cap_refused(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_level_ranges_bounded_before_they_are_expanded(tmp_path, capsys):
+    plan_path = tmp_path / "plan.cfg"
+    for text, field in (("j_list = 0..3000000", "j_list: level j=3000000"),
+                        ("j_list = 0..6\nB = 3", "j_list: level j=6"),
+                        ("j_list = -3000000..4", "j_list: needs levels j >= 0")):
+        plan_path.write_text(f"[plan]\n{text}\n")
+        with pytest.raises(InvalidConfigError, match=field):
+            plan_from_config(plan_path)
+    # the cap is read at the plan's B wherever B stands: 0..9 fits at B = 2
+    plan_path.write_text("[plan]\nj_list = 0..9\nB = 2\n")
+    assert plan_from_config(plan_path).j_list == tuple(range(10))
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "40", "--seed", "8",
+         "--out", str(alm_path)])
+    capsys.readouterr()
+    for levels in ("0..3000000", "0..12", "0,1,10"):
+        out_dir = tmp_path / "c"
+        assert run(["transform", "--alm", str(alm_path), "--levels", levels,
+                    "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "pixels" in err and "Traceback" not in err
+        assert not out_dir.exists()  # refused before the first file
+
+
+def test_estimate_nan_epsilon_refused(tmp_path, capsys):
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "31", "--seed", "2",
+         "--out", str(alm_path)])
+    run(["transform", "--alm", str(alm_path), "--levels", "4",
+         "--out-dir", str(tmp_path / "c")])
+    capsys.readouterr()
+    for kind in ("unfeasible", "asymmetry"):
+        report = tmp_path / "r.json"
+        assert run(["estimate", "--kind", kind, "--epsilon", "nan",
+                    "--coeffs", str(tmp_path / "c" / "level04.snbc"),
+                    "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "epsilon=nan must be >= 0" in err and not report.exists()
+
+
+def test_failure_budget_abort_is_one_line(tmp_path, capsys):
+    # at j = 1 the margin 3 B^-1 empties both hemisphere interiors, so
+    # every replicate fails
+    plan_path = tmp_path / "plan.cfg"
+    plan_path.write_text("[plan]\nkinds = asymmetry\nj_list = 1\n")
+    out = tmp_path / "mc"
+    assert run(["mc", "--config", str(plan_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spinlets: error: aborting: 2 replicate failures, "
+                          "first: r=0: EmptyRegionError")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "raw.csv").exists()
+
+
 def test_config_roundtrip_idempotent(tmp_path):
     plan = ExperimentPlan(B=2.0, s=2, j_list=(3, 4, 5), alpha=3.0,
                           gamma=2.5, noise_level=1.0, channels=3,

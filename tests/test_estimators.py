@@ -43,7 +43,7 @@ def _coeffs(win, grid, j, seed, L=None):
     sup = window_support(win, j, S)
     L = L or sup.stop - 1
     alm = draw_alm(half, half, S, L, seed)
-    return needlet_analyze(alm, win, grid, j)
+    return needlet_analyze(alm, grid)
 
 
 def test_gamma_single_degree_spectrum(win):
@@ -93,7 +93,7 @@ def test_masked_flag_contracts(win, grid4):
     pix = synthesize_on_grid(
         draw_alm(model.scaled(0.5), model.scaled(0.5), S, 31, 1).full_coeffs(),
         grid4, S)
-    star = masked_analyze(pix, mask, win, grid4, 4, S)
+    star = masked_analyze(pix, mask, S)
     assert estimate_masked(plain, mask, model).kind == "unfeasible"
     assert estimate_masked(star, mask, model).kind == "masked"
     for kind, coeffs in (("masked", plain), ("unfeasible", star)):
@@ -130,24 +130,23 @@ def test_dispatch_looks_estimators_up_at_call_time(win, grid4, monkeypatch):
     assert calls == [2, 2]
 
 
-def test_masked_zero_map_gives_zero(win, grid4):
+def test_masked_zero_map_gives_zero(grid4):
     model = power_law(3.0, l_min=2)
     mask = empty_mask(grid4)
-    star = masked_analyze(np.zeros(grid4.n_pixels, dtype=complex), mask,
-                          win, grid4, 4, S)
+    star = masked_analyze(np.zeros(grid4.n_pixels, dtype=complex), mask, S)
     rep = estimate_masked(star, mask, model)
     assert rep.value == 0.0
     assert rep.kind == "masked" and PAPER_KIND[rep.kind] == "masked_spectral"
 
 
-def test_unfeasible_equals_masked_on_empty_mask(win, grid4):
+def test_unfeasible_equals_masked_on_empty_mask(grid4):
     model = power_law(3.0, l_min=2)
     mask = empty_mask(grid4)
     half = model.scaled(0.5)
     alm = draw_alm(half, half, S, 31, 2)
     pix = synthesize_on_grid(alm.full_coeffs(), grid4, S)
-    star = masked_analyze(pix, mask, win, grid4, 4, S)
-    plain = needlet_analyze(alm, win, grid4, 4)
+    star = masked_analyze(pix, mask, S)
+    plain = needlet_analyze(alm, grid4)
     a = estimate_masked(star, mask, model)
     b = estimate_masked(plain, mask, model)
     assert a.value == pytest.approx(b.value, rel=1e-10)
@@ -177,7 +176,7 @@ def test_masked_expectation_full_sky(win):
     for r in range(R):
         alm = draw_alm(half, half, S, sup.stop - 1, (50, r))
         pix = synthesize_on_grid(alm.full_coeffs(), grid, S)
-        star = masked_analyze(pix, mask, win, grid, j, S)
+        star = masked_analyze(pix, mask, S)
         vals.append(estimate_masked(star, mask, model).value)
     vals = np.array(vals)
     gamma = gamma_theoretical(win, model, j, S)
@@ -396,7 +395,7 @@ def test_asymmetry_power_on_stitched_field(win):
         pix = np.where(north,
                        synthesize_on_grid(north_alm.full_coeffs(), grid, S),
                        synthesize_on_grid(south_alm.full_coeffs(), grid, S))
-        coeffs = masked_analyze(pix, mask, win, grid, j, S)
+        coeffs = masked_analyze(pix, mask, S)
         stats.append(estimate_asymmetry(coeffs, regions, model).standardized)
     assert np.mean(stats) > 3.0
 
@@ -409,7 +408,7 @@ def _channel_setup(win, grid, j, seed, d=3, bias_factor=1.0):
     signal = draw_alm(half, half, S, sup.stop - 1, (seed, 0))
     from spinlets.fields import observe_channels
     chans = observe_channels(signal, noise, (seed, 1))
-    coeffs = [needlet_analyze(chans.channel(r), win, grid, j) for r in range(d)]
+    coeffs = [needlet_analyze(chans.channel(r), grid) for r in range(d)]
     adopted = [m.scaled(bias_factor) for m in noise]
     return model, adopted, coeffs
 

@@ -156,6 +156,16 @@ def test_regions_must_be_disjoint(grid5):
         RegionPair(grid=grid5, a1=a, a2=a, epsilon=0.0)
 
 
+def test_negative_or_nan_epsilon_refused(grid5):
+    for eps in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon="):
+            polar_cap_mask(grid5, 0.1, epsilon=eps)
+        with pytest.raises(ValueError, match="epsilon="):
+            dilate_mask(empty_mask(grid5), eps)
+        with pytest.raises(ValueError, match="epsilon="):
+            hemispheres(grid5, epsilon=eps)
+
+
 def test_region_interior_shrinks(grid5):
     pair = hemispheres(grid5, epsilon=0.1)
     i1 = pair.interior(1)

@@ -70,6 +70,14 @@ def test_plan_validation_messages():
         ExperimentPlan(kinds=()).validate()
     with pytest.raises(InvalidConfigError, match="channels"):
         ExperimentPlan(kinds=("cp",), channels=1).validate()
+    for name in ("B", "alpha", "gamma", "noise_level", "mask_fraction",
+                 "epsilon_scale", "noise_bias_factor"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidConfigError,
+                               match=f"^{name}: .* is not a finite number"):
+                ExperimentPlan(**{name: value}).validate()
+    with pytest.raises(InvalidConfigError, match="^epsilon_scale: must be >= 0"):
+        ExperimentPlan(epsilon_scale=-1.0).validate()
 
 
 def test_context_builds_only_the_inputs_its_kinds_read():

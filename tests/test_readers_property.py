@@ -22,12 +22,10 @@ from spinlets.errors import SpinletsError
 from spinlets.fields import draw_alm, power_law, read_alm, write_alm
 from spinlets.grid import build_cubature, polar_cap_mask, read_mask, write_mask
 from spinlets.mc import ExperimentPlan
-from spinlets.transform import (needlet_analyze, peek_coefficients,
-                                read_coefficients, write_coefficients)
-from spinlets.window import build_window
+from spinlets.transform import (needlet_analyze, read_coefficients,
+                                write_coefficients)
 
 B = 2.0
-WINDOW = build_window(B)
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=120)
 
@@ -43,7 +41,7 @@ _HALF = power_law(3.0, l_min=2).scaled(0.5)
 _ALM = draw_alm(_HALF, _HALF, 2, 8, 11)
 VALID_SALM = _written(write_alm, _ALM)
 VALID_SNBC = _written(write_coefficients,
-                      needlet_analyze(_ALM, WINDOW, build_cubature(2, B), 2))
+                      needlet_analyze(_ALM, build_cubature(2, B)))
 VALID_MASK = _written(write_mask, polar_cap_mask(build_cubature(2, B), 0.2))
 VALID_CONFIG = plan_to_config_text(ExperimentPlan(
     j_list=(3, 4), channels=3, noise_level=1.0, replicates=2,
@@ -52,8 +50,7 @@ VALID_CONFIG = plan_to_config_text(ExperimentPlan(
 
 def _read_snbc(path):
     # as `spinlets estimate` reads it: the grid of the level the header names
-    return read_coefficients(path, build_cubature(peek_coefficients(path)[0], B),
-                             WINDOW)
+    return read_coefficients(path, B)
 
 
 class Reader(NamedTuple):

@@ -9,7 +9,7 @@ from spinlets import build_window, eval_b, eval_e_ls, window_support
 from spinlets.errors import InvalidBandwidthError, InvalidDegreeError
 from spinlets.window import band_profile
 
-from oracles import window_derivative_bound
+from oracles import window_derivative_bound, window_support_scalar
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,20 @@ def test_support_matches_bruteforce_scan(win):
                 assert sup.start == nonzero.min()
                 assert sup.stop - 1 == nonzero.max()
                 assert nonzero.size == len(sup)  # contiguous, no interior zeros
+
+
+def test_support_equals_the_scalar_search():
+    # empty supports included: their start is read by band_limit and
+    # needlet_synthesize
+    empty = 0
+    for B in (1.5, 2.0, 3.0):
+        for j in range(0, 13):
+            for s in range(-5, 6):
+                win = build_window(B)
+                want = window_support_scalar(win, j, s)
+                assert window_support(win, j, s) == want, (B, j, s)
+                empty += len(want) == 0
+    assert empty > 0
 
 
 def _fresh_profile(window, j, s, ells):
