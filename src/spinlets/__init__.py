@@ -14,7 +14,7 @@ Submodules:
 __version__ = "0.1.0"
 
 from . import errors
-from .wigner import SphPoint, WignerDSlice, wigner_d, wigner_d_slice, spin_sph_harm, kernel_K
+from .wigner import SphPoint, wigner_d, wigner_d_slice, spin_sph_harm, kernel_K
 from .window import NeedletWindow, build_window, eval_b, eval_e_ls, window_support
 from .grid import (CubatureGrid, SkyMask, RegionPair, build_cubature,
                    geodesic_distance, dilate_mask, hemispheres)
@@ -30,16 +30,16 @@ from .mc import (ExperimentPlan, DiagnosticsReport, run_experiment,
                  fit_variance_slope, normality_diagnostics)
 
 __all__ = [
-    "SphPoint", "WignerDSlice", "wigner_d", "wigner_d_slice", "spin_sph_harm",
-    "kernel_K", "NeedletWindow", "build_window", "eval_b", "eval_e_ls",
-    "window_support", "CubatureGrid", "SkyMask", "RegionPair", "build_cubature",
+    "SphPoint", "wigner_d", "wigner_d_slice", "spin_sph_harm", "kernel_K",
+    "NeedletWindow", "build_window", "eval_b", "eval_e_ls", "window_support",
+    "CubatureGrid", "SkyMask", "RegionPair", "build_cubature",
     "geodesic_distance", "dilate_mask", "hemispheres", "PowerSpectrumModel",
     "SpinAlm", "ChannelSet", "power_law", "eval_cl", "draw_alm", "synthesize",
-    "rotate_stokes", "observe_channels", "NeedletCoefficients", "needlet_analyze",
-    "masked_analyze", "needlet_kernel", "needlet_synthesize", "theoretical_cov",
-    "theoretical_corr", "EstimateReport", "gamma_theoretical", "estimate",
-    "estimate_masked", "estimate_asymmetry", "estimate_ap", "estimate_cp",
-    "hausman_statistic", "subsampling_variance", "ExperimentPlan",
-    "DiagnosticsReport", "run_experiment", "fit_variance_slope",
-    "normality_diagnostics", "errors",
+    "rotate_stokes", "observe_channels", "NeedletCoefficients",
+    "needlet_analyze", "masked_analyze", "needlet_kernel", "needlet_synthesize",
+    "theoretical_cov", "theoretical_corr", "EstimateReport",
+    "gamma_theoretical", "estimate", "estimate_masked", "estimate_asymmetry",
+    "estimate_ap", "estimate_cp", "hausman_statistic", "subsampling_variance",
+    "ExperimentPlan", "DiagnosticsReport", "run_experiment",
+    "fit_variance_slope", "normality_diagnostics", "errors",
 ]

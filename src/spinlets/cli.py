@@ -3,7 +3,8 @@
 Subcommands: simulate, transform, estimate, mc, selftest.  All diagnostics
 go to stderr; data goes to files (or stdout).  Exit code 0 iff no error.
 Every run's randomness flows from a single --seed; outputs are never
-overwritten without --force.
+overwritten without --force, and all of a run's outputs are checked before
+it writes the first one.
 
 The mc subcommand reads a flat key=value config with a [plan] section
 (command-line flags win over file values), so experiment provenance can be
@@ -47,11 +48,12 @@ def _err(msg: str) -> None:
     print(f"spinlets: {msg}", file=sys.stderr)
 
 
-def _check_output(path, force: bool) -> Path:
-    path = Path(path)
-    if path.exists() and not force:
-        raise InvalidConfigError(f"output {path} exists; pass --force to overwrite")
-    return path
+def _check_outputs(force: bool, *paths) -> None:
+    """Refuse a run before its first write if an output exists (None: stdout)."""
+    existing = [p for p in paths if p is not None and Path(p).exists()]
+    if existing and not force:
+        raise InvalidConfigError(
+            f"output {existing[0]} exists; pass --force to overwrite")
 
 
 def _parse_levels(text: str, B: float, name: str = "levels") -> tuple:
@@ -134,7 +136,10 @@ def plan_to_config_text(plan: mc.ExperimentPlan) -> str:
 
 
 def cmd_simulate(args) -> int:
-    out = _check_output(args.out, args.force)
+    out = Path(args.out)
+    noise_paths = [out.with_name(f"{out.stem}.noise{r}{out.suffix}")
+                   for r in range(args.channels)]
+    _check_outputs(args.force, out, *noise_paths)
     signal_model = power_law(args.alpha, l_min=max(1, abs(args.spin)))
     half = signal_model.scaled(0.5)
     signal = draw_alm(half, half, args.spin, args.lmax, (args.seed, 0))
@@ -146,9 +151,7 @@ def cmd_simulate(args) -> int:
                                   kind="noise", amplitude=args.noise_level)
                         for _ in range(args.channels)]
         chans = observe_channels(signal, noise_models, (args.seed, 1))
-        for r in range(args.channels):
-            noise_path = _check_output(
-                out.with_name(f"{out.stem}.noise{r}{out.suffix}"), args.force)
+        for r, noise_path in enumerate(noise_paths):
             write_alm(noise_path, chans.noise[r])
             _err(f"wrote noise channel {r}: {noise_path} "
                  f"(seed key={seed_key((args.seed, 1)) + (r,)})")
@@ -174,15 +177,16 @@ def cmd_transform(args) -> int:
     grids = [mask.grid if mask is not None else build_cubature(j, args.bandwidth)
              for j in levels]
     out_dir = Path(args.out_dir)
+    paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
+    _check_outputs(args.force, *paths)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for grid in grids:
+    for grid, path in zip(grids, paths):
         if mask is not None:
             pix = synthesize_on_grid(alm.full_coeffs(), grid, alm.s)
             coeffs = masked_analyze(pix, mask, alm.s)
         else:
             coeffs = needlet_analyze(alm, grid)
-        path = _check_output(out_dir / f"level{grid.j:02d}.snbc", args.force)
         write_coefficients(path, coeffs)
         written.append(coeffs)
         _err(f"wrote {path} ({coeffs.values.size} coefficients, "
@@ -201,25 +205,34 @@ def cmd_transform(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    _check_outputs(args.force, args.out, args.csv)
     if args.demo:
         plan = plan_from_config(DEMO_CONFIG)
         reports = [rep for _, _, rep in mc.replicate_reports(plan, 0)]
-        _write_reports(reports, args.out, args.csv, args.force)
+        _write_reports(reports, args.out, args.csv)
         return 0
     kinds = [kind.strip() for kind in args.kind.split(",") if kind.strip()]
     if not kinds:
         raise InvalidConfigError(f"kind: {args.kind!r} names no estimator kind")
     if not args.coeffs:
         raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
-    coeff_list = [read_coefficients(path, args.bandwidth) for path in args.coeffs]
+    coeff_list = [read_coefficients(path) for path in args.coeffs]
     first = coeff_list[0]
     inputs = {"masked": first, "gapfree": first, "channels": coeff_list,
               "signal": power_law(args.alpha, l_min=max(1, abs(first.s)))}
     needs = estimators.inputs_read(kinds)
     if "mask" in needs:
-        inputs["mask"] = empty_mask(first.grid, epsilon=args.epsilon) \
-            if args.mask is None else \
-            read_mask(args.mask, epsilon=args.epsilon, grid=first.grid)
+        if args.mask is None and first.masked:
+            raise InvalidConfigError(f"coeffs {args.coeffs[0]} were computed "
+                                     f"with a mask; pass it as --mask")
+        mask = empty_mask(first.grid, epsilon=args.epsilon) \
+            if args.mask is None else read_mask(args.mask, epsilon=args.epsilon)
+        if mask.grid.fingerprint != first.grid.fingerprint:
+            raise InvalidConfigError(
+                f"mask {args.mask} is for level j={mask.grid.j} at "
+                f"B={mask.grid.B:g}, coeffs {args.coeffs[0]} for level "
+                f"j={first.grid.j} at B={first.grid.B:g}")
+        inputs["mask"] = mask
     if "regions" in needs:
         inputs["regions"] = hemispheres(first.grid, epsilon=args.epsilon)
     if "noise" in needs:
@@ -227,28 +240,26 @@ def cmd_estimate(args) -> int:
                                      kind="noise", amplitude=args.noise_level)
                            for _ in coeff_list]
     reports = [estimators.estimate(kind, inputs) for kind in kinds]
-    _write_reports(reports, args.out, args.csv, args.force)
+    _write_reports(reports, args.out, args.csv)
     return 0
 
 
-def _write_reports(reports, out_path, csv_path, force) -> None:
-    payload = [r.to_dict() for r in reports]
+def _write_reports(reports, out_path, csv_path) -> None:
+    text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
     if out_path:
-        path = _check_output(out_path, force)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _err(f"wrote {path}")
+        Path(out_path).write_text(text + "\n")
+        _err(f"wrote {out_path}")
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(text)
     if csv_path:
-        path = _check_output(csv_path, force)
         lines = ["j,s,kind,paper_kind,value,target,variance,standardized"]
         for r in reports:
             d = r.to_dict()
             lines.append(f"{d['j']},{d['s']},{d['kind']},{d['paper_kind']},"
                          f"{d['value']!r},{d['theoretical_target']!r},"
                          f"{d['variance_estimate']!r},{d['standardized']!r}")
-        path.write_text("\n".join(lines) + "\n")
-        _err(f"wrote {path}")
+        Path(csv_path).write_text("\n".join(lines) + "\n")
+        _err(f"wrote {csv_path}")
 
 
 def cmd_mc(args) -> int:
@@ -257,10 +268,10 @@ def cmd_mc(args) -> int:
     plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
     plan.validate()
     out_dir = Path(args.out_dir)
+    raw_path, diag_path, cfg_path = (out_dir / name for name in
+                                     ("raw.csv", "diagnostics.json", "plan.cfg"))
+    _check_outputs(args.force, raw_path, diag_path, cfg_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw_path = _check_output(out_dir / "raw.csv", args.force)
-    diag_path = _check_output(out_dir / "diagnostics.json", args.force)
-    cfg_path = out_dir / "plan.cfg"
 
     report, rows = mc.run_experiment(plan, threads=args.threads)
     raw_path.write_text(mc.rows_to_csv(rows))
@@ -297,7 +308,7 @@ def cmd_selftest(args) -> int:
     def _wigner():
         assert abs(wigner_d(1, 0, 0, math.pi / 3) - 0.5) < 1e-12
         sl = wigner_d_slice(128, 2, 1.1)
-        assert abs(np.sum(sl.values ** 2) - 1.0) < 1e-12
+        assert abs(np.sum(sl ** 2) - 1.0) < 1e-12
 
     def _addition():
         p = SphPoint(1.1, 0.3)
@@ -331,8 +342,7 @@ def cmd_selftest(args) -> int:
     check("addition-theorem", _addition)
     check("window-partition", _window)
     check("grid-weights", _grid)
-    if not args.fast:
-        check("frame-roundtrip", _roundtrip)
+    check("frame-roundtrip", _roundtrip)
     failures = [name for name, exc in checks if exc is not None]
     if failures:
         _err(f"selftest: {len(failures)} failure(s): {failures}")
@@ -374,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of " + ",".join(estimators.KNOWN_KINDS))
     p.add_argument("--coeffs", nargs="*", default=[],
                    help="SNBC files (one per channel for ap/cp/hausman)")
-    p.add_argument("--bandwidth", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=3.0)
     p.add_argument("--gamma", type=float, default=2.5)
     p.add_argument("--noise-level", type=float, default=1.0)
-    p.add_argument("--mask", default=None)
+    p.add_argument("--mask", default=None,
+                   help="required with coefficients computed with a mask")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--demo", action="store_true",
                    help="report replicate 0 of the bundled plan "
@@ -398,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
-    p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_selftest)
     return parser
 

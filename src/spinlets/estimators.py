@@ -190,8 +190,7 @@ def block_labels(grid: CubatureGrid, observed: np.ndarray,
 
 
 def subsampling_variance(pixel_values: np.ndarray, grid: CubatureGrid,
-                         observed: np.ndarray | None = None,
-                         n_blocks: int | None = None) -> float:
+                         observed: np.ndarray | None = None) -> float:
     """Block-subsampling estimate of Var of S = 4pi sum(v) / sum(lambda).
 
     pixel_values are the per-pixel contributions of the statistic being
@@ -200,7 +199,7 @@ def subsampling_variance(pixel_values: np.ndarray, grid: CubatureGrid,
     """
     if observed is None:
         observed = np.ones(grid.n_pixels, dtype=bool)
-    labels = block_labels(grid, observed, n_blocks)
+    labels = block_labels(grid, observed)
     used = labels >= 0
     if not used.any():
         raise TooFewBlocksError("no admissible subsampling blocks")

@@ -41,7 +41,6 @@ class CubatureGrid:
     cos_theta: np.ndarray = field(repr=False)   # exact GL nodes for the rings
     phi: np.ndarray = field(repr=False)         # ring longitudes
     ring_weights: np.ndarray = field(repr=False)  # lambda per pixel, one per ring
-    band_limit: int = 0
     window: NeedletWindow = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,6 +53,11 @@ class CubatureGrid:
     @property
     def n_phi(self) -> int:
         return self.phi.size
+
+    @property
+    def band_limit(self) -> int:
+        """Exactness degree 2n of the n + 1 Gauss-Legendre rings."""
+        return 2 * (self.n_theta - 1)
 
     @property
     def n_pixels(self) -> int:
@@ -120,7 +124,6 @@ def build_cubature(j: int, B: float, max_pixels: int = 8_000_000) -> CubatureGri
         cos_theta=x,
         phi=2.0 * math.pi * np.arange(n_phi) / n_phi,
         ring_weights=w * (2.0 * math.pi / n_phi),
-        band_limit=2 * n,
     )
 
 
@@ -254,8 +257,8 @@ def write_mask(path, mask: SkyMask) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_mask(path, epsilon: float = 0.0, grid: CubatureGrid | None = None) -> SkyMask:
-    """Read a mask file; rebuilds the level grid from the header unless given."""
+def read_mask(path, epsilon: float = 0.0) -> SkyMask:
+    """Read a mask file on the grid its header names, level j at bandwidth B."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -279,11 +282,7 @@ def read_mask(path, epsilon: float = 0.0, grid: CubatureGrid | None = None) -> S
             raise InvalidMaskFileError(f"{path}:{lineno}: header field "
                                        f"{name}={value!r} is not a number") from None
     j, B, npix = values
-    if grid is None:
-        grid = build_cubature(j, B)
-    if grid.j != j:
-        raise InvalidMaskFileError(
-            f"{path}:{lineno}: header field j={j} does not match grid level {grid.j}")
+    grid = build_cubature(j, B)
     if grid.n_pixels != npix:
         raise InvalidMaskFileError(
             f"{path}:{lineno}: header field npix={npix} does not match the "

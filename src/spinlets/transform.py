@@ -261,39 +261,47 @@ def theoretical_corr(grid: CubatureGrid, model, k: int, k2: int, s: int) -> comp
 
 
 _SNBC_MAGIC = b"SNBC"
-_SNBC_HEADER = 21  # magic + struct "<IIiIB"
+_SNBC_FIELDS = "<IIiIBd"  # version, j, spin, npix, masked, B
+_SNBC_HEADER = 4 + struct.calcsize(_SNBC_FIELDS)  # 29 bytes
 
 
 def write_coefficients(path, coeffs: NeedletCoefficients) -> None:
-    """Binary SNBC v1: magic, u32 version, u32 j, i32 spin, u32 npix, u8 masked,
-    float64 (re, im) per pixel, little-endian."""
+    """Binary SNBC v2: magic, u32 version, u32 j, i32 spin, u32 npix, u8 masked,
+    float64 B, then float64 (re, im) per pixel, little-endian."""
     with open(path, "wb") as fh:
         fh.write(_SNBC_MAGIC)
-        fh.write(struct.pack("<IIiIB", 1, coeffs.grid.j, coeffs.s,
-                             coeffs.values.size, 1 if coeffs.masked else 0))
+        fh.write(struct.pack(_SNBC_FIELDS, 2, coeffs.grid.j, coeffs.s,
+                             coeffs.values.size, 1 if coeffs.masked else 0,
+                             coeffs.grid.B))
         flat = np.empty(2 * coeffs.values.size, dtype="<f8")
         flat[0::2], flat[1::2] = coeffs.values.real, coeffs.values.imag
         fh.write(flat.tobytes())
 
 
-def read_coefficients(path, B: float) -> NeedletCoefficients:
-    """Read an SNBC v1 file on the grid of its header's level at bandwidth B;
-    errors name the file and the field."""
+def read_coefficients(path) -> NeedletCoefficients:
+    """Read an SNBC v2 file on the grid its header names, level j at bandwidth
+    B; errors name the file and the field."""
     raw = Path(path).read_bytes()
     if len(raw) < _SNBC_HEADER:
         raise InvalidCoefficientFileError(
-            f"{path}: header has {len(raw)} bytes, SNBC v1 needs {_SNBC_HEADER}")
+            f"{path}: header has {len(raw)} bytes, SNBC v2 needs {_SNBC_HEADER}")
     if raw[:4] != _SNBC_MAGIC:
         raise InvalidCoefficientFileError(
             f"{path}: magic {raw[:4]!r} is not {_SNBC_MAGIC!r}")
-    version, j, s, npix, masked = struct.unpack("<IIiIB", raw[4:_SNBC_HEADER])
-    if version != 1:
-        raise InvalidCoefficientFileError(f"{path}: version {version} is not 1")
+    version, j, s, npix, masked, B = struct.unpack(_SNBC_FIELDS,
+                                                   raw[4:_SNBC_HEADER])
+    if version != 2:
+        raise InvalidCoefficientFileError(
+            f"{path}: version {version} is not 2; write the file again with "
+            f"`spinlets transform` (SNBC v2 records the bandwidth B)")
+    if not B > 1.0:
+        raise InvalidCoefficientFileError(
+            f"{path}: header field B={B} must be > 1")
     grid = build_cubature(j, B)
     if npix != grid.n_pixels:
         raise InvalidCoefficientFileError(
             f"{path}: header field npix={npix} does not match the "
-            f"{grid.n_pixels} pixels of the level-{j} grid")
+            f"{grid.n_pixels} pixels of the level-{j} grid at B={B:g}")
     if len(raw) - _SNBC_HEADER != 16 * npix:
         raise InvalidCoefficientFileError(
             f"{path}: payload has {len(raw) - _SNBC_HEADER} bytes, "

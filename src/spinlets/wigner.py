@@ -44,21 +44,6 @@ class SphPoint:
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class WignerDSlice:
-    """All rows d^l_{m,n}(beta), m = -l..l, at fixed degree l and column n."""
-
-    l: int
-    n: int
-    beta: float
-    values: np.ndarray  # shape (2l+1,), index m + l
-
-    def value(self, m: int) -> float:
-        if abs(m) > self.l:
-            raise IndexOutOfRangeError(f"|m|={abs(m)} > l={self.l}")
-        return float(self.values[m + self.l])
-
-
 def _check_indices(l, m, n):
     if l < 0:
         raise InvalidDegreeError(f"l={l} must be >= 0")
@@ -73,7 +58,7 @@ def _log_binom(a, b):
 def wigner_d(l: int, m: int, n: int, beta: float) -> float:
     """Wigner small-d matrix element d^l_{m,n}(beta), beta in [0, pi]."""
     _check_indices(l, m, n)
-    return wigner_d_slice(l, n, beta).value(m)
+    return float(wigner_d_slice(l, n, beta)[m + l])
 
 
 def iter_d_slices(L: int, n: int, theta):
@@ -162,12 +147,12 @@ def iter_d_slices(L: int, n: int, theta):
         yield l + 1, emit(l + 1, cur)
 
 
-def wigner_d_slice(l: int, n: int, beta: float) -> WignerDSlice:
-    """All d^l_{m,n}(beta) for m = -l..l in a single recursion sweep."""
+def wigner_d_slice(l: int, n: int, beta: float) -> np.ndarray:
+    """All d^l_{m,n}(beta) for m = -l..l, indexed m + l, in one recursion sweep."""
     _check_indices(l, 0, n)
     for _, d in iter_d_slices(l, n, beta):
         pass  # the sweep ends at degree l
-    return WignerDSlice(l=l, n=n, beta=beta, values=d[:, 0].copy())
+    return d[:, 0].copy()
 
 
 def d_table(L: int, n: int, theta) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Tests for the batch CLI: subcommands, file formats, exit codes."""
 
+import argparse
 import json
+import re
 import struct
 from pathlib import Path
 
 import pytest
 
-from spinlets.cli import (DEMO_CONFIG, main, plan_from_config,
+from spinlets import build_window, gamma_theoretical, power_law
+from spinlets.cli import (DEMO_CONFIG, build_parser, main, plan_from_config,
                           plan_to_config_text)
 from spinlets.errors import InvalidConfigError
 from spinlets.fields import read_alm
+from spinlets.grid import build_cubature, polar_cap_mask, write_mask
 from spinlets.mc import ExperimentPlan, rows_to_csv, run_experiment
 
 
@@ -311,8 +315,8 @@ def test_levels_beyond_the_grid_cap_refused(tmp_path, capsys):
     mask_path = tmp_path / "deep.mask"
     mask_path.write_text("mask v1 j=5000 B=2.0 npix=153\n4\n")
     snbc_path = tmp_path / "deep.snbc"
-    snbc_path.write_bytes(b"SNBC" + struct.pack("<IIiIB", 1, 4_000_000, 2, 1, 0)
-                          + bytes(16))
+    snbc_path.write_bytes(b"SNBC" + struct.pack("<IIiIBd", 2, 4_000_000, 2, 1, 0,
+                                                2.0) + bytes(16))
     cases = [(["transform", "--alm", str(alm_path), "--levels", "5000",
                "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")], 5000),
              (["estimate", "--kind", "unfeasible", "--coeffs", str(snbc_path),
@@ -398,4 +402,117 @@ def test_config_roundtrip_idempotent(tmp_path):
 
 
 def test_selftest_fast():
-    assert run(["selftest", "--fast"]) == 0
+    assert run(["selftest"]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "transform", "estimate", "mc"])
+def test_outputs_checked_before_the_first_write(tmp_path, capsys, command):
+    # the last output exists: the run is refused before it writes any other
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "1",
+         "--out", str(alm_path)])
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, last = {
+        "simulate": (["simulate", "--lmax", "8", "--seed", "1", "--channels",
+                      "3", "--out", str(out / "sig.salm")], "sig.noise2.salm"),
+        "transform": (["transform", "--alm", str(alm_path), "--levels", "0..3",
+                       "--out-dir", str(out)], "level03.snbc"),
+        "estimate": (["estimate", "--demo", "--out", str(out / "rep.json"),
+                      "--csv", str(out / "rep.csv")], "rep.csv"),
+        "mc": (["mc", "--config", str(DEMO_CONFIG), "--out-dir", str(out)],
+               "plan.cfg"),
+    }[command]
+    (out / last).write_bytes(b"old bytes\n")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert f"output {out / last} exists" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [last]
+    assert (out / last).read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("B, j, target", [(1.7, 6, 0.0455027),
+                                          (2.0, 3, 0.175809)])
+def test_estimate_reads_the_grid_its_file_names(tmp_path, capsys, B, j, target):
+    # no flag restates the writer's B: the report's grid and its target
+    # Gamma_j are those of the B in the file's header
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "45", "--seed", "4",
+         "--out", str(alm_path)])
+    assert run(["transform", "--alm", str(alm_path), "--bandwidth", str(B),
+                "--levels", str(j), "--out-dir", str(tmp_path / "c")]) == 0
+    coeffs = tmp_path / "c" / f"level{j:02d}.snbc"
+    report = tmp_path / "r.json"
+    assert run(["estimate", "--kind", "unfeasible", "--coeffs", str(coeffs),
+                "--out", str(report)]) == 0
+    rep = json.loads(report.read_text())[0]
+    npix = build_cubature(j, B).n_pixels
+    assert rep["meta"]["grid"] == f"j={j} B={B:g} npix={npix}"
+    assert rep["theoretical_target"] == gamma_theoretical(
+        build_window(B), power_law(3.0, l_min=2), j, 2)
+    assert rep["theoretical_target"] == pytest.approx(target, rel=1e-5)
+    with pytest.raises(SystemExit):  # the flag that could contradict it is gone
+        run(["estimate", "--kind", "unfeasible", "--coeffs", str(coeffs),
+             "--bandwidth", "1.99"])
+    assert "unrecognized arguments: --bandwidth" in capsys.readouterr().err
+
+
+def _masked_level4(tmp_path):
+    """A level-4 file masked by a 10% cap; returns (coeffs path, mask path)."""
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "31", "--seed", "9",
+         "--out", str(alm_path)])
+    mask_path = tmp_path / "cap4.mask"
+    write_mask(mask_path, polar_cap_mask(build_cubature(4, 2.0), 0.10))
+    assert run(["transform", "--alm", str(alm_path), "--levels", "4",
+                "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")]) == 0
+    return tmp_path / "c" / "level04.snbc", mask_path
+
+
+def test_masked_coefficients_need_their_mask(tmp_path, capsys):
+    coeffs, mask_path = _masked_level4(tmp_path)
+    report = tmp_path / "r.json"
+    argv = ["estimate", "--kind", "masked", "--coeffs", str(coeffs),
+            "--out", str(report)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"coeffs {coeffs} were computed with a mask" in err
+    assert "Traceback" not in err and not report.exists()
+    assert run(argv + ["--mask", str(mask_path)]) == 0
+
+
+def test_estimate_refuses_a_mask_of_another_grid(tmp_path, capsys):
+    coeffs, _ = _masked_level4(tmp_path)
+    mask5 = tmp_path / "cap5.mask"
+    write_mask(mask5, polar_cap_mask(build_cubature(5, 2.0), 0.10))
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run(["estimate", "--kind", "masked", "--coeffs", str(coeffs),
+                "--mask", str(mask5), "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"mask {mask5} is for level j=5 at B=2, coeffs {coeffs} for " \
+           f"level j=4 at B=2" in err
+    assert "Traceback" not in err and not report.exists()
+
+
+def test_readme_command_lines_use_accepted_flags():
+    # every --flag README shows on a `spinlets <command>` line (or its
+    # continuation lines) is one that subcommand accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    shown, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("spinlets "):
+            command = line.split()[1]
+        elif not line.startswith(" "):
+            command = None
+        if command is not None:
+            shown.setdefault(command, set()).update(
+                re.findall(r"--[a-z][a-z-]*", line))
+    assert set(shown) == set(subparsers)
+    for command, flags in shown.items():
+        accepted = set(subparsers[command]._option_string_actions)
+        assert flags <= accepted, (command, sorted(flags - accepted))

@@ -225,14 +225,6 @@ def test_read_mask_rejects_bytes_that_are_not_utf8(tmp_path):
     assert str(err.value) == f"{path}: byte 28 is not UTF-8"
 
 
-def test_read_mask_rejects_header_of_another_grid(tmp_path, grid5):
-    path = tmp_path / "other.mask"
-    path.write_text("mask v1 j=2 B=2.0 npix=153\n4\n")
-    with pytest.raises(InvalidMaskFileError) as err:
-        read_mask(path, grid=grid5)
-    assert f"{path}:1: header field j=2 does not match grid level 5" in str(err.value)
-
-
 def test_empty_mask_observes_everything(grid5):
     m = empty_mask(grid5, epsilon=0.3)
     assert m.n_observed == grid5.n_pixels

@@ -48,11 +48,6 @@ VALID_CONFIG = plan_to_config_text(ExperimentPlan(
     kinds=("masked", "asymmetry", "hausman"), mask_fraction=0.1)).encode()
 
 
-def _read_snbc(path):
-    # as `spinlets estimate` reads it: the grid of the level the header names
-    return read_coefficients(path, B)
-
-
 class Reader(NamedTuple):
     read: Callable
     argv: Callable  # (input path, work dir) -> the CLI command reading it
@@ -61,7 +56,7 @@ class Reader(NamedTuple):
 READERS = {
     "salm": Reader(read_alm, lambda p, d: [
         "transform", "--alm", str(p), "--levels", "2", "--out-dir", str(d / "c")]),
-    "snbc": Reader(_read_snbc, lambda p, d: [
+    "snbc": Reader(read_coefficients, lambda p, d: [
         "estimate", "--kind", "unfeasible", "--coeffs", str(p),
         "--out", str(d / "r.json")]),
     "mask": Reader(read_mask, lambda p, d: [
@@ -73,16 +68,19 @@ READERS = {
 
 
 def _struct_field(valid: bytes, offset: int, fmt: str):
-    """Strategy: `valid` with the header field at `offset` set to any value."""
+    """Strategy: `valid` with the header field at `offset` set to any value
+    (any float, NaN and infinities included, for a float64 field)."""
     bits = 8 * struct.calcsize(fmt)
     lo, hi = (-2 ** (bits - 1), 2 ** (bits - 1) - 1) if fmt[-1].islower() \
         else (0, 2 ** bits - 1)
+    values = st.floats() if fmt[-1] == "d" else st.integers(lo, hi)
+    return values.map(lambda value: _put(valid, offset, fmt, value))
 
-    def put(value):
-        out = bytearray(valid)
-        struct.pack_into(fmt, out, offset, value)
-        return bytes(out)
-    return st.integers(lo, hi).map(put)
+
+def _put(valid: bytes, offset: int, fmt: str, value) -> bytes:
+    out = bytearray(valid)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
 
 
 def _mask_field(name_and_value) -> bytes:
@@ -119,7 +117,7 @@ SALM_INPUTS = _mutations(VALID_SALM, st.one_of(
 SNBC_INPUTS = _mutations(VALID_SNBC, st.one_of(
     _struct_field(VALID_SNBC, 4, "<I"), _struct_field(VALID_SNBC, 8, "<I"),
     _struct_field(VALID_SNBC, 12, "<i"), _struct_field(VALID_SNBC, 16, "<I"),
-    _struct_field(VALID_SNBC, 20, "<B")))
+    _struct_field(VALID_SNBC, 20, "<B"), _struct_field(VALID_SNBC, 21, "<d")))
 MASK_INPUTS = _mutations(VALID_MASK, st.tuples(
     st.sampled_from(["j", "B", "npix"]), _VALUES).map(_mask_field))
 CONFIG_INPUTS = _mutations(VALID_CONFIG, st.tuples(
@@ -166,6 +164,12 @@ def test_salm_reader_returns_or_raises_named_error(work, data):
 @PROPERTY
 @given(SNBC_INPUTS)
 @example(VALID_SNBC[:8] + struct.pack("<I", 4_000_000) + VALID_SNBC[12:])
+@example(_put(VALID_SNBC, 21, "<d", float("nan")))
+@example(_put(VALID_SNBC, 21, "<d", float("inf")))
+@example(_put(VALID_SNBC, 21, "<d", -float("inf")))
+@example(_put(VALID_SNBC, 21, "<d", 1.0))
+@example(_put(VALID_SNBC, 21, "<d", 1e300))
+@example(_put(VALID_SNBC, 4, "<I", 1))
 def test_snbc_reader_returns_or_raises_named_error(work, data):
     _check("snbc", data, work)
 

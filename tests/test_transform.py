@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -334,7 +335,7 @@ def test_snbc_roundtrip(tmp_path, half_model):
     path = tmp_path / "lev3.snbc"
     write_coefficients(path, coeffs)
     assert path.read_bytes()[:4] == b"SNBC"
-    back = read_coefficients(path, B)
+    back = read_coefficients(path)
     assert (back.grid.j, back.grid.B, back.s) == (3, B, 2)
     assert back.grid.fingerprint == grid.fingerprint
     assert np.array_equal(back.values, coeffs.values)
@@ -348,9 +349,15 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
     write_coefficients(path, coeffs)
     good = path.read_bytes()
     cases = [
-        (good[:5], "header has 5 bytes, SNBC v1 needs 21"),
+        (good[:5], "header has 5 bytes, SNBC v2 needs 29"),
         (b"SNBX" + good[4:], "magic b'SNBX' is not b'SNBC'"),
-        (good[:4] + (2).to_bytes(4, "little") + good[8:], "version 2 is not 1"),
+        # an SNBC v1 file: its 21-byte header has no bandwidth B
+        (good[:4] + struct.pack("<IIiIB", 1, 3, S, grid.n_pixels, 0) + good[29:],
+         "version 1 is not 2; write the file again with `spinlets transform`"),
+        (good[:21] + struct.pack("<d", 1.0) + good[29:],
+         "header field B=1.0 must be > 1"),
+        (good[:21] + struct.pack("<d", math.nan) + good[29:],
+         "header field B=nan must be > 1"),
         (good[:-16], f"payload has {16 * grid.n_pixels - 16} bytes, "
                      f"npix={grid.n_pixels} needs {16 * grid.n_pixels}"),
         (good + b"\0", f"payload has {16 * grid.n_pixels + 1} bytes"),
@@ -358,14 +365,14 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
     for data, field in cases:
         path.write_bytes(data)
         with pytest.raises(InvalidCoefficientFileError) as err:
-            read_coefficients(path, B)
+            read_coefficients(path)
         assert str(err.value).startswith(f"{path}: {field}")
     npix = grid.n_pixels + 1  # header bytes 16..20 hold npix
     path.write_bytes(good[:16] + npix.to_bytes(4, "little") + good[20:])
     with pytest.raises(InvalidCoefficientFileError,
                        match=rf"header field npix={npix} does not match the "
                              rf"{grid.n_pixels} pixels of the level-3 grid"):
-        read_coefficients(path, B)
+        read_coefficients(path)
 
 
 def test_harmonic_tables_read_d_table_in_place(monkeypatch):
