@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .wigner import SphPoint, wigner_d, wigner_d_slice, spin_sph_harm, kernel_K
-from .window import NeedletWindow, build_window, eval_b, eval_e_ls, window_support
+from .window import NeedletWindow, build_window, eval_e_ls, window_support
 from .grid import (CubatureGrid, SkyMask, RegionPair, build_cubature,
                    geodesic_distance, dilate_mask, hemispheres)
 from .fields import (PowerSpectrumModel, SpinAlm, ChannelSet, power_law,
@@ -31,7 +31,7 @@ from .mc import (ExperimentPlan, DiagnosticsReport, run_experiment,
 
 __all__ = [
     "SphPoint", "wigner_d", "wigner_d_slice", "spin_sph_harm", "kernel_K",
-    "NeedletWindow", "build_window", "eval_b", "eval_e_ls", "window_support",
+    "NeedletWindow", "build_window", "eval_e_ls", "window_support",
     "CubatureGrid", "SkyMask", "RegionPair", "build_cubature",
     "geodesic_distance", "dilate_mask", "hemispheres", "PowerSpectrumModel",
     "SpinAlm", "ChannelSet", "power_law", "eval_cl", "draw_alm", "synthesize",

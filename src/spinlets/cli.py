@@ -159,23 +159,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if args.mask is not None and args.bandwidth is not None:
+        raise InvalidConfigError(f"bandwidth: mask {args.mask} names its level "
+                                 f"and B; drop --bandwidth")
     alm = read_alm(args.alm)
-    levels = _parse_levels(args.levels, args.bandwidth)
-    mask = None
-    if args.mask is not None:  # validate all inputs before writing anything
+    if args.mask is not None:
         mask = read_mask(args.mask)
-        bad = [j for j in levels if j != mask.grid.j]
-        if bad:
-            raise InvalidConfigError(
-                f"mask {args.mask} is for level j={mask.grid.j}, "
-                f"cannot apply at levels {bad}")
-        if mask.grid.B != args.bandwidth:
-            raise InvalidConfigError(
-                f"mask {args.mask} was built for B={mask.grid.B}, "
-                f"got --bandwidth {args.bandwidth}")
-    # every level's grid, and so the pixel cap, before the first file
-    grids = [mask.grid if mask is not None else build_cubature(j, args.bandwidth)
-             for j in levels]
+        grids = [mask.grid]
+    else:  # every level's grid, and so the pixel cap, before the first file
+        mask = None
+        B = 2.0 if args.bandwidth is None else args.bandwidth
+        grids = [build_cubature(j, B) for j in _parse_levels(args.levels, B)]
     out_dir = Path(args.out_dir)
     paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
     _check_outputs(args.force, *paths)
@@ -371,9 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="needlet analysis of a SALM file")
     p.add_argument("--alm", required=True)
-    p.add_argument("--bandwidth", type=float, default=2.0)
-    p.add_argument("--levels", required=True, help="e.g. 2..6 or 2,3,4")
-    p.add_argument("--mask", default=None)
+    p.add_argument("--bandwidth", type=float, default=None,
+                   help="B of the --levels grids (default 2)")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("--levels", help="e.g. 2..6 or 2,3,4")
+    level.add_argument("--mask", help="mask file; its header names the level and B")
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true")

@@ -92,8 +92,8 @@ class EstimateReport:
     variance_estimate: float
     standardized: float
     meta: dict = field(default_factory=dict)
-    # per-pixel statistic contributions, kept for composition (difference
-    # statistics, subsampling of differences); not serialized
+    # per-pixel contributions kept for composition (difference statistics and
+    # their subsampling), and AP's inputs to the Hausman identity; not serialized
     pixel_values: np.ndarray | None = field(default=None, repr=False)
     channel_values: list | None = field(default=None, repr=False)
     noise_bias: np.ndarray | None = field(default=None, repr=False)
@@ -360,7 +360,7 @@ def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateRep
         j=grid.j, s=first.s, kind="cp", value=value,
         theoretical_target=target, variance_estimate=variance,
         standardized=_standardize(value, target, variance),
-        meta=meta, pixel_values=x, channel_values=[c.values for c in coeffs])
+        meta=meta, pixel_values=x)
 
 
 def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
@@ -376,26 +376,27 @@ def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
         raise ValueError("AP and CP reports are for different (j, s)")
     if ap.kind != "ap" or cp.kind != "cp":
         raise ValueError("hausman_statistic needs one AP and one CP report")
+    for name in ("channel_values", "noise_bias"):
+        if getattr(ap, name) is None:
+            raise ValueError(f"AP report has no {name} for the identity check")
     if not variance > 0.0:
         raise NonpositiveVarianceError(f"variance={variance} must be > 0")
     value = cp.value - ap.value
 
-    meta = dict(ap.meta)
-    if ap.channel_values is not None and ap.noise_bias is not None:
-        beta = np.stack(ap.channel_values)
-        d = beta.shape[0]
-        pair = np.zeros(beta.shape[1])
-        for r1 in range(d):
-            for r2 in range(r1 + 1, d):
-                pair += np.abs(beta[r1] - beta[r2]) ** 2
-        per_pixel = ((d - 1) * ap.noise_bias - pair) / (d * (d - 1))
-        identity = math.fsum(per_pixel.tolist())
-        scale = max(abs(ap.value), abs(cp.value), abs(identity), 1e-300)
-        residual = abs(value - identity) / scale
-        if residual > 1e-10:
-            raise SelfCheckError(
-                f"hausman identity violated: relative residual {residual:.3e}")
-        meta["identity_residual"] = residual
+    beta = np.stack(ap.channel_values)
+    d = beta.shape[0]
+    pair = np.zeros(beta.shape[1])
+    for r1 in range(d):
+        for r2 in range(r1 + 1, d):
+            pair += np.abs(beta[r1] - beta[r2]) ** 2
+    per_pixel = ((d - 1) * ap.noise_bias - pair) / (d * (d - 1))
+    identity = math.fsum(per_pixel.tolist())
+    scale = max(abs(ap.value), abs(cp.value), abs(identity), 1e-300)
+    residual = abs(value - identity) / scale
+    if residual > 1e-10:
+        raise SelfCheckError(
+            f"hausman identity violated: relative residual {residual:.3e}")
+    meta = dict(ap.meta, identity_residual=residual)
 
     return EstimateReport(
         j=ap.j, s=ap.s, kind="hausman", value=value,

@@ -205,7 +205,6 @@ class ChannelSet:
 
     signal: SpinAlm
     noise: list
-    noise_models: list
 
     def channel(self, r: int) -> SpinAlm:
         return self.signal + self.noise[r]
@@ -222,7 +221,7 @@ def observe_channels(signal: SpinAlm, noise_models, seed) -> ChannelSet:
     for r, model in enumerate(noise_models):
         half = model.scaled(0.5)
         draws.append(draw_alm(half, half, signal.s, signal.L, base + (r,)))
-    return ChannelSet(signal=signal, noise=draws, noise_models=noise_models)
+    return ChannelSet(signal=signal, noise=draws)
 
 
 _SALM_MAGIC = b"SALM"

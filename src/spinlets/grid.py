@@ -25,25 +25,38 @@ from .wigner import SphPoint
 from .window import NeedletWindow, build_window
 
 _DOT_CHUNK = 1 << 22  # elements per distance-matrix block
+MAX_PIXELS = 8_000_000  # largest grid any level may build
 
 
 @dataclass(frozen=True, eq=False)
 class CubatureGrid:
     """Cubature points xi_jk, weights lambda_jk and window b(./B^j) of level j.
 
-    The pair (j, B) fixes the level: its window is built from B, so every
-    function of a level reads j, B and the window from its grid.
+    The pair (j, B) fixes the level: the rings and the window are built from
+    it, so every function of a level reads j, B and the window from its grid.
     """
 
     j: int
     B: float
-    theta: np.ndarray = field(repr=False)       # ring colatitudes, ascending
-    cos_theta: np.ndarray = field(repr=False)   # exact GL nodes for the rings
-    phi: np.ndarray = field(repr=False)         # ring longitudes
-    ring_weights: np.ndarray = field(repr=False)  # lambda per pixel, one per ring
+    # from (j, B): ring colatitudes (ascending), GL nodes, longitudes, weights
+    theta: np.ndarray = field(init=False, repr=False)
+    cos_theta: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    ring_weights: np.ndarray = field(init=False, repr=False)
     window: NeedletWindow = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.j < 0:
+            raise ValueError("level j must be >= 0")
+        n = grid_size(self.j, self.B)
+        n_theta, n_phi = n + 1, 2 * n + 1
+        x, w = np.polynomial.legendre.leggauss(n_theta)
+        order = np.argsort(-x)  # theta ascending = cos(theta) descending
+        x, w = x[order], w[order]
+        object.__setattr__(self, "theta", np.arccos(np.clip(x, -1.0, 1.0)))
+        object.__setattr__(self, "cos_theta", x)
+        object.__setattr__(self, "phi", 2.0 * math.pi * np.arange(n_phi) / n_phi)
+        object.__setattr__(self, "ring_weights", w * (2.0 * math.pi / n_phi))
         object.__setattr__(self, "window", build_window(self.B))
 
     @property
@@ -95,36 +108,23 @@ class CubatureGrid:
         return SphPoint(float(self.theta[i]), float(self.phi[q]))
 
 
-def grid_size(j: int, B: float, max_pixels: int = 8_000_000) -> int:
+def grid_size(j: int, B: float) -> int:
     """n = ceil(B^(j+1)) of the level-j grid (n + 1 rings of 2n + 1 pixels);
     raises ResourceLimitError past the pixel cap."""
     if not B > 1.0:
         raise InvalidBandwidthError(f"bandwidth B={B} must be > 1")
-    if (j + 1) * math.log(B) > math.log(max_pixels):  # before B^(j+1) overflows
-        raise ResourceLimitError(f"level j={j} needs > {max_pixels} pixels (cap)")
+    if (j + 1) * math.log(B) > math.log(MAX_PIXELS):  # before B^(j+1) overflows
+        raise ResourceLimitError(f"level j={j} needs > {MAX_PIXELS} pixels (cap)")
     n = math.ceil(B ** (j + 1))
-    if (n + 1) * (2 * n + 1) > max_pixels:
+    if (n + 1) * (2 * n + 1) > MAX_PIXELS:
         raise ResourceLimitError(
-            f"level j={j} needs {(n + 1) * (2 * n + 1)} pixels > cap {max_pixels}")
+            f"level j={j} needs {(n + 1) * (2 * n + 1)} pixels > cap {MAX_PIXELS}")
     return n
 
 
-def build_cubature(j: int, B: float, max_pixels: int = 8_000_000) -> CubatureGrid:
+def build_cubature(j: int, B: float) -> CubatureGrid:
     """Build the level-j grid; exact for harmonic products up to 2*ceil(B^(j+1))."""
-    if j < 0:
-        raise ValueError("level j must be >= 0")
-    n = grid_size(j, B, max_pixels)
-    n_theta, n_phi = n + 1, 2 * n + 1
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    order = np.argsort(-x)  # theta ascending = cos(theta) descending
-    x, w = x[order], w[order]
-    return CubatureGrid(
-        j=j, B=float(B),
-        theta=np.arccos(np.clip(x, -1.0, 1.0)),
-        cos_theta=x,
-        phi=2.0 * math.pi * np.arange(n_phi) / n_phi,
-        ring_weights=w * (2.0 * math.pi / n_phi),
-    )
+    return CubatureGrid(j=j, B=float(B))
 
 
 def geodesic_distance(p: SphPoint, q: SphPoint) -> float:
@@ -282,7 +282,14 @@ def read_mask(path, epsilon: float = 0.0) -> SkyMask:
             raise InvalidMaskFileError(f"{path}:{lineno}: header field "
                                        f"{name}={value!r} is not a number") from None
     j, B, npix = values
-    grid = build_cubature(j, B)
+    try:
+        grid = build_cubature(j, B)
+    except InvalidBandwidthError as exc:
+        raise InvalidMaskFileError(
+            f"{path}:{lineno}: header field B={B}: {exc}") from None
+    except ResourceLimitError as exc:
+        raise InvalidMaskFileError(
+            f"{path}:{lineno}: header field j={j}: {exc}") from None
     if grid.n_pixels != npix:
         raise InvalidMaskFileError(
             f"{path}:{lineno}: header field npix={npix} does not match the "

@@ -33,7 +33,7 @@ from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, power_law
 from .grid import build_cubature, hemispheres, polar_cap_mask
 from .transform import masked_analyze, needlet_analyze, synthesize_on_grid
-from .window import build_window, window_support
+from .window import window_support
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
 
@@ -84,12 +84,6 @@ class ExperimentPlan:
         if self.epsilon_scale < 0.0:
             raise InvalidConfigError("epsilon_scale: must be >= 0")
 
-    def band_limit(self) -> int:
-        """Top degree of the deepest level's window support (|s| if all empty)."""
-        window = build_window(self.B)
-        tops = [window_support(window, j, self.s).stop - 1 for j in self.j_list]
-        return max([t for t in tops if t >= abs(self.s)], default=abs(self.s))
-
     def signal_model(self):
         return power_law(self.alpha, l_min=max(1, abs(self.s)), kind="signal")
 
@@ -113,7 +107,10 @@ class _PlanContext:
         self.noise_models = plan.noise_models()
         self.adopted_noise = [m.scaled(plan.noise_bias_factor)
                               for m in self.noise_models]
-        self.L = plan.band_limit()
+        # band limit: top degree of the deepest level's support (|s| if none)
+        tops = [window_support(grid.window, j, plan.s).stop - 1
+                for j, grid in grids.items()]
+        self.L = max([t for t in tops if t >= abs(plan.s)], default=abs(plan.s))
         self.levels = {}
         for j, grid in grids.items():
             eps = plan.epsilon_scale * plan.B ** (-j)

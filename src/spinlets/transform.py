@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BandLimitExceededError, CoverageGapError,
-                     InvalidCoefficientFileError)
+                     InvalidCoefficientFileError, ResourceLimitError)
 from .fields import SpinAlm, cl_profile
 from .grid import CubatureGrid, SkyMask, build_cubature
 from .wigner import SphPoint, d_table, kernel_sum
@@ -297,7 +297,11 @@ def read_coefficients(path) -> NeedletCoefficients:
     if not B > 1.0:
         raise InvalidCoefficientFileError(
             f"{path}: header field B={B} must be > 1")
-    grid = build_cubature(j, B)
+    try:
+        grid = build_cubature(j, B)
+    except ResourceLimitError as exc:
+        raise InvalidCoefficientFileError(
+            f"{path}: header field j={j}: {exc}") from None
     if npix != grid.n_pixels:
         raise InvalidCoefficientFileError(
             f"{path}: header field npix={npix} does not match the "

@@ -98,11 +98,6 @@ def build_window(B: float) -> NeedletWindow:
     return NeedletWindow(B=float(B))
 
 
-def eval_b(window: NeedletWindow, x) -> float | np.ndarray:
-    """Window value b(x); exactly 0 outside (1/B, B)."""
-    return window.b(x)
-
-
 def eval_e_ls(l: int, s: int) -> int:
     """Spin-s eigenvalue e_ls = (l - s)(l + s + 1); l(l+1) for s = 0."""
     if l < abs(s):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import shlex
 import struct
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def test_masked_pipeline_end_to_end(tmp_path):
     mask_path = tmp_path / "cap.mask"
     write_mask(mask_path, polar_cap_mask(grid, 0.10))
     out_dir = tmp_path / "coeffs"
-    assert run(["transform", "--alm", str(alm_path), "--levels", "4",
+    assert run(["transform", "--alm", str(alm_path),
                 "--mask", str(mask_path), "--out-dir", str(out_dir)]) == 0
     report = tmp_path / "rep.json"
     assert run(["estimate", "--kind", "masked",
@@ -86,19 +87,50 @@ def test_masked_pipeline_end_to_end(tmp_path):
     payload = json.loads(report.read_text())
     assert payload[0]["kind"] == "masked"
     assert payload[0]["value"] > 0.0
-    # wrong level for this mask: clean error before any output
-    assert run(["transform", "--alm", str(alm_path), "--levels", "3,4",
-                "--mask", str(mask_path),
-                "--out-dir", str(tmp_path / "c2")]) == 1
-    assert not (tmp_path / "c2").exists() or \
-        not list((tmp_path / "c2").iterdir())
+    # a mask names its level: --levels beside it is a usage error (exit 2)
+    # before any output
+    with pytest.raises(SystemExit) as exc:
+        run(["transform", "--alm", str(alm_path), "--levels", "4",
+             "--mask", str(mask_path), "--out-dir", str(tmp_path / "c2")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c2").exists()
+
+
+def test_transform_takes_its_level_from_the_mask(tmp_path, capsys):
+    # a level-5 mask written at B = 1.7 needs no flag to restate its level
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "9",
+         "--out", str(alm_path)])
+    mask_path = tmp_path / "cap17.mask"
+    write_mask(mask_path, polar_cap_mask(build_cubature(5, 1.7), 0.10))
+    out_dir = tmp_path / "c"
+    assert run(["transform", "--alm", str(alm_path), "--mask", str(mask_path),
+                "--out-dir", str(out_dir)]) == 0
+    coeffs = out_dir / "level05.snbc"
+    assert [p.name for p in out_dir.iterdir()] == [coeffs.name]
+    assert struct.unpack("<d", coeffs.read_bytes()[21:29]) == (1.7,)
+    report = tmp_path / "r.json"
+    assert run(["estimate", "--kind", "masked", "--coeffs", str(coeffs),
+                "--mask", str(mask_path), "--out", str(report)]) == 0
+    npix = build_cubature(5, 1.7).n_pixels
+    assert json.loads(report.read_text())[0]["meta"]["grid"] == \
+        f"j=5 B=1.7 npix={npix}"
+    # --bandwidth can only restate or contradict the mask's B: refused
+    capsys.readouterr()
+    for B in ("1.7", "2"):
+        assert run(["transform", "--alm", str(alm_path), "--bandwidth", B,
+                    "--mask", str(mask_path),
+                    "--out-dir", str(tmp_path / "c2")]) == 1
+        err = capsys.readouterr().err
+        assert "error: bandwidth:" in err and "Traceback" not in err
+        assert not (tmp_path / "c2").exists()
 
 
 def test_transform_missing_mask_clean_error(tmp_path, capsys):
     alm_path = tmp_path / "sig.salm"
     run(["simulate", "--spin", "2", "--lmax", "16", "--seed", "5",
          "--out", str(alm_path)])
-    code = run(["transform", "--alm", str(alm_path), "--levels", "3",
+    code = run(["transform", "--alm", str(alm_path),
                 "--mask", str(tmp_path / "absent.mask"),
                 "--out-dir", str(tmp_path / "c")])
     assert code == 1
@@ -112,7 +144,7 @@ def test_transform_bad_mask_index_clean_error(tmp_path, capsys):
     mask_path = tmp_path / "bad.mask"
     for entry in ("999", "-3"):
         mask_path.write_text(f"mask v1 j=2 B=2.0 npix=153\n{entry}\n")
-        code = run(["transform", "--alm", str(alm_path), "--levels", "2",
+        code = run(["transform", "--alm", str(alm_path),
                     "--mask", str(mask_path),
                     "--out-dir", str(tmp_path / "c")])
         err = capsys.readouterr().err
@@ -137,9 +169,11 @@ def test_transform_bad_alm_and_mask_header_clean_error(tmp_path, capsys):
     capsys.readouterr()
     mask_path = tmp_path / "bad.mask"
     for header, field in (("mask v1 j=2 B=2.0 npix=99", "npix=99"),
-                          ("mask j=2", "header 'mask j=2'")):
+                          ("mask j=2", "header 'mask j=2'"),
+                          ("mask v1 j=2 B=1.0 npix=153",
+                           "header field B=1.0: bandwidth B=1.0 must be > 1")):
         mask_path.write_text(f"{header}\n4\n")
-        code = run(["transform", "--alm", str(alm_path), "--levels", "2",
+        code = run(["transform", "--alm", str(alm_path),
                     "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")])
         err = capsys.readouterr().err
         assert code == 1
@@ -317,21 +351,27 @@ def test_levels_beyond_the_grid_cap_refused(tmp_path, capsys):
     snbc_path = tmp_path / "deep.snbc"
     snbc_path.write_bytes(b"SNBC" + struct.pack("<IIiIBd", 2, 4_000_000, 2, 1, 0,
                                                 2.0) + bytes(16))
-    cases = [(["transform", "--alm", str(alm_path), "--levels", "5000",
-               "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")], 5000),
-             (["estimate", "--kind", "unfeasible", "--coeffs", str(snbc_path),
-               "--out", str(tmp_path / "r.json")], 4_000_000)]
+    # a file reader's error names the file, beside a good one for estimate
+    good = tmp_path / "c4" / "level04.snbc"
+    assert run(["transform", "--alm", str(alm_path), "--levels", "4",
+                "--out-dir", str(tmp_path / "c4")]) == 0
+    cases = [(["transform", "--alm", str(alm_path),
+               "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")],
+              5000, f"{mask_path}:1: header field j=5000"),
+             (["estimate", "--kind", "ap,cp", "--coeffs", str(good),
+               str(snbc_path), "--out", str(tmp_path / "r.json")],
+              4_000_000, f"{snbc_path}: header field j=4000000")]
     for j in (5000, 40):
         plan_path = tmp_path / f"plan{j}.cfg"
         plan_path.write_text(f"[plan]\nj_list = {j}\nreplicates = 1\n")
         cases.append((["mc", "--config", str(plan_path), "--out-dir",
-                       str(tmp_path / f"mc{j}")], j))
+                       str(tmp_path / f"mc{j}")], j, ""))  # no file to name
     capsys.readouterr()
-    for argv, j in cases:
+    for argv, j, named in cases:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert f"level j={j} needs > 8000000 pixels (cap)" in err
-        assert "Traceback" not in err
+        assert named in err and "Traceback" not in err
 
 
 def test_level_ranges_bounded_before_they_are_expanded(tmp_path, capsys):
@@ -464,7 +504,7 @@ def _masked_level4(tmp_path):
          "--out", str(alm_path)])
     mask_path = tmp_path / "cap4.mask"
     write_mask(mask_path, polar_cap_mask(build_cubature(4, 2.0), 0.10))
-    assert run(["transform", "--alm", str(alm_path), "--levels", "4",
+    assert run(["transform", "--alm", str(alm_path),
                 "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")]) == 0
     return tmp_path / "c" / "level04.snbc", mask_path
 
@@ -497,22 +537,23 @@ def test_estimate_refuses_a_mask_of_another_grid(tmp_path, capsys):
 
 
 def test_readme_command_lines_use_accepted_flags():
-    # every --flag README shows on a `spinlets <command>` line (or its
-    # continuation lines) is one that subcommand accepts
+    # every `spinlets <command>` line README shows, with its continuation
+    # lines, parses: once with each [...] group dropped, once with all kept
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
-    shown, command = {}, None
+    shown = []
     for line in block.splitlines():
-        if line.startswith("spinlets "):
-            command = line.split()[1]
-        elif not line.startswith(" "):
-            command = None
-        if command is not None:
-            shown.setdefault(command, set()).update(
-                re.findall(r"--[a-z][a-z-]*", line))
-    assert set(shown) == set(subparsers)
-    for command, flags in shown.items():
-        accepted = set(subparsers[command]._option_string_actions)
-        assert flags <= accepted, (command, sorted(flags - accepted))
+        if shown and shown[-1].endswith("\\"):
+            shown[-1] = shown[-1][:-1] + line
+        elif line.startswith("spinlets "):
+            shown.append(line)
+    assert {text.split()[1] for text in shown} == set(subparsers)
+    for text in shown:
+        for variant in (re.sub(r"\[[^]]*\]", " ", text),
+                        text.replace("[", " ").replace("]", " ")):
+            try:
+                build_parser().parse_args(shlex.split(variant)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {variant}")

@@ -443,6 +443,10 @@ def test_hausman_identity_violation_raises(win, grid4):
     ap.noise_bias = ap.noise_bias * (1.0 + 1e-6)
     with pytest.raises(SelfCheckError, match="hausman identity violated"):
         hausman_statistic(ap, cp, 1.0)
+    # a report without the identity's inputs is refused, not passed unchecked
+    ap.channel_values = None
+    with pytest.raises(ValueError, match="AP report has no channel_values"):
+        hausman_statistic(ap, cp, 1.0)
 
 
 def test_report_serialization(win, grid4):

@@ -10,8 +10,8 @@ from spinlets import (SphPoint, build_cubature, dilate_mask, geodesic_distance,
 from spinlets.errors import (EmptyObservedRegionError, EmptyRegionError,
                              InvalidBandwidthError, InvalidMaskFileError,
                              ResourceLimitError)
-from spinlets.grid import (RegionPair, SkyMask, empty_mask, polar_cap_mask,
-                           read_mask, write_mask)
+from spinlets.grid import (CubatureGrid, RegionPair, SkyMask, empty_mask,
+                           polar_cap_mask, read_mask, write_mask)
 from spinlets.wigner import iter_d_slices
 
 from oracles import cap_membership
@@ -26,7 +26,13 @@ def test_build_errors():
     with pytest.raises(InvalidBandwidthError):
         build_cubature(2, 1.0)
     with pytest.raises(ResourceLimitError):
-        build_cubature(12, 2.0, max_pixels=1000)
+        build_cubature(12, 2.0)  # 134M pixels
+    with pytest.raises(ValueError, match="level j must be >= 0"):
+        CubatureGrid(j=-1, B=2.0)
+    # the rings follow from (j, B): a grid cannot be given others
+    with pytest.raises(TypeError):
+        CubatureGrid(j=3, B=2.0, theta=np.zeros(2), cos_theta=np.ones(2),
+                     phi=np.zeros(3), ring_weights=np.ones(2))
     # refused before B^(j+1) can overflow a float
     for j, B in ((5000, 2.0), (4_000_000, 2.0), (40, 2.0), (1, 1e300)):
         with pytest.raises(ResourceLimitError, match=f"level j={j} needs"):

@@ -60,8 +60,8 @@ READERS = {
         "estimate", "--kind", "unfeasible", "--coeffs", str(p),
         "--out", str(d / "r.json")]),
     "mask": Reader(read_mask, lambda p, d: [
-        "transform", "--alm", str(d / "valid.salm"), "--levels", "2",
-        "--mask", str(p), "--out-dir", str(d / "c")]),
+        "transform", "--alm", str(d / "valid.salm"), "--mask", str(p),
+        "--out-dir", str(d / "c")]),
     "config": Reader(plan_from_config, lambda p, d: [
         "mc", "--config", str(p), "--out-dir", str(d / "mc")]),
 }

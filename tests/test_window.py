@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinlets import build_window, eval_b, eval_e_ls, window_support
+from spinlets import build_window, eval_e_ls, window_support
 from spinlets.errors import InvalidBandwidthError, InvalidDegreeError
 from spinlets.window import band_profile
 
@@ -25,18 +25,18 @@ def test_invalid_bandwidth():
 
 
 def test_support_endpoints_and_outside(win):
-    assert eval_b(win, 0.0) == 0.0
-    assert eval_b(win, 1.0 / win.B) == 0.0
-    assert eval_b(win, win.B) == 0.0
-    assert eval_b(win, win.B ** 2) == 0.0
+    assert win.b(0.0) == 0.0
+    assert win.b(1.0 / win.B) == 0.0
+    assert win.b(win.B) == 0.0
+    assert win.b(win.B ** 2) == 0.0
 
 
 def test_interior_positive(win):
     # away from the support edges (where the true value drops below double
     # resolution) the window is strictly positive
     xs = np.linspace(1.0 / win.B + 0.01, win.B - 0.01, 101)
-    assert np.all(eval_b(win, xs) > 0.0)
-    assert eval_b(win, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(win.b(xs) > 0.0)
+    assert win.b(1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partition_of_unity_pinned_point(win):
