@@ -57,23 +57,25 @@ def _check_outputs(force: bool, *paths) -> None:
 
 
 def _parse_levels(text: str, B: float, name: str = "levels") -> tuple:
-    """`lo..hi` or `a,b,c`; a range is bounded before it is expanded: its
-    bottom by 0 and its top by the pixel cap of the level-hi grid at B."""
+    """`lo..hi` or `a,b,c`, each level within the pixel cap of its grid at
+    B; a range is bounded before it is expanded: its bottom by 0 and its top
+    by the cap."""
     text = text.strip()
     if ".." in text:
         lo, hi = (int(t) for t in text.split("..", 1))
         if lo < 0:
             raise InvalidConfigError(f"{name}: needs levels j >= 0")
-        try:
-            grid_size(hi, B)
-        except ResourceLimitError as exc:
-            raise InvalidConfigError(f"{name}: {exc}") from None
-        levels = tuple(range(lo, hi + 1))
+        levels, checked = range(lo, hi + 1), (hi,)
     else:
-        levels = tuple(int(t) for t in text.split(",") if t.strip())
+        levels = checked = tuple(int(t) for t in text.split(",") if t.strip())
+    try:
+        for j in checked:
+            grid_size(j, B)
+    except ResourceLimitError as exc:
+        raise InvalidConfigError(f"{name}: {exc}") from None
     if not levels:
         raise InvalidConfigError(f"levels: cannot parse {text!r}")
-    return levels
+    return tuple(levels)
 
 
 def plan_from_config(path) -> mc.ExperimentPlan:

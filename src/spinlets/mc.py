@@ -24,16 +24,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import estimators
-from .errors import (InvalidConfigError, ReplicateFailuresError,
-                     TooFewLevelsError, TooFewSamplesError)
+from .errors import (BandLimitExceededError, InvalidConfigError,
+                     ReplicateFailuresError, TooFewLevelsError,
+                     TooFewSamplesError)
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, power_law
 from .grid import build_cubature, hemispheres, polar_cap_mask
-from .transform import masked_analyze, needlet_analyze, synthesize_on_grid
-from .window import window_support
+from .transform import (_support_or_raise, masked_analyze, needlet_analyze,
+                        synthesize_on_grid)
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
 
@@ -103,13 +103,20 @@ class _PlanContext:
         # grids first: a level beyond the pixel cap is refused before any
         # window support is computed for it
         grids = {j: build_cubature(j, plan.B) for j in plan.j_list}
+        # a level its grid cannot resolve exactly is refused here, not by
+        # every replicate; an empty support passes
+        try:
+            supports = {j: _support_or_raise(grid, plan.s)
+                        for j, grid in grids.items()}
+        except BandLimitExceededError as exc:
+            raise InvalidConfigError(
+                f"j_list: {exc} (B={plan.B}, s={plan.s})") from None
         self.signal_model = plan.signal_model()
         self.noise_models = plan.noise_models()
         self.adopted_noise = [m.scaled(plan.noise_bias_factor)
                               for m in self.noise_models]
         # band limit: top degree of the deepest level's support (|s| if none)
-        tops = [window_support(grid.window, j, plan.s).stop - 1
-                for j, grid in grids.items()]
+        tops = [support.stop - 1 for support in supports.values()]
         self.L = max([t for t in tops if t >= abs(plan.s)], default=abs(plan.s))
         self.levels = {}
         for j, grid in grids.items():
@@ -118,7 +125,7 @@ class _PlanContext:
                 if "mask" in self.reads else None
             regions = hemispheres(grid, epsilon=eps) \
                 if "regions" in self.reads else None
-            support = window_support(grid.window, j, plan.s)
+            support = supports[j]
             lj = support.stop - 1 if len(support) else abs(plan.s)
             self.levels[j] = (grid, mask, regions, lj)
 
@@ -184,6 +191,12 @@ class NormalityStats:
                 "ks_distance": self.ks_distance}
 
 
+def _normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-x / sqrt 2) of a 1-d array; within
+    2^-52 of scipy.special.ndtr."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+
+
 def normality_diagnostics(samples) -> NormalityStats:
     """Moments plus one-sample KS distance against the standard normal."""
     x = np.asarray(samples, dtype=np.float64)
@@ -198,7 +211,7 @@ def normality_diagnostics(samples) -> NormalityStats:
     else:
         skew, kurt = 0.0, 0.0
     xs = np.sort(x)
-    cdf = ndtr(xs)
+    cdf = _normal_cdf(xs)
     n = x.size
     up = np.arange(1, n + 1) / n - cdf
     dn = cdf - np.arange(0, n) / n

@@ -13,8 +13,10 @@ of the three-term recursion in degree l at fixed column n, vectorized over
 the rows m and the colatitudes.  It is seeded at l = |n| with the closed-form
 row d^{|n|}_{m,n}, and at each degree the two boundary rows |m| = l enter in
 closed form (both evaluated in log space, so high degrees neither overflow
-nor underflow).  Columns at exactly 0 or pi take the exact Kronecker/parity
-forms.  Everything is a pure function; there is no shared mutable state.
+nor underflow).  Their factorials come from _lgamma, a transcription of the
+cephes log-gamma behind scipy.special.gammaln that equals it on every
+integer.  Columns at exactly 0 or pi take the exact Kronecker/parity forms.
+Everything is a pure function; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import IndexOutOfRangeError, InvalidDegreeError
 
@@ -51,8 +52,39 @@ def _check_indices(l, m, n):
         raise IndexOutOfRangeError(f"indices (m={m}, n={n}) out of range for l={l}")
 
 
+# log sqrt(2 pi) and the 5-term Stirling series in 1/x^2 of cephes lgam
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+
+
+def _lgamma(n: int) -> float:
+    """log Gamma(n) = log (n-1)! for an integer n >= 1.
+
+    The operations of cephes lgam, which scipy.special.gammaln calls, in its
+    order: the log of the exact product below 13, the 5-term Stirling series
+    below 1000, the 3-term series up to 1e8 and none beyond.  math.lgamma
+    rounds differently on about half of the integers.
+    """
+    x = float(n)
+    if x < 13.0:
+        return math.log(math.prod(range(2, n)))
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
+                    * p + 0.0833333333333333333333) / x
+    series = _STIRLING[0]
+    for coef in _STIRLING[1:]:
+        series = series * p + coef
+    return q + series / x
+
+
 def _log_binom(a, b):
-    return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
+    return _lgamma(a + 1) - _lgamma(b + 1) - _lgamma(a - b + 1)
 
 
 def wigner_d(l: int, m: int, n: int, beta: float) -> float:
@@ -100,13 +132,13 @@ def iter_d_slices(L: int, n: int, theta):
     if l0 > 0:
         mcol = np.arange(-l0, l0 + 1)
         if n >= 0:
-            logmag = (0.5 * (gammaln(2 * l0 + 1) - gammaln(l0 + mcol + 1)
-                             - gammaln(l0 - mcol + 1))[:, None]
+            half = 0.5 * np.array([_log_binom(2 * l0, l0 + m) for m in mcol])
+            logmag = (half[:, None]
                       + np.outer(l0 + mcol, lc) + np.outer(l0 - mcol, ls))
             sign = np.ones(mcol.size)
         else:
-            logmag = (0.5 * (gammaln(2 * l0 + 1) - gammaln(l0 - mcol + 1)
-                             - gammaln(l0 + mcol + 1))[:, None]
+            half = 0.5 * np.array([_log_binom(2 * l0, l0 - m) for m in mcol])
+            logmag = (half[:, None]
                       + np.outer(l0 - mcol, lc) + np.outer(l0 + mcol, ls))
             sign = np.where((mcol + l0) % 2 == 0, 1.0, -1.0)
         cur = sign[:, None] * np.exp(logmag)

@@ -11,7 +11,8 @@ plateau difference b^2(x) = phi(x/B) - phi(x) with
 so that b is supported on [1/B, B] and sum_j b^2(x / B^j) = 1 for x >= 1
 exactly by telescoping.  psi is tabulated once on 4096 nodes (panelwise
 Gauss-Legendre quadrature, error far below 1e-12) and evaluated by monotone
-cubic (PCHIP) interpolation.
+cubic (PCHIP) interpolation, _Pchip, a numpy transcription of the arithmetic
+of scipy.interpolate.PchipInterpolator whose values equal scipy's bit for bit.
 
 The spin eigenvalues are e_ls = (l - s)(l + s + 1) = l(l+1) - s(s+1); the
 window argument at level j is sqrt(e_ls) / B^j.
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidBandwidthError, InvalidDegreeError
 
@@ -42,6 +42,11 @@ def _bump(t):
 @functools.lru_cache(maxsize=1)
 def _psi_interpolator():
     """Normalized antiderivative of the bump, tabulated once."""
+    return _Pchip(*_psi_nodes())
+
+
+def _psi_nodes():
+    """(nodes, psi at the nodes) of the tabulation."""
     nodes = np.linspace(-1.0, 1.0, _PSI_NODES)
     # 16-point Gauss-Legendre on each panel; the integrand is analytic inside
     # the support, so the panel error is at machine level.
@@ -53,7 +58,52 @@ def _psi_interpolator():
     cumulative = np.concatenate([[0.0], np.cumsum(panel)])
     cumulative /= cumulative[-1]
     np.clip(cumulative, 0.0, 1.0, out=cumulative)
-    return PchipInterpolator(nodes, cumulative)
+    return nodes, cumulative
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant of y at nodes x (PCHIP).
+
+    The rule and the operation order are those of scipy's PchipInterpolator
+    (Fritsch & Butland 1984): an interior node's slope is the weighted
+    harmonic mean of its two secants, or 0 where they differ in sign or one
+    is 0; an end slope is the one-sided three-point estimate, set to 0 when
+    its sign differs from the end secant's and to 3 times the secant when the
+    secants change sign and it exceeds that.  c[:, i] holds the Hermite cubic
+    of interval i in powers of u - x_i, highest first, and a call sums it from
+    the constant term up; points past either end extrapolate the end interval.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])],
+                                np.where(flat, 0.0, 1.0 / whmean),
+                                [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        i = np.clip(np.searchsorted(self.x, u, side="right") - 1,
+                    0, self.x.size - 2)
+        v = u - self.x[i]
+        c = self.c[:, i]
+        return c[3] + c[2] * v + c[1] * (v * v) + c[0] * (v * v * v)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,8 @@ from spinlets.errors import InvalidConfigError
 from spinlets.fields import read_alm
 from spinlets.grid import build_cubature, polar_cap_mask, write_mask
 from spinlets.mc import ExperimentPlan, rows_to_csv, run_experiment
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -365,7 +370,7 @@ def test_levels_beyond_the_grid_cap_refused(tmp_path, capsys):
         plan_path = tmp_path / f"plan{j}.cfg"
         plan_path.write_text(f"[plan]\nj_list = {j}\nreplicates = 1\n")
         cases.append((["mc", "--config", str(plan_path), "--out-dir",
-                       str(tmp_path / f"mc{j}")], j, ""))  # no file to name
+                       str(tmp_path / f"mc{j}")], j, "j_list: level"))
     capsys.readouterr()
     for argv, j, named in cases:
         assert run(argv) == 1
@@ -396,6 +401,43 @@ def test_level_ranges_bounded_before_they_are_expanded(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "pixels" in err and "Traceback" not in err
         assert not out_dir.exists()  # refused before the first file
+
+
+def test_level_beyond_its_grid_exactness_refused_at_set_up(tmp_path, capsys):
+    # at B = 2.9 and s = 3 the level-0 window needs exactness degree 8 and
+    # its grid gives 6: one line naming the plan's levels, B and s, before
+    # the first replicate
+    plan_path = tmp_path / "plan.cfg"
+    plan_path.write_text("[plan]\nB = 2.9\ns = 3\nj_list = 0,1\n"
+                         "kinds = unfeasible\nreplicates = 3\n")
+    out = tmp_path / "mc"
+    assert run(["mc", "--config", str(plan_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("spinlets: error: j_list: level j=0 needs exactness degree "
+                   "8, grid provides 6 (B=2.9, s=3)\n")
+    assert not (out / "raw.csv").exists()
+
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    # numpy is the only runtime dependency: a fresh process that imports the
+    # package and runs a plan through the window, the Wigner seeds and the
+    # KS distance loads no scipy module
+    out = tmp_path / "mc"
+    script = (
+        "import json, sys\n"
+        "from spinlets import cli\n"
+        f"code = cli.main(['mc', '--config', {str(DEMO_CONFIG)!r}, "
+        f"'--replicates', '100', '--out-dir', {str(out)!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in (os.environ.get("PYTHONPATH"),) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    stats = json.loads((out / "diagnostics.json").read_text())["statistics"]
+    assert all("ks_distance" in entry for entry in stats.values())
 
 
 def test_estimate_nan_epsilon_refused(tmp_path, capsys):
@@ -539,7 +581,7 @@ def test_estimate_refuses_a_mask_of_another_grid(tmp_path, capsys):
 def test_readme_command_lines_use_accepted_flags():
     # every `spinlets <command>` line README shows, with its continuation
     # lines, parses: once with each [...] group dropped, once with all kept
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from spinlets import (estimators, fit_variance_slope, mc,
                       normality_diagnostics, run_experiment)
@@ -22,6 +23,12 @@ def test_normality_on_normal_draws():
     assert abs(stats.skewness) < 0.03
     assert abs(stats.mean) < 0.02
     assert abs(stats.variance - 1.0) < 0.02
+
+
+def test_normal_cdf_within_an_ulp_of_scipy_ndtr():
+    x = np.concatenate([np.random.default_rng(4).standard_normal(200_000) * 3,
+                        np.linspace(-40.0, 40.0, 80_001)])
+    assert np.max(np.abs(mc._normal_cdf(x) - ndtr(x))) <= 2.0 ** -52
 
 
 def test_normality_constant_samples():

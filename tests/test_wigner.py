@@ -5,10 +5,11 @@ from itertools import zip_longest
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from spinlets import SphPoint, kernel_K, spin_sph_harm, wigner_d, wigner_d_slice
 from spinlets.errors import IndexOutOfRangeError, InvalidDegreeError
-from spinlets.wigner import d_table, iter_d_slices, kernel_sum
+from spinlets.wigner import _lgamma, d_table, iter_d_slices, kernel_sum
 
 from oracles import (d_table_degree_major, iter_d_slices_buffered,
                      kernel_sum_per_degree, scalar_sph_harm,
@@ -229,3 +230,11 @@ def test_kernel_sum_equals_per_degree_kernel_loop(s):
     assert kernel_sum(s, interior, interior, degrees, 0.0 * weights) == 0.0
     with pytest.raises(InvalidDegreeError):
         kernel_sum(3, interior, interior, [2, 3], [1.0, 1.0])
+
+
+def test_lgamma_equals_scipy_gammaln_on_integers():
+    # every branch: the exact product below 13, the 5-term Stirling series
+    # below 1000 and the 3-term one above; math.lgamma misses about half
+    n = np.arange(1, 200_001)
+    ours = np.array([_lgamma(k) for k in range(1, 200_001)])
+    assert (ours == gammaln(n)).all()

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from spinlets import build_window, eval_e_ls, window_support
 from spinlets.errors import InvalidBandwidthError, InvalidDegreeError
-from spinlets.window import band_profile
+from spinlets.window import _Pchip, _psi_nodes, band_profile
 
 from oracles import window_derivative_bound, window_support_scalar
 
@@ -164,3 +165,31 @@ def test_smoothness_proxy(win):
             for _ in range(r):
                 d = (d[2:] - d[:-2]) / (2.0 * h)
             assert np.max(np.abs(d)) < 10.0 * bound, (r, h)
+
+
+def _pchip_data():
+    rng = np.random.default_rng(11)
+    x = np.cumsum(rng.uniform(0.05, 1.0, 80))  # uneven spacing
+    return {
+        "psi": _psi_nodes(),  # flat runs of exact zeros and ones at the ends
+        "uneven": (x, rng.standard_normal(80)),
+        # left end slope set to 3 times its secant, right end slope too
+        "end_slope_capped": (np.arange(6.0), np.array([0, 1, -4, -3, 2, 1.0])),
+        # both end slopes set to 0 (sign differs from the end secant)
+        "end_slope_zeroed": (np.arange(7.0), np.array([0, 1, 6, 7, 6, 1, 0.0])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_pchip_data()))
+def test_pchip_equals_scipy_bit_for_bit(case):
+    x, y = _pchip_data()[case]
+    ours, ref = _Pchip(x, y), PchipInterpolator(x, y)
+    assert (ours.c == ref.c).all()
+    # every node, both neighbours of every node, random points inside and
+    # points past either end
+    span = x[-1] - x[0]
+    u = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        np.random.default_rng(3).uniform(x[0] - 0.1 * span,
+                                                          x[-1] + 0.1 * span,
+                                                          200_000)])
+    assert (ours(u) == ref(u)).all()
