@@ -59,22 +59,33 @@ def _check_outputs(force: bool, *paths) -> None:
 def _parse_levels(text: str, B: float, name: str = "levels") -> tuple:
     """`lo..hi` or `a,b,c`, each level within the pixel cap of its grid at
     B; a range is bounded before it is expanded: its bottom by 0 and its top
-    by the cap."""
+    by the cap.  Errors name the key or flag `name`."""
     text = text.strip()
+    parts = text.split("..", 1) if ".." in text else \
+        [t for t in text.split(",") if t.strip()]
+    ends = []
+    for t in parts:
+        try:
+            ends.append(int(t))
+        except ValueError:
+            raise InvalidConfigError(
+                f"{name}: level {t.strip()!r} in {text!r} is not an integer") from None
     if ".." in text:
-        lo, hi = (int(t) for t in text.split("..", 1))
+        lo, hi = ends
         if lo < 0:
             raise InvalidConfigError(f"{name}: needs levels j >= 0")
+        if hi < lo:
+            raise InvalidConfigError(f"{name}: range {text!r} is empty")
         levels, checked = range(lo, hi + 1), (hi,)
     else:
-        levels = checked = tuple(int(t) for t in text.split(",") if t.strip())
+        levels = checked = tuple(ends)
+    if not levels:
+        raise InvalidConfigError(f"{name}: no levels given")
     try:
         for j in checked:
             grid_size(j, B)
     except ResourceLimitError as exc:
         raise InvalidConfigError(f"{name}: {exc}") from None
-    if not levels:
-        raise InvalidConfigError(f"levels: cannot parse {text!r}")
     return tuple(levels)
 
 
@@ -119,6 +130,8 @@ def _parse_value(path, key: str, text: str, B: float):
         if hint == tuple[str, ...]:
             return tuple(t.strip() for t in raw.split(",") if t.strip())
         return hint(raw)
+    except InvalidConfigError as exc:  # a level list names its key itself
+        raise InvalidConfigError(f"config {path}: {exc}") from None
     except ValueError as exc:
         raise InvalidConfigError(
             f"config {path}: {key} = {raw!r} is not "
@@ -267,9 +280,8 @@ def cmd_mc(args) -> int:
     raw_path, diag_path, cfg_path = (out_dir / name for name in
                                      ("raw.csv", "diagnostics.json", "plan.cfg"))
     _check_outputs(args.force, raw_path, diag_path, cfg_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     report, rows = mc.run_experiment(plan, threads=args.threads)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a table
     raw_path.write_text(mc.rows_to_csv(rows))
     diag_path.write_text(report.to_json() + "\n")
     cfg_path.write_text(plan_to_config_text(plan))

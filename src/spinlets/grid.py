@@ -1,12 +1,12 @@
 """Cubature grids per needlet level, sky masks, dilation, and region pairs.
 
-The grid family is Gauss-Legendre in cos(theta) times an equispaced phi ring:
-ceil(B^(j+1)) + 1 GL nodes and 2*ceil(B^(j+1)) + 1 longitudes, with pixel
-weight lambda_k = (GL weight) * 2pi / n_phi.  This integrates products of two
-spin harmonics exactly up to degree band_limit = 2*ceil(B^(j+1)), which is
-the only property the estimators rely on.  Pixels are ordered ring-major:
-k = i_theta * n_phi + i_phi, rings from the north pole down, phi ascending
-from 0.
+A level-j grid is ceil(B^(j+1)) + 1 Gauss-Legendre rings in cos(theta), all
+with the same 2*ceil(B^(j+1)) + 1 equispaced longitudes; pixel weight
+lambda_k = (GL weight) * 2pi / n_phi.  It integrates products of two spin
+harmonics exactly up to degree band_limit = 2*ceil(B^(j+1)), the only
+property the estimators rely on.  Pixels are ring-major, k = i_theta * n_phi
++ i_phi, rings from the north pole down, phi ascending from 0.  Dilation is
+ring-local: a pixel on ring i is >= |theta_i - theta_k| from all of ring k.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (EmptyObservedRegionError, EmptyRegionError,
 from .wigner import SphPoint
 from .window import NeedletWindow, build_window
 
-_DOT_CHUNK = 1 << 22  # elements per distance-matrix block
 MAX_PIXELS = 8_000_000  # largest grid any level may build
 
 
@@ -51,8 +50,7 @@ class CubatureGrid:
         n = grid_size(self.j, self.B)
         n_theta, n_phi = n + 1, 2 * n + 1
         x, w = np.polynomial.legendre.leggauss(n_theta)
-        order = np.argsort(-x)  # theta ascending = cos(theta) descending
-        x, w = x[order], w[order]
+        x, w = x[::-1], w[::-1]  # theta ascending = cos(theta) descending
         object.__setattr__(self, "theta", np.arccos(np.clip(x, -1.0, 1.0)))
         object.__setattr__(self, "cos_theta", x)
         object.__setattr__(self, "phi", 2.0 * math.pi * np.arange(n_phi) / n_phi)
@@ -94,10 +92,8 @@ class CubatureGrid:
 
     @property
     def unit_vectors(self) -> np.ndarray:
-        st = np.sqrt(1.0 - self.cos_theta_pixels ** 2)
-        ph = self.phi_pixels
-        return np.column_stack([st * np.cos(ph), st * np.sin(ph),
-                                self.cos_theta_pixels])
+        st, ph = np.sqrt(1.0 - self.cos_theta_pixels ** 2), self.phi_pixels
+        return np.column_stack([st * np.cos(ph), st * np.sin(ph), self.cos_theta_pixels])
 
     @property
     def fingerprint(self) -> tuple:
@@ -135,19 +131,27 @@ def geodesic_distance(p: SphPoint, q: SphPoint) -> float:
 
 
 def _within_distance(grid: CubatureGrid, targets: np.ndarray, epsilon: float) -> np.ndarray:
-    """Boolean per pixel: geodesic distance to the target pixel set <= epsilon."""
+    """Boolean per pixel: geodesic distance to the target pixel set <= epsilon.
+
+    The closed test, unit-vector dot >= cos(epsilon), runs per ring pair and
+    only where |theta_i - theta_k| <= epsilon + 1e-9: a pair farther apart in
+    theta is farther apart on the sphere, by more than the dot's rounding
+    (rings lie ~pi / n_theta apart).  Extra memory: n_phi^2 dots.
+    """
     out = targets.copy()
     if epsilon <= 0.0 or not targets.any() or targets.all():
         return out
-    vec = grid.unit_vectors
-    tv = vec[targets]
-    rest = np.flatnonzero(~targets)
+    vec = grid.unit_vectors.reshape(grid.n_theta, grid.n_phi, 3)
+    hit, near = targets.reshape(vec.shape[:2]), out.reshape(vec.shape[:2])
     cos_eps = math.cos(min(epsilon, math.pi))
-    rows = max(1, _DOT_CHUNK // max(1, tv.shape[0]))
-    for start in range(0, rest.size, rows):
-        idx = rest[start:start + rows]
-        best = (vec[idx] @ tv.T).max(axis=1)
-        out[idx] = best >= cos_eps  # closed condition: d <= epsilon is "in"
+    rings = np.flatnonzero(hit.any(axis=1))
+    for i in np.flatnonzero(~hit.all(axis=1)):
+        gap = np.abs(grid.theta[rings] - grid.theta[i])
+        for k in rings[np.argsort(gap)][:np.count_nonzero(gap <= epsilon + 1e-9)]:
+            todo = np.flatnonzero(~near[i])  # pixels of ring i not yet covered
+            if todo.size == 0:
+                break
+            near[i, todo] = (vec[i, todo] @ vec[k, hit[k]].T).max(axis=1) >= cos_eps
     return out
 
 
@@ -176,8 +180,7 @@ class SkyMask:
         object.__setattr__(self, "dilated",
                            _within_distance(self.grid, excl, self.epsilon))
         if self.dilated.all():
-            raise EmptyObservedRegionError(
-                "no pixel survives the mask after dilation")
+            raise EmptyObservedRegionError("no pixel survives the mask after dilation")
 
     @property
     def observed(self) -> np.ndarray:
@@ -219,8 +222,7 @@ class RegionPair:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        a1 = np.asarray(self.a1, dtype=bool)
-        a2 = np.asarray(self.a2, dtype=bool)
+        a1, a2 = (np.asarray(a, dtype=bool) for a in (self.a1, self.a2))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
         if a1.shape != (self.grid.n_pixels,) or a2.shape != (self.grid.n_pixels,):
@@ -235,8 +237,7 @@ class RegionPair:
         """Pixels of region `which` (1 or 2) at distance > epsilon from its complement."""
         if which not in self._interior_cache:
             region = self.a1 if which == 1 else self.a2
-            near_complement = _within_distance(self.grid, ~region, self.epsilon)
-            inside = region & ~near_complement
+            inside = region & ~_within_distance(self.grid, ~region, self.epsilon)
             if not inside.any():
                 raise EmptyRegionError(
                     f"region {which} has an empty eps-interior (epsilon={self.epsilon})")
@@ -284,12 +285,10 @@ def read_mask(path, epsilon: float = 0.0) -> SkyMask:
     j, B, npix = values
     try:
         grid = build_cubature(j, B)
-    except InvalidBandwidthError as exc:
+    except (InvalidBandwidthError, ResourceLimitError) as exc:
+        name = f"B={B}" if isinstance(exc, InvalidBandwidthError) else f"j={j}"
         raise InvalidMaskFileError(
-            f"{path}:{lineno}: header field B={B}: {exc}") from None
-    except ResourceLimitError as exc:
-        raise InvalidMaskFileError(
-            f"{path}:{lineno}: header field j={j}: {exc}") from None
+            f"{path}:{lineno}: header field {name}: {exc}") from None
     if grid.n_pixels != npix:
         raise InvalidMaskFileError(
             f"{path}:{lineno}: header field npix={npix} does not match the "

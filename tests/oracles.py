@@ -61,6 +61,19 @@ def cap_membership(theta, cap_radius):
     return np.asarray(theta) <= cap_radius
 
 
+def within_distance_all_pairs(grid, targets, epsilon):
+    """Pixels within geodesic distance epsilon of a target: every non-target
+    pixel against every target pixel, closed test dot >= cos(min(eps, pi))."""
+    out = targets.copy()
+    if epsilon <= 0.0 or not targets.any() or targets.all():
+        return out
+    vec = grid.unit_vectors
+    rest = np.flatnonzero(~targets)
+    out[rest] = ((vec[rest] @ vec[targets].T).max(axis=1)
+                 >= math.cos(min(epsilon, math.pi)))
+    return out
+
+
 def block_labels_loop(grid, observed, n_blocks=None):
     """Latitude-band x longitude-sector partition of the observed pixels.
 

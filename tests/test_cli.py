@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from spinlets import build_window, gamma_theoretical, power_law
+from spinlets import build_window, gamma_theoretical, mc, power_law
 from spinlets.cli import (DEMO_CONFIG, build_parser, main, plan_from_config,
                           plan_to_config_text)
 from spinlets.errors import InvalidConfigError
@@ -303,7 +303,7 @@ def test_config_values_parsed_by_declared_type(tmp_path, capsys):
         ((3, 4, 5), ("masked", "unfeasible"), 0.1, 7)
     for line, named in (("replicates = ten", "replicates = 'ten' is not int"),
                         ("B = two", "B = 'two' is not float"),
-                        ("j_list = 3..x", "j_list = '3..x' is not tuple[int, ...]")):
+                        ("j_list = 3..x", "j_list: level 'x' in '3..x' is not an integer")):
         path.write_text(f"[plan]\n{line}\n")
         with pytest.raises(InvalidConfigError) as err:
             plan_from_config(path)
@@ -401,6 +401,66 @@ def test_level_ranges_bounded_before_they_are_expanded(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "pixels" in err and "Traceback" not in err
         assert not out_dir.exists()  # refused before the first file
+
+
+@pytest.mark.parametrize("text, message", [
+    ("j_list = 5..3", "j_list: range '5..3' is empty"),
+    ("j_list = 3..x", "j_list: level 'x' in '3..x' is not an integer"),
+    ("j_list = 2,three", "j_list: level 'three' in '2,three' is not an integer"),
+    ("j_list = ,", "j_list: no levels given"),
+])
+def test_config_levels_errors_name_the_key(tmp_path, text, message):
+    path = tmp_path / "plan.cfg"
+    path.write_text(f"[plan]\n{text}\n")
+    with pytest.raises(InvalidConfigError) as err:
+        plan_from_config(path)
+    assert str(err.value) == f"config {path}: {message}"
+
+
+@pytest.mark.parametrize("levels, message", [
+    ("abc", "levels: level 'abc' in 'abc' is not an integer"),
+    ("2..y", "levels: level 'y' in '2..y' is not an integer"),
+    ("6..4", "levels: range '6..4' is empty"),
+])
+def test_transform_levels_errors_name_the_flag(tmp_path, capsys, levels, message):
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "16", "--seed", "8",
+         "--out", str(alm_path)])
+    capsys.readouterr()
+    out_dir = tmp_path / "c"
+    assert run(["transform", "--alm", str(alm_path), "--levels", levels,
+                "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"spinlets: error: {message}\n"
+    assert not out_dir.exists()
+
+
+def _mc_refused(tmp_path, capsys, plan_text):
+    plan_path = tmp_path / "plan.cfg"
+    plan_path.write_text(plan_text)
+    out = tmp_path / "mc"
+    capsys.readouterr()
+    assert run(["mc", "--config", str(plan_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("spinlets: error: ")
+    assert not out.exists()  # no empty output directory left behind
+    return err
+
+
+def test_mc_refused_at_set_up_creates_no_directory(tmp_path, capsys):
+    err = _mc_refused(tmp_path, capsys, "[plan]\nB = 2.9\ns = 3\nj_list = 0,1\n"
+                      "kinds = unfeasible\nreplicates = 3\n")
+    assert "exactness degree" in err
+
+
+def test_mc_failure_budget_abort_creates_no_directory(tmp_path, capsys,
+                                                      monkeypatch):
+    def failing_draw(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(mc, "draw_alm", failing_draw)
+    err = _mc_refused(tmp_path, capsys, "[plan]\nj_list = 3\nkinds = unfeasible\n"
+                      "replicates = 12\n")
+    assert "aborting: 2 replicate failures" in err
 
 
 def test_level_beyond_its_grid_exactness_refused_at_set_up(tmp_path, capsys):

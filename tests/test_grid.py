@@ -1,6 +1,8 @@
 """Tests for cubature grids, masks, dilation, and region pairs."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from spinlets import (SphPoint, build_cubature, dilate_mask, geodesic_distance,
 from spinlets.errors import (EmptyObservedRegionError, EmptyRegionError,
                              InvalidBandwidthError, InvalidMaskFileError,
                              ResourceLimitError)
-from spinlets.grid import (CubatureGrid, RegionPair, SkyMask, empty_mask,
-                           polar_cap_mask, read_mask, write_mask)
+from spinlets.grid import (CubatureGrid, RegionPair, SkyMask, _within_distance,
+                           empty_mask, polar_cap_mask, read_mask, write_mask)
 from spinlets.wigner import iter_d_slices
 
-from oracles import cap_membership
+from oracles import cap_membership, within_distance_all_pairs
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,77 @@ def test_dilation_monotone_and_idempotent(grid5):
     again = dilate_mask(m1, 0.05)
     assert np.array_equal(again.dilated, m1.dilated)  # idempotent at fixed eps
     assert np.array_equal(again.excluded, base.excluded)
+
+
+def _target_sets(grid, rng):
+    cz, n = grid.cos_theta_pixels, grid.n_pixels
+    spread = rng.random(n) < 0.03
+    spread[np.arange(grid.n_theta) * grid.n_phi
+           + rng.integers(grid.n_phi, size=grid.n_theta)] = True  # every ring
+    return {"cap": cz > 0.8, "hemisphere complement": ~(cz > 0.0),
+            "north pole pixel": np.arange(n) == 0,
+            "south pole pixel": np.arange(n) == n - 1,
+            "random on every ring": spread}
+
+
+@pytest.mark.parametrize("B", [2.0, 1.5])
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+def test_ring_local_dilation_matches_all_pairs_oracle(j, B):
+    grid = build_cubature(j, B)
+    sets = _target_sets(grid, np.random.default_rng(j))
+    for eps in (0.0, 3.0 * B ** -j, 0.3, 1.0, math.pi, 4.0):
+        for name, targets in sets.items():
+            assert np.array_equal(_within_distance(grid, targets, eps),
+                                  within_distance_all_pairs(grid, targets, eps)), \
+                (name, eps)
+
+
+def _epsilon_with_cos(d):
+    """An epsilon whose math.cos is exactly d, or None."""
+    eps = math.acos(d)
+    for _ in range(64):
+        c = math.cos(eps)
+        if c == d:
+            return eps
+        eps = float(np.nextafter(eps, math.inf if c > d else 0.0))
+    return None
+
+
+def test_pixel_at_exactly_epsilon_is_in(grid5):
+    # one target; a pixel on another ring whose dot with it rounds the same
+    # in every evaluation order, and an epsilon with cos(epsilon) == that dot
+    vec = grid5.unit_vectors
+    t = 3 * grid5.n_phi
+    targets = np.arange(grid5.n_pixels) == t
+    ring = vec[5 * grid5.n_phi:6 * grid5.n_phi]
+    for q, d in enumerate(ring @ vec[t]):
+        exact = float(sum(Fraction(a) * Fraction(b) for a, b in zip(ring[q], vec[t])))
+        eps = _epsilon_with_cos(float(d))
+        if d == exact == sum(a * b for a, b in zip(ring[q], vec[t])) and eps:
+            break
+    else:
+        pytest.fail("no pixel pair with an exactly representable distance")
+    p = 5 * grid5.n_phi + q
+    inside = _within_distance(grid5, targets, eps)
+    assert inside[p]  # closed rule: distance exactly epsilon is in
+    assert np.array_equal(inside, within_distance_all_pairs(grid5, targets, eps))
+    below = eps
+    while math.cos(below) <= d:
+        below = float(np.nextafter(below, 0.0))
+    assert not _within_distance(grid5, targets, below)[p]
+
+
+def test_dilation_memory_is_one_ring_pair():
+    # extra memory is one n_phi x n_phi block of dots, not |targets| x |rest|
+    grid = build_cubature(7, 2.0)
+    targets = ~(grid.cos_theta_pixels > 0.0)
+    tracemalloc.start()
+    try:
+        _within_distance(grid, targets, 3.0 * 2.0 ** -7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_hemispheres(grid5):
