@@ -30,9 +30,9 @@ from .errors import InvalidConfigError, ResourceLimitError, SpinletsError
 from .fields import (draw_alm, observe_channels, power_law, read_alm,
                      seed_key, write_alm)
 from .grid import build_cubature, empty_mask, grid_size, hemispheres, read_mask
-from .transform import (masked_analyze, needlet_analyze, needlet_synthesize,
-                        read_coefficients, synthesize_on_grid,
-                        write_coefficients)
+from .transform import (_support_or_raise, masked_analyze, needlet_analyze,
+                        needlet_synthesize, read_coefficients,
+                        synthesize_on_grid, write_coefficients)
 from .window import build_window
 
 # plan key -> declared type of its ExperimentPlan field, in field order
@@ -54,6 +54,18 @@ def _check_outputs(force: bool, *paths) -> None:
     if existing and not force:
         raise InvalidConfigError(
             f"output {existing[0]} exists; pass --force to overwrite")
+
+
+def _check_spectrum(args) -> None:
+    """Refuse the spectrum flags a plan refuses: a non-finite --alpha,
+    --gamma or --noise-level, or a negative --noise-level."""
+    for flag in ("alpha", "gamma", "noise_level"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise InvalidConfigError(
+                f"{flag.replace('_', '-')}: {value} is not a finite number")
+    if args.noise_level < 0:
+        raise InvalidConfigError("noise-level: must be >= 0")
 
 
 def _parse_levels(text: str, B: float, name: str = "levels") -> tuple:
@@ -151,6 +163,9 @@ def plan_to_config_text(plan: mc.ExperimentPlan) -> str:
 
 
 def cmd_simulate(args) -> int:
+    _check_spectrum(args)
+    if args.channels < 0 or args.channels == 1:
+        raise InvalidConfigError("channels: must be 0 or >= 2")
     out = Path(args.out)
     noise_paths = [out.with_name(f"{out.stem}.noise{r}{out.suffix}")
                    for r in range(args.channels)]
@@ -185,6 +200,8 @@ def cmd_transform(args) -> int:
         mask = None
         B = 2.0 if args.bandwidth is None else args.bandwidth
         grids = [build_cubature(j, B) for j in _parse_levels(args.levels, B)]
+    for grid in grids:  # every level resolvable exactly, before the first file
+        _support_or_raise(grid, alm.s)
     out_dir = Path(args.out_dir)
     paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
     _check_outputs(args.force, *paths)
@@ -214,6 +231,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    _check_spectrum(args)
     _check_outputs(args.force, args.out, args.csv)
     if args.demo:
         plan = plan_from_config(DEMO_CONFIG)
@@ -236,7 +254,7 @@ def cmd_estimate(args) -> int:
                                      f"with a mask; pass it as --mask")
         mask = empty_mask(first.grid, epsilon=args.epsilon) \
             if args.mask is None else read_mask(args.mask, epsilon=args.epsilon)
-        if mask.grid.fingerprint != first.grid.fingerprint:
+        if mask.grid != first.grid:
             raise InvalidConfigError(
                 f"mask {args.mask} is for level j={mask.grid.j} at "
                 f"B={mask.grid.B:g}, coeffs {args.coeffs[0]} for level "

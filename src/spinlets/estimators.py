@@ -90,13 +90,20 @@ class EstimateReport:
     value: float
     theoretical_target: float
     variance_estimate: float
-    standardized: float
     meta: dict = field(default_factory=dict)
-    # per-pixel contributions kept for composition (difference statistics and
-    # their subsampling), and AP's inputs to the Hausman identity; not serialized
+    # AP's and CP's per-pixel contributions, whose difference Hausman
+    # subsamples, and AP's inputs to the Hausman identity; not serialized
     pixel_values: np.ndarray | None = field(default=None, repr=False)
     channel_values: list | None = field(default=None, repr=False)
     noise_bias: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def standardized(self) -> float:
+        """(value - target) / sqrt(variance), or 0 when variance <= 0."""
+        if self.variance_estimate > 0.0:
+            return ((self.value - self.theoretical_target)
+                    / math.sqrt(self.variance_estimate))
+        return 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -108,12 +115,6 @@ class EstimateReport:
             "standardized": self.standardized,
             "meta": self.meta,
         }
-
-
-def _standardize(value, target, variance):
-    if variance > 0.0:
-        return (value - target) / math.sqrt(variance)
-    return 0.0
 
 
 def gamma_theoretical(window: NeedletWindow, model: PowerSpectrumModel,
@@ -243,7 +244,7 @@ def estimate_masked(coeffs: NeedletCoefficients, mask: SkyMask,
                     model: PowerSpectrumModel) -> EstimateReport:
     """Band power over the pixels outside the dilated region: kind "masked"
     for masked coefficients, "unfeasible" (the gap-free benchmark) otherwise."""
-    if mask.grid.fingerprint != coeffs.grid.fingerprint:
+    if mask.grid != coeffs.grid:
         raise ValueError("mask and coefficients use different grids")
     grid = coeffs.grid
     x = np.abs(coeffs.values) ** 2
@@ -259,14 +260,13 @@ def estimate_masked(coeffs: NeedletCoefficients, mask: SkyMask,
     return EstimateReport(
         j=grid.j, s=coeffs.s, kind="masked" if coeffs.masked else "unfeasible",
         value=value, theoretical_target=target, variance_estimate=variance,
-        standardized=_standardize(value, target, variance),
-        meta=meta, pixel_values=x)
+        meta=meta)
 
 
 def estimate_asymmetry(coeffs: NeedletCoefficients, regions: RegionPair,
                        model: PowerSpectrumModel) -> EstimateReport:
     """Difference of per-region band-power estimates over eps-interiors."""
-    if regions.grid.fingerprint != coeffs.grid.fingerprint:
+    if regions.grid != coeffs.grid:
         raise ValueError("regions and coefficients use different grids")
     grid = coeffs.grid
     x = np.abs(coeffs.values) ** 2
@@ -288,9 +288,7 @@ def estimate_asymmetry(coeffs: NeedletCoefficients, regions: RegionPair,
     })
     return EstimateReport(
         j=grid.j, s=coeffs.s, kind="asymmetry", value=value,
-        theoretical_target=0.0, variance_estimate=variance,
-        standardized=_standardize(value, 0.0, variance),
-        meta=meta, pixel_values=x)
+        theoretical_target=0.0, variance_estimate=variance, meta=meta)
 
 
 def _channel_beta(channel_coeffs) -> tuple:
@@ -299,7 +297,7 @@ def _channel_beta(channel_coeffs) -> tuple:
         raise InvalidChannelCountError("no channels provided")
     first = coeffs[0]
     for c in coeffs[1:]:
-        if c.s != first.s or c.grid.fingerprint != first.grid.fingerprint:
+        if c.s != first.s or c.grid != first.grid:
             raise ValueError("channel coefficients must share (s, grid)")
     return coeffs, np.stack([c.values for c in coeffs])
 
@@ -328,7 +326,6 @@ def estimate_ap(channel_coeffs, noise_models, signal_model: PowerSpectrumModel
     return EstimateReport(
         j=grid.j, s=first.s, kind="ap", value=value,
         theoretical_target=target, variance_estimate=variance,
-        standardized=_standardize(value, target, variance),
         meta=meta, pixel_values=x, channel_values=[c.values for c in coeffs],
         noise_bias=np.sum(bias, axis=0))
 
@@ -359,7 +356,6 @@ def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateRep
     return EstimateReport(
         j=grid.j, s=first.s, kind="cp", value=value,
         theoretical_target=target, variance_estimate=variance,
-        standardized=_standardize(value, target, variance),
         meta=meta, pixel_values=x)
 
 
@@ -400,8 +396,7 @@ def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
 
     return EstimateReport(
         j=ap.j, s=ap.s, kind="hausman", value=value,
-        theoretical_target=0.0, variance_estimate=variance,
-        standardized=_standardize(value, 0.0, variance), meta=meta)
+        theoretical_target=0.0, variance_estimate=variance, meta=meta)
 
 
 def estimate_hausman(channel_coeffs, noise_models,

@@ -264,6 +264,8 @@ def read_alm(path) -> SpinAlm:
         raise InvalidAlmFileError(f"{path}: version {version} is not 1")
     if L < 0:
         raise InvalidAlmFileError(f"{path}: band limit L={L} is negative")
+    if L < abs(s):
+        raise InvalidAlmFileError(f"{path}: band limit L={L} < |s|={abs(s)}")
     n = (L + 1) * (L + 2) // 2
     if len(raw) - 16 != 4 * n * 8:
         raise InvalidAlmFileError(

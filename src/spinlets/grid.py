@@ -27,22 +27,23 @@ from .window import NeedletWindow, build_window
 MAX_PIXELS = 8_000_000  # largest grid any level may build
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CubatureGrid:
     """Cubature points xi_jk, weights lambda_jk and window b(./B^j) of level j.
 
     The pair (j, B) fixes the level: the rings and the window are built from
     it, so every function of a level reads j, B and the window from its grid.
+    Grids are equal, and hash alike, iff their (j, B) are.
     """
 
     j: int
     B: float
     # from (j, B): ring colatitudes (ascending), GL nodes, longitudes, weights
-    theta: np.ndarray = field(init=False, repr=False)
-    cos_theta: np.ndarray = field(init=False, repr=False)
-    phi: np.ndarray = field(init=False, repr=False)
-    ring_weights: np.ndarray = field(init=False, repr=False)
-    window: NeedletWindow = field(init=False, repr=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    cos_theta: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    ring_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    window: NeedletWindow = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.j < 0:
@@ -97,6 +98,7 @@ class CubatureGrid:
 
     @property
     def fingerprint(self) -> tuple:
+        """(j, B, n_theta, n_phi) as plain numbers; grids compare with ==."""
         return (self.j, round(self.B, 12), self.n_theta, self.n_phi)
 
     def point(self, k: int) -> SphPoint:
@@ -220,6 +222,9 @@ class RegionPair:
     a1: np.ndarray = field(repr=False)
     a2: np.ndarray = field(repr=False)
     epsilon: float = 0.0
+    # which (1 or 2) -> eps-interior of that region, computed on first use
+    _interior_cache: dict = field(default_factory=dict, init=False,
+                                  compare=False, repr=False)
 
     def __post_init__(self):
         a1, a2 = (np.asarray(a, dtype=bool) for a in (self.a1, self.a2))
@@ -231,7 +236,6 @@ class RegionPair:
             raise EmptyRegionError("regions are not disjoint")
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon={self.epsilon} must be >= 0")
-        object.__setattr__(self, "_interior_cache", {})
 
     def interior(self, which: int) -> np.ndarray:
         """Pixels of region `which` (1 or 2) at distance > epsilon from its complement."""

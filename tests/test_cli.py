@@ -434,6 +434,74 @@ def test_transform_levels_errors_name_the_flag(tmp_path, capsys, levels, message
     assert not out_dir.exists()
 
 
+def _refused_before_any_write(tmp_path, capsys, argv, message):
+    """`argv` exits 1 with one stderr line and adds no file under tmp_path."""
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"spinlets: error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--channels", "1"], "channels: must be 0 or >= 2"),
+    (["--channels", "-2"], "channels: must be 0 or >= 2"),
+    (["--noise-level", "-1"], "noise-level: must be >= 0"),
+    (["--noise-level", "inf"], "noise-level: inf is not a finite number"),
+    (["--alpha", "nan"], "alpha: nan is not a finite number"),
+    (["--gamma=-inf"], "gamma: -inf is not a finite number"),
+])
+def test_simulate_refuses_spectrum_flags_a_plan_refuses(tmp_path, capsys, flags,
+                                                         message):
+    _refused_before_any_write(tmp_path, capsys, [
+        "simulate", "--spin", "2", "--lmax", "8", "--seed", "1", "--channels",
+        "2", "--out", str(tmp_path / "sig.salm")] + flags, message)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "nan"], "alpha: nan is not a finite number"),
+    (["--gamma", "inf"], "gamma: inf is not a finite number"),
+    (["--noise-level", "-1"], "noise-level: must be >= 0"),
+])
+def test_estimate_refuses_spectrum_flags_a_plan_refuses(tmp_path, capsys, flags,
+                                                         message):
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "31", "--seed", "2",
+         "--out", str(alm_path)])
+    run(["transform", "--alm", str(alm_path), "--levels", "4",
+         "--out-dir", str(tmp_path / "c")])
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--kind", "unfeasible", "--coeffs",
+        str(tmp_path / "c" / "level04.snbc"), "--out", str(tmp_path / "r.json"),
+        "--csv", str(tmp_path / "r.csv")] + flags, message)
+
+
+def test_transform_checks_every_level_before_the_first_file(tmp_path, capsys):
+    # at s = 5 level 0 passes and level 1 needs exactness degree 12
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "5", "--lmax", "20", "--seed", "1",
+         "--out", str(alm_path)])
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--levels", "0..3",
+        "--out-dir", str(tmp_path / "c")],
+        "level j=1 needs exactness degree 12, grid provides 8")
+
+
+def test_field_below_its_spin_refused(tmp_path, capsys):
+    # a valid s = 2, L = 8 file with its spin field set to 9: the reader
+    # refuses it, where the transform used to end in an IndexError
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "1",
+         "--out", str(alm_path)])
+    data = bytearray(alm_path.read_bytes())
+    struct.pack_into("<i", data, 8, 9)
+    alm_path.write_bytes(bytes(data))
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--levels", "4",
+        "--out-dir", str(tmp_path / "c")],
+        f"{alm_path}: band limit L=8 < |s|=9")
+
+
 def _mc_refused(tmp_path, capsys, plan_text):
     plan_path = tmp_path / "plan.cfg"
     plan_path.write_text(plan_text)

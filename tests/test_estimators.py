@@ -16,8 +16,8 @@ from spinlets.errors import (EmptyRegionError, InvalidChannelCountError,
                              InvalidConfigError, MaskedFlagMismatchError,
                              MissingNoiseModelError, NonpositiveVarianceError,
                              SelfCheckError, TooFewBlocksError)
-from spinlets.estimators import (KINDS, PAPER_KIND, block_labels,
-                                 estimate_hausman)
+from spinlets.estimators import (KINDS, PAPER_KIND, EstimateReport,
+                                 block_labels, estimate_hausman)
 from spinlets.fields import PowerSpectrumModel
 from spinlets.grid import empty_mask, polar_cap_mask
 from spinlets.transform import synthesize_on_grid
@@ -447,6 +447,19 @@ def test_hausman_identity_violation_raises(win, grid4):
     ap.channel_values = None
     with pytest.raises(ValueError, match="AP report has no channel_values"):
         hausman_statistic(ap, cp, 1.0)
+
+
+@pytest.mark.parametrize("value, target, variance, want", [
+    (5.0, 3.0, 4.0, 1.0), (1.0, 3.0, 16.0, -0.5),
+    (7.0, 0.0, 2.0, 7.0 / math.sqrt(2.0)), (5.0, 3.0, 0.0, 0.0),
+    (5.0, 3.0, -1.0, 0.0)])
+def test_standardized_is_derived(value, target, variance, want):
+    rep = EstimateReport(j=4, s=S, kind="masked", value=value,
+                         theoretical_target=target, variance_estimate=variance)
+    assert rep.standardized == want
+    rep.value += 2.0  # derived, so it follows the value
+    assert rep.standardized == pytest.approx(
+        want + 2.0 / math.sqrt(variance) if variance > 0.0 else 0.0, rel=1e-15)
 
 
 def test_report_serialization(win, grid4):

@@ -111,6 +111,15 @@ def test_synthesize_zero_and_single_mode():
         assert v == pytest.approx(want + 0j, abs=1e-13)
 
 
+def test_synthesize_below_the_spin_is_zero():
+    # a field of band limit L < |s| carries no degree: its coefficient
+    # arrays hold only l < |s| entries, which no Y_lms has
+    alm = SpinAlm.zeros(5, 2)
+    alm.alm_e[:, :] = 1.0
+    pts = [SphPoint(0.0, 0.0), SphPoint(1.2, 2.0), SphPoint(math.pi, 1.0)]
+    assert np.all(synthesize(alm, pts) == 0.0)
+
+
 def test_synthesize_phase_rotation_bookkeeping():
     # synthesizing phase-shifted coefficients equals sampling at phi + dphi
     s, L = 2, 10

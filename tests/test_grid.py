@@ -41,6 +41,14 @@ def test_build_errors():
             build_cubature(j, B)
 
 
+def test_a_grid_is_the_value_j_B():
+    grid = build_cubature(3, 2)
+    assert CubatureGrid(3, 2.0) == grid
+    assert hash(CubatureGrid(3, 2.0)) == hash(grid)
+    assert build_cubature(3, 2.5) != grid and build_cubature(4, 2.0) != grid
+    assert len({grid, CubatureGrid(3, 2.0), build_cubature(3, 2.5)}) == 2
+
+
 def test_weights_sum_to_sphere_area(grid5):
     assert abs(grid5.weights.sum() - 4 * math.pi) < 1e-10
 

@@ -384,15 +384,35 @@ def test_harmonic_tables_read_d_table_in_place(monkeypatch):
 
     d_table = transform.d_table
     monkeypatch.setattr(transform, "d_table", recording_d_table)
+    grid = build_cubature(4, B)
     _harmonic_tables.cache_clear()
     try:
-        D = _harmonic_tables(4, B, S, 24)[0]
+        D = _harmonic_tables(grid, S, 24)[0]
     finally:
         _harmonic_tables.cache_clear()
     assert len(built) == 1
     assert np.shares_memory(D, built[0])
-    assert D.shape == (49, 25, build_cubature(4, B).n_theta)
+    assert D.shape == (49, 25, grid.n_theta)
     assert all(D[k].flags.c_contiguous for k in range(D.shape[0]))
+
+
+def test_an_equal_grid_built_anew_hits_the_harmonic_tables(monkeypatch):
+    from spinlets import grid as grid_module
+
+    def no_grid(*args):
+        raise AssertionError("a table build must not build a grid")
+
+    _harmonic_tables.cache_clear()
+    try:
+        first = _harmonic_tables(build_cubature(3, B), S, 12)
+        monkeypatch.setattr(transform, "build_cubature", no_grid)
+        monkeypatch.setattr(grid_module, "build_cubature", no_grid)
+        again = _harmonic_tables(CubatureGrid(3, B), S, 12)
+        info = _harmonic_tables.cache_info()
+    finally:
+        _harmonic_tables.cache_clear()
+    assert again is first
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_level6_harmonic_tables_peak_memory(win):
@@ -400,10 +420,11 @@ def test_level6_harmonic_tables_peak_memory(win):
     # degree-major and copying it into the order-major layout peaked at 2x.
     j = 6
     L = window_support(win, j, S).stop - 1
+    grid = build_cubature(j, B)
     _harmonic_tables.cache_clear()
     tracemalloc.start()
     try:
-        D = _harmonic_tables(j, B, S, L)[0]
+        D = _harmonic_tables(grid, S, L)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

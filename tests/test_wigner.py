@@ -175,6 +175,15 @@ def test_iter_d_slices_bitwise_equal_to_buffered_engine(n, L):
         assert not np.shares_memory(a, b)
 
 
+def test_no_degree_below_the_order():
+    # d^l_{m,n} needs l >= |n|: for L < |n| the sweep yields nothing and the
+    # table is all zeros
+    theta = np.array([0.0, 0.4, 1.9, math.pi])
+    assert list(iter_d_slices(2, 5, theta)) == []
+    table = d_table(2, 5, theta)
+    assert table.shape == (5, 3, 4) and not table.any()
+
+
 @pytest.mark.parametrize("n, L", ENGINE_CASES)
 def test_iter_d_slices_exact_endpoint_columns(n, L):
     interior = _engine_theta(n, L)
