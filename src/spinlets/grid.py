@@ -33,7 +33,8 @@ class CubatureGrid:
 
     The pair (j, B) fixes the level: the rings and the window are built from
     it, so every function of a level reads j, B and the window from its grid.
-    Grids are equal, and hash alike, iff their (j, B) are.
+    Grids are equal, and hash alike, iff their (j, B) are.  The ring arrays
+    are read-only, so one grid can be shared (see build_cubature).
     """
 
     j: int
@@ -57,6 +58,8 @@ class CubatureGrid:
         object.__setattr__(self, "phi", 2.0 * math.pi * np.arange(n_phi) / n_phi)
         object.__setattr__(self, "ring_weights", w * (2.0 * math.pi / n_phi))
         object.__setattr__(self, "window", build_window(self.B))
+        for values in (self.theta, self.cos_theta, self.phi, self.ring_weights):
+            values.flags.writeable = False
 
     @property
     def n_theta(self) -> int:
@@ -120,9 +123,20 @@ def grid_size(j: int, B: float) -> int:
     return n
 
 
+# (j, B) -> the one grid of that level this process builds; grids are small
+# (rings and longitudes only), and the harmonic tables are cached elsewhere
+_GRIDS: dict = {}
+
+
 def build_cubature(j: int, B: float) -> CubatureGrid:
-    """Build the level-j grid; exact for harmonic products up to 2*ceil(B^(j+1))."""
-    return CubatureGrid(j=j, B=float(B))
+    """The level-j grid; exact for harmonic products up to 2*ceil(B^(j+1)).
+
+    Built once per (j, B) in a process: later calls return the same grid.
+    """
+    key = (j, float(B))
+    if key not in _GRIDS:
+        _GRIDS[key] = CubatureGrid(j=j, B=float(B))
+    return _GRIDS[key]
 
 
 def geodesic_distance(p: SphPoint, q: SphPoint) -> float:

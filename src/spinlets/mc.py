@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators
-from .errors import (BandLimitExceededError, InvalidConfigError,
-                     ReplicateFailuresError, TooFewLevelsError,
-                     TooFewSamplesError)
+from .errors import (BandLimitExceededError, EmptyRegionError,
+                     InvalidConfigError, ReplicateFailuresError,
+                     TooFewLevelsError, TooFewSamplesError)
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, power_law
 from .grid import build_cubature, hemispheres, polar_cap_mask
@@ -126,6 +126,12 @@ class _PlanContext:
                 if "mask" in self.reads else None
             regions = hemispheres(grid, epsilon=eps) \
                 if "regions" in self.reads else None
+            if regions is not None:  # pickled warm to the pool workers
+                try:
+                    for which in (1, 2):
+                        regions.interior(which)
+                except EmptyRegionError:  # left to fail each replicate
+                    pass
             support = supports[j]
             lj = support.stop - 1 if len(support) else abs(plan.s)
             self.levels[j] = (grid, mask, regions, lj)

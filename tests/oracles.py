@@ -215,6 +215,37 @@ def d_table_degree_major(L: int, n: int, theta) -> np.ndarray:
     return table
 
 
+# The grid transforms as they stood before the batched product: one matmul
+# per part, so the order-major table is read twice.  Kept verbatim (apart
+# from the names) as the bit-for-bit reference for
+# spinlets.transform.synthesize_on_grid and spinlets.transform.analyze_on_grid.
+
+def synthesize_on_grid_two_pass(coeffs_full, grid, s):
+    from spinlets.transform import _harmonic_tables
+    L = coeffs_full.shape[0] - 1
+    D, norms, signs, bins = _harmonic_tables(grid, s, L)
+    A = coeffs_full.T[::-1] * signs[:, None] * norms[None, :]  # [mu + L, l]
+    g_re = np.matmul(A.real[:, None, :], D)[:, 0, :]
+    g_im = np.matmul(A.imag[:, None, :], D)[:, 0, :]
+    buf = np.zeros((grid.n_phi, grid.n_theta), dtype=np.complex128)
+    buf[bins] = g_re + 1j * g_im
+    f = np.fft.ifft(buf, axis=0) * grid.n_phi
+    return np.ascontiguousarray(f.T).ravel()
+
+
+def analyze_on_grid_two_pass(map_values, grid, s, L, ring_weights=None):
+    from spinlets.transform import _harmonic_tables
+    D, norms, signs, bins = _harmonic_tables(grid, s, L)
+    w = grid.ring_weights if ring_weights is None else ring_weights
+    f = map_values.reshape(grid.n_theta, grid.n_phi)
+    F = np.fft.fft(f, axis=1)
+    Fm = F[:, bins].T * w[None, :]  # [mu + L, i]
+    inner_re = np.matmul(D, Fm.real[:, :, None])[:, :, 0]
+    inner_im = np.matmul(D, Fm.imag[:, :, None])[:, :, 0]
+    inner = inner_re + 1j * inner_im
+    return (inner * signs[:, None] * norms[None, :]).T[:, ::-1]
+
+
 def kernel_sum_per_degree(s, p, q, degrees, weights):
     """sum_l w_l K^ls(p, q) with a fresh spinlets.wigner.kernel_K call per
     degree, the form needlet_kernel and theoretical_cov summed before

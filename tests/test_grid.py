@@ -49,6 +49,17 @@ def test_a_grid_is_the_value_j_B():
     assert len({grid, CubatureGrid(3, 2.0), build_cubature(3, 2.5)}) == 2
 
 
+def test_build_cubature_returns_one_read_only_grid_per_level():
+    grid = build_cubature(3, 2)
+    assert build_cubature(3, 2.0) is grid
+    assert CubatureGrid(3, 2.0) is not grid and CubatureGrid(3, 2.0) == grid
+    assert build_cubature(3, 2.5) is not grid
+    for values in (grid.theta, grid.cos_theta, grid.phi, grid.ring_weights):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
 def test_weights_sum_to_sphere_area(grid5):
     assert abs(grid5.weights.sum() - 4 * math.pi) < 1e-10
 

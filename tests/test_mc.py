@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness, diagnostics, and determinism."""
 
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from spinlets import (estimators, fit_variance_slope, mc,
+from spinlets import (estimators, fit_variance_slope, grid, mc,
                       normality_diagnostics, run_experiment)
 from spinlets.cli import plan_from_config
 from spinlets.errors import (InvalidConfigError, TooFewLevelsError,
@@ -102,6 +103,22 @@ def test_context_builds_only_the_inputs_its_kinds_read():
             _, got_mask, got_regions, _ = ctx.levels[j]
             assert (got_mask is not None, got_regions is not None) == \
                 (mask, regions), name
+
+
+def test_pickled_context_holds_warm_region_interiors(monkeypatch):
+    # pool workers receive the context pickled, so they dilate nothing
+    plan = plan_from_config(Path(mc.__file__).parent / "configs" / "asymmetry.cfg")
+    ctx = pickle.loads(pickle.dumps(mc._PlanContext(plan)))
+
+    def no_dilation(*args):
+        raise AssertionError("a replicate must not dilate")
+
+    monkeypatch.setattr(grid, "_within_distance", no_dilation)
+    for j in plan.j_list:
+        regions = ctx.levels[j][2]
+        assert sorted(regions._interior_cache) == [1, 2]
+    _, rows, err = ctx.rows(0)
+    assert err is None and len(rows) == len(plan.j_list)
 
 
 def test_inputs_read_collects_every_input_of_the_kinds():

@@ -18,11 +18,13 @@ from spinlets.errors import (BandLimitExceededError, CoverageGapError,
                              InvalidCoefficientFileError)
 from spinlets.fields import SpinAlm
 from spinlets.grid import CubatureGrid, empty_mask, polar_cap_mask
-from spinlets.transform import (_harmonic_tables, read_coefficients,
-                                synthesize_on_grid, write_coefficients)
+from spinlets.transform import (_harmonic_tables, analyze_on_grid,
+                                read_coefficients, synthesize_on_grid,
+                                write_coefficients)
 from spinlets.window import band_profile, window_support
 
-from oracles import kernel_sum_per_degree
+from oracles import (analyze_on_grid_two_pass, kernel_sum_per_degree,
+                     synthesize_on_grid_two_pass)
 
 B, S = 2.0, 2
 
@@ -430,6 +432,61 @@ def test_level6_harmonic_tables_peak_memory(win):
         tracemalloc.stop()
         _harmonic_tables.cache_clear()
     assert peak <= 1.25 * D.nbytes, (peak, D.nbytes)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and a.tobytes() == b.tobytes())  # signed zeros included
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, -3])
+@pytest.mark.parametrize("j", [2, 3, 4, 5, 6])
+def test_grid_transforms_equal_the_two_pass_products(j, s):
+    # one batched product over (real, imaginary) runs the same BLAS calls as
+    # a product per part, so the outputs must agree bit for bit
+    grid = build_cubature(j, B)
+    rng = np.random.default_rng(100 * j + s)
+    top = (grid.n_phi - 1) // 2  # the largest L the grid resolves
+    try:
+        for L in sorted({abs(s), (abs(s) + top) // 2, top}):
+            shape = (L + 1, 2 * L + 1)
+            coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert _same_bits(synthesize_on_grid(coeffs, grid, s),
+                              synthesize_on_grid_two_pass(coeffs, grid, s))
+            pix = rng.standard_normal((2, grid.n_pixels))
+            values = pix[0] + 1j * pix[1]
+            for w in (None, np.sqrt(grid.ring_weights)):
+                assert _same_bits(
+                    analyze_on_grid(values, grid, s, L, ring_weights=w),
+                    analyze_on_grid_two_pass(values, grid, s, L, w)), (L, w)
+    finally:
+        _harmonic_tables.cache_clear()
+
+
+def test_level6_transforms_do_not_copy_the_table(win):
+    # D[:, None] is a view and every temporary is coefficient-sized: a warm
+    # transform peaks at a few percent of the table it reads
+    j = 6
+    L = window_support(win, j, S).stop - 1
+    grid = build_cubature(j, B)
+    rng = np.random.default_rng(6)
+    coeffs = rng.standard_normal((L + 1, 2 * L + 1)) + 0.5j
+    values = rng.standard_normal(grid.n_pixels) + 0.5j
+    _harmonic_tables.cache_clear()
+    try:
+        D = _harmonic_tables(grid, S, L)[0]
+        for transform_once in (lambda: synthesize_on_grid(coeffs, grid, S),
+                               lambda: analyze_on_grid(values, grid, S, L)):
+            transform_once()
+            tracemalloc.start()
+            try:
+                transform_once()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.05 * D.nbytes, (peak, D.nbytes)
+    finally:
+        _harmonic_tables.cache_clear()
 
 
 def test_needlet_kernel_and_cov_equal_per_degree_kernel_sums(win):
