@@ -30,9 +30,10 @@ from .errors import InvalidConfigError, ResourceLimitError, SpinletsError
 from .fields import (draw_alm, observe_channels, power_law, read_alm,
                      seed_key, write_alm)
 from .grid import build_cubature, empty_mask, grid_size, hemispheres, read_mask
-from .transform import (_support_or_raise, masked_analyze, needlet_analyze,
-                        needlet_synthesize, read_coefficients,
-                        synthesize_on_grid, write_coefficients)
+from .transform import (_check_table_size, _support_or_raise, masked_analyze,
+                        needlet_analyze, needlet_synthesize,
+                        read_coefficients, synthesize_on_grid,
+                        write_coefficients)
 from .window import build_window
 
 # plan key -> declared type of its ExperimentPlan field, in field order
@@ -201,7 +202,15 @@ def cmd_transform(args) -> int:
         B = 2.0 if args.bandwidth is None else args.bandwidth
         grids = [build_cubature(j, B) for j in _parse_levels(args.levels, B)]
     for grid in grids:  # every level resolvable exactly, before the first file
-        _support_or_raise(grid, alm.s)
+        support = _support_or_raise(grid, alm.s)
+        top = support.stop - 1 if len(support) else -1
+        # and the level's largest table within the cap: the whole field is
+        # synthesized on a mask's grid, and a roundtrip reads up to the top
+        if mask is not None:
+            _check_table_size(grid, alm.s, max(alm.L, top))
+        else:
+            _check_table_size(grid, alm.s, top if args.roundtrip
+                              else min(alm.L, top))
     out_dir = Path(args.out_dir)
     paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
     _check_outputs(args.force, *paths)

@@ -18,7 +18,7 @@ class InvalidBandwidthError(SpinletsError):
 
 
 class ResourceLimitError(SpinletsError):
-    """A requested grid would exceed the configured pixel cap."""
+    """A requested grid or harmonic table would exceed its configured cap."""
 
 
 class EmptyObservedRegionError(SpinletsError):

@@ -25,6 +25,9 @@ from .wigner import SphPoint
 from .window import NeedletWindow, build_window
 
 MAX_PIXELS = 8_000_000  # largest grid any level may build
+# largest harmonic table a level may build, counted in its written bytes
+# (rows l >= max(|mu|, |s|)): j = 8 at B = 2 writes about 1.07 GB, j = 9 8.6 GB
+MAX_TABLE_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)

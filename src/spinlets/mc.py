@@ -32,8 +32,8 @@ from .errors import (BandLimitExceededError, EmptyRegionError,
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, power_law
 from .grid import build_cubature, hemispheres, polar_cap_mask
-from .transform import (_support_or_raise, masked_analyze, needlet_analyze,
-                        synthesize_on_grid)
+from .transform import (_check_table_size, _support_or_raise, masked_analyze,
+                        needlet_analyze, synthesize_on_grid)
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
 
@@ -119,6 +119,12 @@ class _PlanContext:
         # band limit: top degree of the deepest level's support (|s| if none)
         tops = [support.stop - 1 for support in supports.values()]
         self.L = max([t for t in tops if t >= abs(plan.s)], default=abs(plan.s))
+        # every table a replicate builds is level j's at its support top (or
+        # |s|); each is sized before any mask, region or table is built
+        tables = {j: support.stop - 1 if len(support) else abs(plan.s)
+                  for j, support in supports.items()}
+        for j, grid in grids.items():
+            _check_table_size(grid, plan.s, tables[j])
         self.levels = {}
         for j, grid in grids.items():
             eps = plan.epsilon_scale * plan.B ** (-j)
@@ -132,9 +138,7 @@ class _PlanContext:
                         regions.interior(which)
                 except EmptyRegionError:  # left to fail each replicate
                     pass
-            support = supports[j]
-            lj = support.stop - 1 if len(support) else abs(plan.s)
-            self.levels[j] = (grid, mask, regions, lj)
+            self.levels[j] = (grid, mask, regions, tables[j])
 
     def reports(self, r: int) -> list:
         """[(j, kind, EstimateReport)] of replicate r, in plan order."""
@@ -244,11 +248,13 @@ def fit_variance_slope(j_values, variances) -> tuple:
 
 @dataclass
 class DiagnosticsReport:
-    """Per-(j, kind) summary of the standardized statistics plus slope fits."""
+    """Per-(j, kind) summary of the standardized statistics plus slope fits,
+    and the replicates that failed within the budget."""
 
     statistics: dict = field(default_factory=dict)   # (j, kind) -> dict
     variance_slopes: dict = field(default_factory=dict)  # kind -> dict
     flags: list = field(default_factory=list)
+    failures: list = field(default_factory=list)  # [r, "Type: message"]
 
     def to_json(self) -> str:
         payload = {
@@ -256,6 +262,7 @@ class DiagnosticsReport:
                            for (j, kind), stats in sorted(self.statistics.items())},
             "variance_slopes": self.variance_slopes,
             "flags": self.flags,
+            "failures": self.failures,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -324,7 +331,9 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
         warnings.warn(f"{len(failures)} replicate(s) failed: {failures[:3]}",
                       RuntimeWarning, stacklevel=2)
     rows = [row for r in sorted(results) for row in results[r]]
-    return _aggregate(plan, rows), rows
+    report = _aggregate(plan, rows)
+    report.failures = [[r, err] for r, err in failures]
+    return report, rows
 
 
 def rows_to_csv(rows) -> str:

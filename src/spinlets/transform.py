@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (BandLimitExceededError, CoverageGapError,
                      InvalidCoefficientFileError, ResourceLimitError)
 from .fields import SpinAlm, cl_profile
-from .grid import CubatureGrid, SkyMask, build_cubature
+from .grid import MAX_TABLE_BYTES, CubatureGrid, SkyMask, build_cubature
 from .wigner import SphPoint, d_table, kernel_sum
 from .window import band_profile, window_support
 
@@ -57,10 +57,14 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     Returns (D, norms, signs, bins) with D the order-major d_table of the
     grid's rings, D[mu + L, l, i] = d^l_{mu,s}(theta_i), norms[l] =
     sqrt((2l+1)/4pi), signs[mu + L] = (-1)^mu and bins[mu + L] the FFT bin of
-    order m = -mu (Y_lms carries d^l_{-m,s}).  The transforms read each
-    contiguous (L+1, n_theta) block D[mu + L] in place, once per transform;
-    only their small coefficient arrays are reversed between m and mu.
+    order m = -mu (Y_lms carries d^l_{-m,s}).  D is a view of the
+    degree-major store d_table fills in place; each (L+1, n_theta) block
+    D[mu + L] has unit stride along theta, and the transforms read it in
+    place, once per transform.  Only their small coefficient arrays are
+    reversed between m and mu.  The zero rows l < max(|mu|, |s|), about
+    half of D, are never written, so they take no RAM (see d_table).
     """
+    _check_table_size(grid, s, L)
     D = d_table(L, s, grid.theta)
     ells = np.arange(L + 1)
     norms = np.sqrt((2 * ells + 1) / (4.0 * math.pi))
@@ -68,6 +72,17 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     signs = np.where(mu % 2 == 0, 1.0, -1.0)
     bins = np.mod(-mu, grid.n_phi)
     return D, norms, signs, bins
+
+
+def _check_table_size(grid: CubatureGrid, s: int, L: int) -> None:
+    """Refuse, before it is allocated, a harmonic table of the grid's rings
+    at (s, L) that writes more than MAX_TABLE_BYTES: 8 n_theta bytes per
+    row (l, mu) with max(|mu|, |s|) <= l <= L."""
+    nbytes = 8 * grid.n_theta * max((L + 1) ** 2 - s * s, 0)
+    if nbytes > MAX_TABLE_BYTES:
+        raise ResourceLimitError(
+            f"level j={grid.j}: harmonic table at s={s}, L={L} needs {nbytes} "
+            f"bytes > cap {MAX_TABLE_BYTES}")
 
 
 def _check_phi_resolution(grid: CubatureGrid, L: int):
@@ -90,12 +105,15 @@ def _re_im(z: np.ndarray) -> np.ndarray:
 # calls the same BLAS gemv per order as it would with one product per part,
 # first on the real and then on the imaginary part while D[mu + L] is still
 # in cache, so the table is read from memory once per transform, not twice;
-# the outputs are bit for bit those of a product per part.  Warm, at s = 2
-# and L the support top (BLAS on one thread, 2-core x86 guest), a synthesis
-# went from 0.74 to 0.68 ms at j = 5, 5.9 to 4.4 ms at j = 6 and 54 to 30 ms
-# at j = 7; an analysis from 0.76 to 0.67, 6.2 to 4.5 and 51 to 31 ms.
-# Temporaries are scaled in place and dropped early, so a transform peaks at
-# about two coefficient-sized arrays.
+# the outputs are bit for bit those of a product per part.  BLAS still sums
+# over the zero rows of D[mu + L], which keeps those bits; the rows were
+# never written, so they read as the kernel's one shared zero page and cost
+# no memory bandwidth.  Warm, at s = 2 and L the support top (BLAS on one
+# thread, 2-core x86 guest), a j = 7 synthesis takes about 29 ms and an
+# analysis about 25 ms, where they took 49 and 47 ms with the table in huge
+# pages; the first transform after a build pays about 45 ms of zero-page
+# faults.  Temporaries are scaled in place and dropped early, so a
+# transform peaks at about two coefficient-sized arrays.
 
 
 def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> np.ndarray:

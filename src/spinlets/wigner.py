@@ -22,6 +22,7 @@ Everything is a pure function; there is no shared mutable state.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,69 +94,77 @@ def wigner_d(l: int, m: int, n: int, beta: float) -> float:
     return float(wigner_d_slice(l, n, beta)[m + l])
 
 
-def iter_d_slices(L: int, n: int, theta):
+def iter_d_slices(L: int, n: int, theta, out=None):
     """Yield (l, d) for l = |n| .. L, d of shape (2l+1, ntheta): d^l_{m,n}(theta).
 
     theta values lie in [0, pi].  One upward sweep of the degree recursion,
     vectorized over the row index m and over the colatitudes; no per-m
     restarts.  Columns at exactly 0 or pi, where the half-angle logarithms
-    of the seeds diverge, take the exact forms d = delta_{mn} and
-    (-1)^(l-n) delta_{m,-n}; the recursion runs on the other columns.  Each
-    degree gets a fresh array of its own 2l+1 rows, so yielded slices stay
-    valid after the sweep moves on.  Nothing is yielded when L < |n|.
+    of the seeds diverge, go through the sweep like the others (no column
+    reads another) and are then overwritten with the exact forms
+    d = delta_{mn} and (-1)^(l-n) delta_{m,-n}.  Without `out`, each degree
+    gets a fresh array of its own 2l+1 rows, so yielded slices stay valid
+    after the sweep moves on.  With `out`, a degree-major store of shape
+    (L+1, 2L+1, ntheta), degree l's rows are written in place to
+    out[l, L-l:L+l+1] and yielded as that view; the sweep reads its last two
+    degrees back from the store and writes no other entry.  Nothing is
+    yielded when L < |n|.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if theta.size and not (theta.min() >= 0.0 and theta.max() <= math.pi):
         raise ValueError(f"theta outside [0, pi]: {theta.min()}..{theta.max()}")
     if L < abs(n):
         return
-    north, south = theta == 0.0, theta == math.pi
-    inside = ~(north | south)
-    poles = not inside.all()
-
-    def emit(l, d):
-        if not poles:
-            return d
-        full = np.zeros((2 * l + 1, inside.size))
-        full[:, inside] = d
-        full[l + n, north] = 1.0
-        full[l - n, south] = (-1.0) ** (l - n)
-        return full
-
-    if poles:
-        theta = theta[inside]
-    x = np.cos(theta)
-    lc = np.log(np.cos(0.5 * theta))
-    ls = np.log(np.sin(0.5 * theta))
+    north = np.flatnonzero(theta == 0.0)
+    south = np.flatnonzero(theta == math.pi)
     nth = theta.size
     l0 = abs(n)
 
-    # seed row of the sweep: l = |n|, all |m| <= |n|
-    if l0 > 0:
-        mcol = np.arange(-l0, l0 + 1)
-        if n >= 0:
-            half = 0.5 * np.array([_log_binom(2 * l0, l0 + m) for m in mcol])
-            logmag = (half[:, None]
-                      + np.outer(l0 + mcol, lc) + np.outer(l0 - mcol, ls))
-            sign = np.ones(mcol.size)
+    def rows(l):  # where degree l's 2l+1 rows go
+        return np.empty((2 * l + 1, nth)) if out is None \
+            else out[l, L - l:L + l + 1]
+
+    def emit(l, d):
+        if north.size or south.size:
+            d[:, north] = 0.0
+            d[l + n, north] = 1.0
+            d[:, south] = 0.0
+            d[l - n, south] = (-1.0) ** (l - n)
+        return l, d
+
+    # log sin(theta/2) is -inf on a north pole column, which the seed may
+    # scale by 0; emit overwrites those columns before the sweep reads them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.cos(theta)
+        lc = np.log(np.cos(0.5 * theta))
+        ls = np.log(np.sin(0.5 * theta))
+        # seed row of the sweep: l = |n|, all |m| <= |n|
+        cur = rows(l0)
+        if l0 > 0:
+            mcol = np.arange(-l0, l0 + 1)
+            if n >= 0:
+                half = 0.5 * np.array([_log_binom(2 * l0, l0 + m) for m in mcol])
+                logmag = (half[:, None]
+                          + np.outer(l0 + mcol, lc) + np.outer(l0 - mcol, ls))
+                sign = np.ones(mcol.size)
+            else:
+                half = 0.5 * np.array([_log_binom(2 * l0, l0 - m) for m in mcol])
+                logmag = (half[:, None]
+                          + np.outer(l0 - mcol, lc) + np.outer(l0 + mcol, ls))
+                sign = np.where((mcol + l0) % 2 == 0, 1.0, -1.0)
+            np.multiply(sign[:, None], np.exp(logmag), out=cur)
         else:
-            half = 0.5 * np.array([_log_binom(2 * l0, l0 - m) for m in mcol])
-            logmag = (half[:, None]
-                      + np.outer(l0 - mcol, lc) + np.outer(l0 + mcol, ls))
-            sign = np.where((mcol + l0) % 2 == 0, 1.0, -1.0)
-        cur = sign[:, None] * np.exp(logmag)
-    else:
-        cur = np.ones((1, nth))
+            cur[...] = 1.0
     prev = None
     # the c_prev * prev products of every degree reuse one buffer, so the
     # sweep allocates only the rows it yields
     scratch = np.empty((max(2 * L - 1, 0), nth))
-    yield l0, emit(l0, cur)
+    yield emit(l0, cur)
 
     for l in range(l0, L):
         # rows |m| <= l of degree l+1 come from the recursion, the two rows
         # |m| = l+1 enter with their closed-form boundary values
-        nxt = np.empty((2 * l + 3, nth))
+        nxt = rows(l + 1)
         inner = nxt[1:-1]
         if l == 0:  # degenerate first step (m = n = 0): Legendre P1 = x
             np.multiply(x, cur[0], out=inner[0])
@@ -178,7 +187,7 @@ def iter_d_slices(L: int, n: int, theta):
         logc = 0.5 * _log_binom(2 * (l + 1), l + 1 - n)
         nxt[0] = np.exp(logc + (l + 1 - n) * lc + (l + 1 + n) * ls)
         prev, cur = cur, nxt
-        yield l + 1, emit(l + 1, cur)
+        yield emit(l + 1, cur)
 
 
 def wigner_d_slice(l: int, n: int, beta: float) -> np.ndarray:
@@ -192,15 +201,35 @@ def wigner_d_slice(l: int, n: int, beta: float) -> np.ndarray:
 def d_table(L: int, n: int, theta) -> np.ndarray:
     """Order-major table t[mu + L, l, i] = d^l_{mu,n}(theta_i) for l = 0..L.
 
-    Each order's (L+1, ntheta) block is contiguous, the layout the grid
-    transforms of spinlets.transform read.  Entries with l < |n| or
-    l < |mu| are zero.  The degree recursion writes straight into the table.
+    The view store.transpose(1, 0, 2) of a C-contiguous degree-major store
+    [l, mu + L, i], which the degree recursion fills in place.  Each order's
+    (L+1, ntheta) block t[mu + L] has unit stride along theta and evenly
+    strided rows, a matrix BLAS reads in place.  Entries with l < |n| or
+    l < |mu| are zero and are never written: the store is demand-zero
+    memory (see _demand_zero), so they cost no RAM.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    table = np.zeros((2 * L + 1, L + 1, theta.size))
-    for l, d in iter_d_slices(L, n, theta):
-        table[L - l:L + l + 1, l, :] = d
-    return table
+    store = _demand_zero((L + 1, 2 * L + 1, theta.size))
+    for _ in iter_d_slices(L, n, theta, out=store):
+        pass
+    return store.transpose(1, 0, 2)
+
+
+def _demand_zero(shape) -> np.ndarray:
+    """Zeroed float64 array of private anonymous memory on 4 KB pages.
+
+    A page takes RAM when it is first written; one that is only read maps
+    the kernel's shared zero page.  np.zeros asks for transparent huge
+    pages from 4 MB up, so there one write makes a whole 2 MB page resident,
+    zeros included.
+    """
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE)
+    try:
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    except (AttributeError, OSError):  # no huge pages to refuse here
+        pass
+    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
 
 
 def spin_sph_harm(l: int, m: int, s: int, p: SphPoint) -> complex:

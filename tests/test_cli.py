@@ -531,6 +531,35 @@ def test_mc_failure_budget_abort_creates_no_directory(tmp_path, capsys,
     assert "aborting: 2 replicate failures" in err
 
 
+def _no_table(*args):
+    raise AssertionError("an oversized table must be refused before it is built")
+
+
+def test_mc_refuses_an_oversized_table_before_building_it(tmp_path, capsys,
+                                                         monkeypatch):
+    from spinlets import transform
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    err = _mc_refused(tmp_path, capsys, "[plan]\nj_list = 9\nkinds = masked\n"
+                      "replicates = 2\n")
+    assert err == ("spinlets: error: level j=9: harmonic table at s=2, "
+                   "L=1023 needs 8598290400 bytes > cap 2147483648\n")
+
+
+def test_transform_refuses_an_oversized_table_before_building_it(
+        tmp_path, capsys, monkeypatch):
+    # a roundtrip reads level 9's table up to its support top, L = 1023
+    from spinlets import transform
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "1",
+         "--out", str(alm_path)])
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--levels", "0..9", "--roundtrip",
+        "--out-dir", str(tmp_path / "c")],
+        "level j=9: harmonic table at s=2, L=1023 needs 8598290400 bytes > "
+        "cap 2147483648")
+
+
 def test_level_beyond_its_grid_exactness_refused_at_set_up(tmp_path, capsys):
     # at B = 2.9 and s = 3 the level-0 window needs exactness degree 8 and
     # its grid gives 6: one line naming the plan's levels, B and s, before

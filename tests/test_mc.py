@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness, diagnostics, and determinism."""
 
+import json
 import math
 import pickle
 import warnings
@@ -193,6 +194,26 @@ def test_failure_budget_same_for_serial_and_pool(threads, monkeypatch):
     with pytest.raises(RuntimeError, match=r"aborting: 2 replicate failures, "
                                            r"first: r=0: ValueError: bad"):
         run_experiment(SMALL, threads=threads)
+
+
+def test_failures_recorded_in_diagnostics(monkeypatch):
+    # a failed replicate within the budget is named in diagnostics.json; the
+    # raw table keeps the other replicates' rows as they are
+    clean_report, clean = run_experiment(SMALL)
+    assert clean_report.failures == []
+    draw_alm = mc.draw_alm
+
+    def failing_draw(*args):
+        if args[-1][1] == 5:
+            raise ValueError("boom")
+        return draw_alm(*args)
+
+    monkeypatch.setattr(mc, "draw_alm", failing_draw)
+    with pytest.warns(RuntimeWarning):
+        report, rows = run_experiment(SMALL)
+    assert report.failures == [[5, "ValueError: boom"]]
+    assert json.loads(report.to_json())["failures"] == [[5, "ValueError: boom"]]
+    assert rows_to_csv(rows) == rows_to_csv([row for row in clean if row[0] != 5])
 
 
 def test_replicate_independence_lag1():

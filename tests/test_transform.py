@@ -15,12 +15,14 @@ from spinlets import (SphPoint, build_cubature, build_window, draw_alm,
                       masked_analyze, power_law, theoretical_cov,
                       theoretical_corr, transform)
 from spinlets.errors import (BandLimitExceededError, CoverageGapError,
-                             InvalidCoefficientFileError)
+                             InvalidCoefficientFileError, ResourceLimitError)
 from spinlets.fields import SpinAlm
-from spinlets.grid import CubatureGrid, empty_mask, polar_cap_mask
-from spinlets.transform import (_harmonic_tables, analyze_on_grid,
-                                read_coefficients, synthesize_on_grid,
-                                write_coefficients)
+from spinlets.grid import (MAX_TABLE_BYTES, CubatureGrid, empty_mask,
+                           polar_cap_mask)
+from spinlets.transform import (_check_table_size, _harmonic_tables,
+                                analyze_on_grid, read_coefficients,
+                                synthesize_on_grid, write_coefficients)
+from spinlets.wigner import d_table
 from spinlets.window import band_profile, window_support
 
 from oracles import (analyze_on_grid_two_pass, kernel_sum_per_degree,
@@ -395,7 +397,11 @@ def test_harmonic_tables_read_d_table_in_place(monkeypatch):
     assert len(built) == 1
     assert np.shares_memory(D, built[0])
     assert D.shape == (49, 25, grid.n_theta)
-    assert all(D[k].flags.c_contiguous for k in range(D.shape[0]))
+    # a C-contiguous degree-major store; each order's block has unit stride
+    # along theta and evenly strided rows, a matrix BLAS reads in place
+    assert D.transpose(1, 0, 2).flags.c_contiguous
+    assert all(D[k].strides == (D.shape[0] * D.shape[2] * D.itemsize, D.itemsize)
+               for k in range(D.shape[0]))
 
 
 def test_an_equal_grid_built_anew_hits_the_harmonic_tables(monkeypatch):
@@ -418,7 +424,10 @@ def test_an_equal_grid_built_anew_hits_the_harmonic_tables(monkeypatch):
 
 
 def test_level6_harmonic_tables_peak_memory(win):
-    # One copy of the table plus per-degree recursion rows; building it
+    # The table itself lives in anonymous mmap memory, which tracemalloc does
+    # not see (test_level6_table_keeps_its_zero_rows_out_of_ram bounds its
+    # RSS); what is traced is the sweep's own arrays, one scratch buffer of a
+    # degree's rows and row-sized temporaries.  Building the table
     # degree-major and copying it into the order-major layout peaked at 2x.
     j = 6
     L = window_support(win, j, S).stop - 1
@@ -432,6 +441,57 @@ def test_level6_harmonic_tables_peak_memory(win):
         tracemalloc.stop()
         _harmonic_tables.cache_clear()
     assert peak <= 1.25 * D.nbytes, (peak, D.nbytes)
+
+
+def _vm_rss():
+    """Resident set size in bytes from /proc/self/status, None off Linux."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmRSS:"):
+                    return 1024 * int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def test_level6_table_keeps_its_zero_rows_out_of_ram(win):
+    # the rows l < max(|mu|, |s|), about half of the table, are never
+    # written, so only the pages of the written rows become resident
+    if _vm_rss() is None:
+        pytest.skip("needs /proc/self/status")
+    j = 6
+    L = window_support(win, j, S).stop - 1
+    grid = build_cubature(j, B)
+    before = _vm_rss()
+    D = d_table(L, S, grid.theta)
+    grown = _vm_rss() - before
+    assert grown <= 0.6 * D.nbytes, (grown, D.nbytes)
+
+
+def test_table_cap_admits_level_8_and_refuses_level_9(win, monkeypatch):
+    # the cap counts written bytes, 8 n_theta per row l >= max(|mu|, |s|)
+    for j, nbytes in ((8, 1_075_822_560), (9, 8_598_290_400)):
+        grid = build_cubature(j, B)
+        L = window_support(win, j, S).stop - 1
+        assert nbytes == 8 * grid.n_theta * ((L + 1) ** 2 - S * S)
+        if nbytes <= MAX_TABLE_BYTES:
+            _check_table_size(grid, S, L)
+            continue
+        with pytest.raises(ResourceLimitError) as err:
+            _check_table_size(grid, S, L)
+        assert str(err.value) == (
+            f"level j={j}: harmonic table at s={S}, L={L} needs {nbytes} "
+            f"bytes > cap {MAX_TABLE_BYTES}")
+    _check_table_size(build_cubature(9, B), S, 24)  # a small field passes
+
+    def no_table(*args):
+        raise AssertionError("an oversized table must not be allocated")
+
+    # every table build is guarded, whoever asks for it
+    monkeypatch.setattr(transform, "d_table", no_table)
+    with pytest.raises(ResourceLimitError, match="level j=9: "):
+        _harmonic_tables(build_cubature(9, B), S, 1023)
 
 
 def _same_bits(a, b):

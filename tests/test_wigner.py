@@ -212,11 +212,31 @@ def test_d_table_order_major_bitwise_equal_to_degree_major(n, L):
     theta = _engine_theta(n, L)
     table = d_table(L, n, theta)
     assert table.shape == (2 * L + 1, L + 1, theta.size)
-    assert table.flags.c_contiguous
+    store = table.transpose(1, 0, 2)  # the degree-major store [l, mu + L, i]
+    assert store.flags.c_contiguous
+    assert table.strides[2] == table.itemsize  # unit stride along theta
     ref = d_table_degree_major(L, n, theta)  # [l, mu + L, i]
-    assert np.ascontiguousarray(table.transpose(1, 0, 2)).tobytes() == ref.tobytes()
+    assert store.tobytes() == ref.tobytes()
     mu, ell = np.meshgrid(np.arange(-L, L + 1), np.arange(L + 1), indexing="ij")
     assert np.all(table[(ell < np.abs(mu)) | (ell < abs(n))] == 0.0)
+
+
+@pytest.mark.parametrize("n, L", ENGINE_CASES)
+def test_d_table_exact_endpoint_columns(n, L):
+    # the sweep fills the pole columns of the store like any other and then
+    # overwrites them; the interior columns keep the bits of a pole-free table
+    interior = _engine_theta(n, L)
+    theta = np.concatenate([[0.0], interior[:5], [math.pi], interior[5:]])
+    inside = (theta > 0.0) & (theta < math.pi)
+    table = d_table(L, n, theta)
+    assert np.ascontiguousarray(table[:, :, inside]).tobytes() == \
+        d_table(L, n, interior).tobytes()
+    mu, ell = np.meshgrid(np.arange(-L, L + 1), np.arange(L + 1), indexing="ij")
+    swept = ell >= abs(n)  # the degrees the sweep writes
+    assert np.array_equal(table[:, :, 0],
+                          np.where(swept & (mu == n), 1.0, 0.0))
+    assert np.array_equal(table[:, :, 6],
+                          np.where(swept & (mu == -n), (-1.0) ** (ell - n), 0.0))
 
 
 @pytest.mark.parametrize("s", [-2, 0, 1, 2, 3])
