@@ -30,10 +30,9 @@ from .errors import InvalidConfigError, ResourceLimitError, SpinletsError
 from .fields import (draw_alm, observe_channels, power_law, read_alm,
                      seed_key, write_alm)
 from .grid import build_cubature, empty_mask, grid_size, hemispheres, read_mask
-from .transform import (_check_table_size, _support_or_raise, masked_analyze,
-                        needlet_analyze, needlet_synthesize,
-                        read_coefficients, synthesize_on_grid,
-                        write_coefficients)
+from .transform import (level_support, masked_analyze, needlet_analyze,
+                        needlet_synthesize, read_coefficients,
+                        synthesize_on_grid, write_coefficients)
 from .window import build_window
 
 # plan key -> declared type of its ExperimentPlan field, in field order
@@ -197,44 +196,32 @@ def cmd_transform(args) -> int:
     if args.mask is not None:
         mask = read_mask(args.mask)
         grids = [mask.grid]
-    else:  # every level's grid, and so the pixel cap, before the first file
+    else:  # every level's grid, and so the pixel cap, before any transform
         mask = None
         B = 2.0 if args.bandwidth is None else args.bandwidth
         grids = [build_cubature(j, B) for j in _parse_levels(args.levels, B)]
-    for grid in grids:  # every level resolvable exactly, before the first file
-        support = _support_or_raise(grid, alm.s)
-        top = support.stop - 1 if len(support) else -1
-        # and the level's largest table within the cap: the whole field is
-        # synthesized on a mask's grid, and a roundtrip reads up to the top
-        if mask is not None:
-            _check_table_size(grid, alm.s, max(alm.L, top))
-        else:
-            _check_table_size(grid, alm.s, top if args.roundtrip
-                              else min(alm.L, top))
+    for grid in grids:  # a roundtrip reads each table up to its support top
+        level_support(grid, alm.s, None if args.roundtrip else alm.L)
     out_dir = Path(args.out_dir)
     paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
     _check_outputs(args.force, *paths)
+    if mask is not None:  # every transform, and the roundtrip, before any file
+        pix = synthesize_on_grid(alm.full_coeffs(), mask.grid, alm.s)
+        levels = [masked_analyze(pix, mask, alm.s)]
+    else:
+        levels = [needlet_analyze(alm, grid) for grid in grids]
+    if args.roundtrip:
+        recon = needlet_synthesize(levels)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for grid, path in zip(grids, paths):
-        if mask is not None:
-            pix = synthesize_on_grid(alm.full_coeffs(), grid, alm.s)
-            coeffs = masked_analyze(pix, mask, alm.s)
-        else:
-            coeffs = needlet_analyze(alm, grid)
+    for path, coeffs in zip(paths, levels):
         write_coefficients(path, coeffs)
-        written.append(coeffs)
         _err(f"wrote {path} ({coeffs.values.size} coefficients, "
              f"masked={coeffs.masked})")
     if args.roundtrip:
-        recon = needlet_synthesize(written)
-        L = min(recon.L, alm.L)
-        err = 0.0
-        for arr, ref in ((recon.alm_e, alm.alm_e), (recon.alm_b, alm.alm_b)):
-            lo = abs(alm.s) + 1
-            if lo <= L:
-                err = max(err, float(np.max(np.abs(
-                    arr[lo:L + 1, :L + 1] - ref[lo:L + 1, :L + 1]))))
+        top, lo = min(recon.L, alm.L) + 1, abs(alm.s) + 1
+        err = max((float(np.max(np.abs(a[lo:top, :top] - r[lo:top, :top])))
+                   for a, r in ((recon.alm_e, alm.alm_e), (recon.alm_b, alm.alm_b))
+                   if lo < top), default=0.0)
         _err(f"roundtrip max alm error over covered degrees: {err:.3e}")
     return 0
 
@@ -243,13 +230,18 @@ def cmd_estimate(args) -> int:
     _check_spectrum(args)
     _check_outputs(args.force, args.out, args.csv)
     if args.demo:
+        for flag in ("coeffs", "mask", "kind"):
+            if getattr(args, flag) is not None:
+                raise InvalidConfigError(f"{flag}: --demo reports the bundled "
+                                         f"plan; drop --{flag}")
         plan = plan_from_config(DEMO_CONFIG)
         reports = [rep for _, _, rep in mc.replicate_reports(plan, 0)]
         _write_reports(reports, args.out, args.csv)
         return 0
-    kinds = [kind.strip() for kind in args.kind.split(",") if kind.strip()]
+    text = "masked" if args.kind is None else args.kind
+    kinds = [kind.strip() for kind in text.split(",") if kind.strip()]
     if not kinds:
-        raise InvalidConfigError(f"kind: {args.kind!r} names no estimator kind")
+        raise InvalidConfigError(f"kind: {text!r} names no estimator kind")
     if not args.coeffs:
         raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
     coeff_list = [read_coefficients(path) for path in args.coeffs]
@@ -417,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("estimate", help="run estimators over coefficient files")
-    p.add_argument("--kind", default="masked",
-                   help="comma list of " + ",".join(estimators.KNOWN_KINDS))
-    p.add_argument("--coeffs", nargs="*", default=[],
+    p.add_argument("--kind", default=None,
+                   help="comma list of " + ",".join(estimators.KNOWN_KINDS)
+                        + " (default masked)")
+    p.add_argument("--coeffs", nargs="*", default=None,
                    help="SNBC files (one per channel for ap/cp/hausman)")
     p.add_argument("--alpha", type=float, default=3.0)
     p.add_argument("--gamma", type=float, default=2.5)

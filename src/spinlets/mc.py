@@ -32,8 +32,8 @@ from .errors import (BandLimitExceededError, EmptyRegionError,
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, power_law
 from .grid import build_cubature, hemispheres, polar_cap_mask
-from .transform import (_check_table_size, _support_or_raise, masked_analyze,
-                        needlet_analyze, synthesize_on_grid)
+from .transform import (level_support, masked_analyze, needlet_analyze,
+                        synthesize_on_grid)
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
 
@@ -101,13 +101,12 @@ class _PlanContext:
         plan.validate()
         self.plan = plan
         self.reads = inputs_read(plan.kinds)
-        # grids first: a level beyond the pixel cap is refused before any
-        # window support is computed for it
+        # refused here, not by every replicate: a level past the pixel cap
+        # before any support is computed, then level by level one its grid
+        # cannot resolve exactly or whose table passes the cap (level_support)
         grids = {j: build_cubature(j, plan.B) for j in plan.j_list}
-        # a level its grid cannot resolve exactly is refused here, not by
-        # every replicate; an empty support passes
         try:
-            supports = {j: _support_or_raise(grid, plan.s)
+            supports = {j: level_support(grid, plan.s)
                         for j, grid in grids.items()}
         except BandLimitExceededError as exc:
             raise InvalidConfigError(
@@ -119,12 +118,6 @@ class _PlanContext:
         # band limit: top degree of the deepest level's support (|s| if none)
         tops = [support.stop - 1 for support in supports.values()]
         self.L = max([t for t in tops if t >= abs(plan.s)], default=abs(plan.s))
-        # every table a replicate builds is level j's at its support top (or
-        # |s|); each is sized before any mask, region or table is built
-        tables = {j: support.stop - 1 if len(support) else abs(plan.s)
-                  for j, support in supports.items()}
-        for j, grid in grids.items():
-            _check_table_size(grid, plan.s, tables[j])
         self.levels = {}
         for j, grid in grids.items():
             eps = plan.epsilon_scale * plan.B ** (-j)
@@ -138,7 +131,9 @@ class _PlanContext:
                         regions.interior(which)
                 except EmptyRegionError:  # left to fail each replicate
                     pass
-            self.levels[j] = (grid, mask, regions, tables[j])
+            # the masked map's degree: the support top, or |s| if it is empty
+            lj = supports[j].stop - 1 if len(supports[j]) else abs(plan.s)
+            self.levels[j] = (grid, mask, regions, lj)
 
     def reports(self, r: int) -> list:
         """[(j, kind, EstimateReport)] of replicate r, in plan order."""

@@ -28,9 +28,13 @@ import numpy as np
 from .errors import (BandLimitExceededError, CoverageGapError,
                      InvalidCoefficientFileError, ResourceLimitError)
 from .fields import SpinAlm, cl_profile
-from .grid import MAX_TABLE_BYTES, CubatureGrid, SkyMask, build_cubature
+from .grid import CubatureGrid, SkyMask, build_cubature
 from .wigner import SphPoint, d_table, kernel_sum
 from .window import band_profile, window_support
+
+# largest harmonic table a level may build, counted in its written bytes
+# (rows l >= max(|mu|, |s|)): j = 8 at B = 2 writes about 1.07 GB, j = 9 8.6 GB
+MAX_TABLE_BYTES = 2 ** 31
 
 
 @dataclass(eq=False)
@@ -63,7 +67,15 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     place, once per transform.  Only their small coefficient arrays are
     reversed between m and mu.  The zero rows l < max(|mu|, |s|), about
     half of D, are never written, so they take no RAM (see d_table).
+
+    The one gate before any table: refuses an L the grid's longitudes cannot
+    resolve (2L+1 > n_phi), then a table over MAX_TABLE_BYTES.  The key
+    fixes n_phi, so a cache hit skips no check.
     """
+    if grid.n_phi < 2 * L + 1:
+        raise BandLimitExceededError(
+            f"grid at level {grid.j} resolves orders |m| <= {(grid.n_phi - 1) // 2},"
+            f" need {L}")
     _check_table_size(grid, s, L)
     D = d_table(L, s, grid.theta)
     ells = np.arange(L + 1)
@@ -83,13 +95,6 @@ def _check_table_size(grid: CubatureGrid, s: int, L: int) -> None:
         raise ResourceLimitError(
             f"level j={grid.j}: harmonic table at s={s}, L={L} needs {nbytes} "
             f"bytes > cap {MAX_TABLE_BYTES}")
-
-
-def _check_phi_resolution(grid: CubatureGrid, L: int):
-    if grid.n_phi < 2 * L + 1:
-        raise BandLimitExceededError(
-            f"grid at level {grid.j} resolves orders |m| <= {(grid.n_phi - 1) // 2},"
-            f" need {L}")
 
 
 def _re_im(z: np.ndarray) -> np.ndarray:
@@ -123,7 +128,6 @@ def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> n
     harmonic table once (see the note above).
     """
     L = coeffs_full.shape[0] - 1
-    _check_phi_resolution(grid, L)
     D, norms, signs, bins = _harmonic_tables(grid, s, L)
     A = np.multiply(coeffs_full.T[::-1], signs[:, None], order="C")  # [mu + L, l]
     A *= norms
@@ -149,7 +153,6 @@ def analyze_on_grid(map_values: np.ndarray, grid: CubatureGrid, s: int, L: int,
     frame adjoint.  Returns the full-order array [l, m + L].  Reads the
     harmonic table once (see the note above synthesize_on_grid).
     """
-    _check_phi_resolution(grid, L)
     D, norms, signs, bins = _harmonic_tables(grid, s, L)
     w = grid.ring_weights if ring_weights is None else ring_weights
     f = map_values.reshape(grid.n_theta, grid.n_phi)
@@ -165,12 +168,23 @@ def analyze_on_grid(map_values: np.ndarray, grid: CubatureGrid, s: int, L: int,
     return inner.T[:, ::-1]
 
 
-def _support_or_raise(grid: CubatureGrid, s: int) -> range:
+def _exact_support(grid: CubatureGrid, s: int) -> range:
     support = window_support(grid.window, grid.j, s)
     if len(support) and grid.band_limit < 2 * (support.stop - 1):
         raise BandLimitExceededError(
             f"level j={grid.j} needs exactness degree {2 * (support.stop - 1)}, "
             f"grid provides {grid.band_limit}")
+    return support
+
+
+def level_support(grid: CubatureGrid, s: int, L: int | None = None) -> range:
+    """The level's window support, once admitted: refuses, before any
+    transform, a grid not exact for the support (BandLimitExceededError) and
+    a table at degree min(L, top) over MAX_TABLE_BYTES (ResourceLimitError);
+    top is the support top (|s| if empty), L the band limit (None: unbounded)."""
+    support = _exact_support(grid, s)
+    top = support.stop - 1 if len(support) else abs(s)
+    _check_table_size(grid, s, top if L is None else min(L, top))
     return support
 
 
@@ -196,7 +210,7 @@ def _level_coefficients(full, grid: CubatureGrid, s: int, support: range,
 
 def needlet_analyze(alm: SpinAlm, grid: CubatureGrid) -> NeedletCoefficients:
     """Spectral needlet coefficients of a band-limited field at the grid's level."""
-    support = _support_or_raise(grid, alm.s)
+    support = _exact_support(grid, alm.s)
     return _level_coefficients(alm.full_coeffs, grid, alm.s, support, masked=False)
 
 
@@ -207,7 +221,7 @@ def masked_analyze(map_values: np.ndarray, mask: SkyMask, s: int) -> NeedletCoef
     is the estimator's job.
     """
     grid = mask.grid
-    support = _support_or_raise(grid, s)
+    support = _exact_support(grid, s)
 
     def pseudo():  # pseudo-coefficients of the gap-filled map
         gap_filled = np.where(mask.excluded, 0.0 + 0.0j, map_values)
@@ -218,7 +232,7 @@ def masked_analyze(map_values: np.ndarray, mask: SkyMask, s: int) -> NeedletCoef
 
 def needlet_kernel(grid: CubatureGrid, k: int, p: SphPoint, s: int) -> complex:
     """psi_{jk;s}(p) = sqrt(lambda_jk) sum_l b(sqrt(e_ls)/B^j) K^ls(p, xi_jk)."""
-    support = _support_or_raise(grid, s)
+    support = _exact_support(grid, s)
     xi = grid.point(k)
     b = band_profile(grid.window, grid.j, s, np.asarray(support))
     total = kernel_sum(s, p, xi, support, b)

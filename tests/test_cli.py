@@ -487,6 +487,46 @@ def test_transform_checks_every_level_before_the_first_file(tmp_path, capsys):
         "level j=1 needs exactness degree 12, grid provides 8")
 
 
+def test_transform_refuses_a_roundtrip_gap_before_the_first_file(tmp_path,
+                                                                 capsys):
+    # the gap is found by the roundtrip itself, which runs before any write
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "1",
+         "--out", str(alm_path)])
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--levels", "3..5", "--roundtrip",
+        "--out-dir", str(tmp_path / "c")],
+        "levels [3, 4, 5] leave coverage gaps at degrees [3, 4, 5, 6, 7]")
+
+
+def test_transform_refuses_an_unresolved_mask_level_before_any_write(
+        tmp_path, capsys):
+    # the whole L = 63 field is synthesized on the level-3 grid, which
+    # resolves orders up to 16: no --out-dir is left behind
+    alm_path, mask_path = tmp_path / "sig.salm", tmp_path / "cap.mask"
+    run(["simulate", "--spin", "2", "--lmax", "63", "--seed", "1",
+         "--out", str(alm_path)])
+    write_mask(mask_path, polar_cap_mask(build_cubature(3, 2.0), 0.10))
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--mask", str(mask_path),
+        "--out-dir", str(tmp_path / "c")],
+        "grid at level 3 resolves orders |m| <= 16, need 63")
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--coeffs", "nonexistent.snbc"], "coeffs"),
+    (["--coeffs"], "coeffs"),
+    (["--mask", "nonexistent.mask"], "mask"),
+    (["--kind", "bogus"], "kind"),
+    (["--kind", "masked"], "kind"),
+])
+def test_estimate_demo_refuses_flags_it_would_ignore(tmp_path, capsys, flags,
+                                                     flag):
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--demo", "--out", str(tmp_path / "r.json")] + flags,
+        f"{flag}: --demo reports the bundled plan; drop --{flag}")
+
+
 def test_field_below_its_spin_refused(tmp_path, capsys):
     # a valid s = 2, L = 8 file with its spin field set to 9: the reader
     # refuses it, where the transform used to end in an IndexError

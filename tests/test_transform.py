@@ -1,9 +1,11 @@
 """Tests for needlet analysis/synthesis, kernels, and theoretical covariances."""
 
+import ast
 import inspect
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,10 @@ from spinlets import (SphPoint, build_cubature, build_window, draw_alm,
 from spinlets.errors import (BandLimitExceededError, CoverageGapError,
                              InvalidCoefficientFileError, ResourceLimitError)
 from spinlets.fields import SpinAlm
-from spinlets.grid import (MAX_TABLE_BYTES, CubatureGrid, empty_mask,
-                           polar_cap_mask)
-from spinlets.transform import (_check_table_size, _harmonic_tables,
-                                analyze_on_grid, read_coefficients,
+from spinlets.grid import CubatureGrid, empty_mask, polar_cap_mask
+from spinlets.transform import (MAX_TABLE_BYTES, _check_table_size,
+                                _harmonic_tables, analyze_on_grid,
+                                level_support, read_coefficients,
                                 synthesize_on_grid, write_coefficients)
 from spinlets.wigner import d_table
 from spinlets.window import band_profile, window_support
@@ -492,6 +494,59 @@ def test_table_cap_admits_level_8_and_refuses_level_9(win, monkeypatch):
     monkeypatch.setattr(transform, "d_table", no_table)
     with pytest.raises(ResourceLimitError, match="level j=9: "):
         _harmonic_tables(build_cubature(9, B), S, 1023)
+
+
+def test_level_support_keeps_the_exactness_message():
+    # at B = 2.9 and s = 3 the level-0 window needs exactness degree 8
+    with pytest.raises(BandLimitExceededError) as err:
+        level_support(build_cubature(0, 2.9), 3)
+    assert str(err.value) == "level j=0 needs exactness degree 8, grid provides 6"
+
+
+def test_level_support_sizes_the_table_the_field_reads(win, monkeypatch):
+    # level 9 passes for an L = 24 field, and is refused unbounded, before
+    # any table is built
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    grid = build_cubature(9, B)
+    assert level_support(grid, S, 24) == window_support(win, 9, S)
+    with pytest.raises(ResourceLimitError) as err:
+        level_support(grid, S)
+    assert str(err.value) == ("level j=9: harmonic table at s=2, L=1023 needs "
+                              "8598290400 bytes > cap 2147483648")
+
+
+def test_level_support_sizes_an_empty_support_at_the_spin(monkeypatch):
+    sized = []
+    monkeypatch.setattr(transform, "_check_table_size",
+                        lambda grid, s, L: sized.append(L))
+    assert len(level_support(build_cubature(0, B), 25)) == 0
+    assert len(level_support(build_cubature(0, B), -25, 40)) == 0
+    assert sized == [25, 25]
+
+
+def test_harmonic_tables_refuse_unresolved_orders_before_the_table(monkeypatch):
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    grid = build_cubature(3, B)
+    assert (grid.n_phi - 1) // 2 == 16
+    with pytest.raises(BandLimitExceededError) as err:
+        _harmonic_tables(grid, S, 17)
+    assert str(err.value) == "grid at level 3 resolves orders |m| <= 16, need 17"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # the package's modules share only public names (level_support, not
+    # the checks behind it)
+    src = Path(transform.__file__).parent
+    private = [(path.name, node.module, alias.name)
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def _no_table(*args):
+    raise AssertionError("no table may be built")
 
 
 def _same_bits(a, b):
