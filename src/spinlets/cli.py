@@ -38,6 +38,10 @@ from .window import build_window
 # plan key -> declared type of its ExperimentPlan field, in field order
 _PLAN_TYPES = typing.get_type_hints(mc.ExperimentPlan)
 DEMO_CONFIG = Path(__file__).parent / "configs" / "demo_estimate.cfg"
+# `estimate`'s spectrum and dilation flags default to None, so that --demo
+# can refuse a given one; without --demo a missing one reads as below
+ESTIMATE_DEFAULTS = {"alpha": 3.0, "gamma": 2.5, "noise_level": 1.0,
+                     "epsilon": 0.0}
 # what a config line that configparser refuses does wrong
 _SYNTAX = {configparser.MissingSectionHeaderError: "key before the [plan] header",
            configparser.DuplicateOptionError: "key given twice",
@@ -58,13 +62,14 @@ def _check_outputs(force: bool, *paths) -> None:
 
 def _check_spectrum(args) -> None:
     """Refuse the spectrum flags a plan refuses: a non-finite --alpha,
-    --gamma or --noise-level, or a negative --noise-level."""
+    --gamma or --noise-level, or a negative --noise-level.  A flag left
+    at None (not given to `estimate`) is skipped."""
     for flag in ("alpha", "gamma", "noise_level"):
         value = getattr(args, flag)
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise InvalidConfigError(
                 f"{flag.replace('_', '-')}: {value} is not a finite number")
-    if args.noise_level < 0:
+    if args.noise_level is not None and args.noise_level < 0:
         raise InvalidConfigError("noise-level: must be >= 0")
 
 
@@ -230,14 +235,18 @@ def cmd_estimate(args) -> int:
     _check_spectrum(args)
     _check_outputs(args.force, args.out, args.csv)
     if args.demo:
-        for flag in ("coeffs", "mask", "kind"):
+        for flag in ("coeffs", "mask", "kind", *ESTIMATE_DEFAULTS):
             if getattr(args, flag) is not None:
-                raise InvalidConfigError(f"{flag}: --demo reports the bundled "
-                                         f"plan; drop --{flag}")
+                name = flag.replace("_", "-")
+                raise InvalidConfigError(f"{name}: --demo reports the bundled "
+                                         f"plan; drop --{name}")
         plan = plan_from_config(DEMO_CONFIG)
         reports = [rep for _, _, rep in mc.replicate_reports(plan, 0)]
         _write_reports(reports, args.out, args.csv)
         return 0
+    for flag, default in ESTIMATE_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     text = "masked" if args.kind is None else args.kind
     kinds = [kind.strip() for kind in text.split(",") if kind.strip()]
     if not kinds:
@@ -414,12 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
                         + " (default masked)")
     p.add_argument("--coeffs", nargs="*", default=None,
                    help="SNBC files (one per channel for ap/cp/hausman)")
-    p.add_argument("--alpha", type=float, default=3.0)
-    p.add_argument("--gamma", type=float, default=2.5)
-    p.add_argument("--noise-level", type=float, default=1.0)
+    for flag, default in ESTIMATE_DEFAULTS.items():
+        p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
+                       help=f"default {default}; not with --demo")
     p.add_argument("--mask", default=None,
                    help="required with coefficients computed with a mask")
-    p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--demo", action="store_true",
                    help="report replicate 0 of the bundled plan "
                         "configs/demo_estimate.cfg")

@@ -23,8 +23,9 @@ denominator, as in a t statistic).  Block correlations are negligible
 because coefficient correlations decay like (1 + B^j d)^(-M) while the
 blocks are much wider than B^-j.
 
-Final scalar reductions use math.fsum, so estimator values do not depend on
-pixel ordering or parallel scheduling.
+Final scalar reductions are exact sums, correctly rounded: `_exact_sum`
+gives math.fsum's bits in numpy, so estimator values do not depend on pixel
+ordering or parallel scheduling.
 
 KINDS gives each estimator kind's inputs, function and paper name; `estimate`
 dispatches on it for the Monte Carlo harness and the CLI alike.
@@ -229,14 +230,38 @@ def subsampling_variance(pixel_values: np.ndarray, grid: CubatureGrid,
     return float(var)
 
 
+def _exact_sum(a: np.ndarray) -> float:
+    """math.fsum(a.tolist()) of a 1-D float64 array, bit for bit, without the list.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008): for sigma = 2^e >= 2(n+2) max|r|, q = (sigma + r) - sigma and
+    r - q are exact, and np.sum(q) is exact in any order.  Each pass keeps
+    that sum and the nonzero remainders, at most 2^-53 sigma each; math.fsum
+    rounds the few partial sums once.  Non-finite input, or a sigma that
+    would overflow, goes to math.fsum itself (its nan, inf or exception).
+    """
+    r = a
+    partials = []
+    while r.size:
+        bound = 2.0 * (r.size + 2) * float(np.max(np.abs(r)))
+        if not bound < 2.0 ** 1023:
+            return math.fsum(a.tolist())
+        sigma = math.ldexp(1.0, math.frexp(bound)[1])
+        q = (sigma + r) - sigma
+        partials.append(float(np.sum(q)))
+        r = r - q
+        r = r[r != 0.0]
+    return math.fsum(partials)
+
+
 def _weighted_estimate(pixel_values: np.ndarray, grid: CubatureGrid,
                        selection: np.ndarray) -> float:
-    """S = 4pi sum_sel(v) / sum_sel(lambda), compensated summation."""
+    """S = 4pi sum_sel(v) / sum_sel(lambda), exact (correctly rounded) sums."""
     idx = np.flatnonzero(selection)
     if idx.size == 0:
         raise EmptyObservedRegionError("estimator selection is empty")
-    num = math.fsum(pixel_values[idx].tolist())
-    den = math.fsum(grid.weights[idx].tolist())
+    num = _exact_sum(pixel_values[idx])
+    den = _exact_sum(grid.weights[idx])
     return FOUR_PI * num / den
 
 
@@ -318,7 +343,7 @@ def estimate_ap(channel_coeffs, noise_models, signal_model: PowerSpectrumModel
                         for nm in noise_models])
     bias = lam[None, :] * (gamma_n[:, None] / FOUR_PI)  # E|beta_N|^2 per (r, k)
     x = (np.sum(np.abs(beta) ** 2, axis=0) - np.sum(bias, axis=0)) / d
-    value = math.fsum(x.tolist())
+    value = _exact_sum(x)
     target = gamma_theoretical(grid.window, signal_model, grid.j, first.s)
     variance = subsampling_variance(x, grid)
     meta = _grid_meta(grid)
@@ -343,7 +368,7 @@ def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateRep
             if r1 != r2:
                 acc += beta[r1] * np.conj(beta[r2])
     acc /= d * (d - 1)
-    total = complex(math.fsum(acc.real.tolist()), math.fsum(acc.imag.tolist()))
+    total = complex(_exact_sum(acc.real), _exact_sum(acc.imag))
     if abs(total.imag) > 1e-10 * max(abs(total.real), 1e-300):
         raise SelfCheckError(f"cross-power came out non-real: {total!r}")
     x = acc.real
@@ -386,7 +411,7 @@ def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
         for r2 in range(r1 + 1, d):
             pair += np.abs(beta[r1] - beta[r2]) ** 2
     per_pixel = ((d - 1) * ap.noise_bias - pair) / (d * (d - 1))
-    identity = math.fsum(per_pixel.tolist())
+    identity = _exact_sum(per_pixel)
     scale = max(abs(ap.value), abs(cp.value), abs(identity), 1e-300)
     residual = abs(value - identity) / scale
     if residual > 1e-10:

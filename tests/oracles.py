@@ -308,3 +308,9 @@ def window_support_scalar(window, j, s):
     if l_hi < l_lo:
         return range(l_lo, l_lo)
     return range(l_lo, l_hi + 1)
+
+
+def fsum_reference(a):
+    """Correctly rounded sum of a float array by Shewchuk's method over a
+    Python list (math.fsum), the reduction the estimators reproduce."""
+    return math.fsum(a.tolist())

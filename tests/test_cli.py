@@ -519,12 +519,36 @@ def test_transform_refuses_an_unresolved_mask_level_before_any_write(
     (["--mask", "nonexistent.mask"], "mask"),
     (["--kind", "bogus"], "kind"),
     (["--kind", "masked"], "kind"),
+    (["--alpha", "5"], "alpha"),
+    (["--alpha", "3.0"], "alpha"),  # the old default is refused too
+    (["--gamma", "2.5"], "gamma"),
+    (["--noise-level", "0"], "noise-level"),
+    (["--epsilon", "0.1"], "epsilon"),
 ])
 def test_estimate_demo_refuses_flags_it_would_ignore(tmp_path, capsys, flags,
                                                      flag):
     _refused_before_any_write(tmp_path, capsys, [
         "estimate", "--demo", "--out", str(tmp_path / "r.json")] + flags,
         f"{flag}: --demo reports the bundled plan; drop --{flag}")
+
+
+def test_estimate_reads_missing_spectrum_flags_as_their_defaults(tmp_path):
+    # without --demo, no flag and the documented default give the same report
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "31", "--seed", "2", "--channels",
+         "2", "--out", str(alm_path)])
+    run(["transform", "--alm", str(alm_path), "--levels", "4",
+         "--out-dir", str(tmp_path / "c")])
+    coeffs = str(tmp_path / "c" / "level04.snbc")
+    base = ["estimate", "--kind", "unfeasible,asymmetry,ap", "--coeffs", coeffs,
+            coeffs]
+    assert run(base + ["--out", str(tmp_path / "a.json")]) == 0
+    assert run(base + ["--alpha", "3.0", "--gamma", "2.5", "--noise-level",
+                       "1.0", "--epsilon", "0.0",
+                       "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+    assert run(base + ["--alpha", "4.0", "--out", str(tmp_path / "c.json")]) == 0
+    assert (tmp_path / "a.json").read_text() != (tmp_path / "c.json").read_text()
 
 
 def test_field_below_its_spin_refused(tmp_path, capsys):

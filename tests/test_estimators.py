@@ -1,10 +1,13 @@
 """Tests for band-power estimators, test statistics, and subsampling."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinlets import (build_cubature, build_window, draw_alm, estimate,
                       estimate_ap, estimate_asymmetry, estimate_cp,
@@ -17,13 +20,13 @@ from spinlets.errors import (EmptyRegionError, InvalidChannelCountError,
                              MissingNoiseModelError, NonpositiveVarianceError,
                              SelfCheckError, TooFewBlocksError)
 from spinlets.estimators import (KINDS, PAPER_KIND, EstimateReport,
-                                 block_labels, estimate_hausman)
+                                 _exact_sum, block_labels, estimate_hausman)
 from spinlets.fields import PowerSpectrumModel
 from spinlets.grid import empty_mask, polar_cap_mask
 from spinlets.transform import synthesize_on_grid
 from spinlets.window import band_profile, window_support
 
-from oracles import block_labels_loop
+from oracles import block_labels_loop, fsum_reference
 
 B, S = 2.0, 2
 
@@ -475,3 +478,119 @@ def test_report_serialization(win, grid4):
     assert d["standardized"] == pytest.approx(
         (d["value"] - d["theoretical_target"])
         / math.sqrt(d["variance_estimate"]))
+
+
+def _sum_outcome(total, a):
+    """The float's bytes (sign of zero and nan included), or the exception type."""
+    try:
+        return np.float64(total(a)).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_exact_sum_is_fsum(a):
+    assert _sum_outcome(_exact_sum, a) == _sum_outcome(fsum_reference, a)
+
+
+_MAX = sys.float_info.max
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+          _MAX, -_MAX, np.nextafter(_MAX, 0.0), 1e300, -1e300]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       lo=st.integers(-1074, 1023), width=st.integers(0, 2100),
+       cancel=st.booleans(),
+       extra=st.lists(st.one_of(st.sampled_from(_EDGES),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      max_size=8))
+@example(n=3000, seed=1, lo=-1000, width=2000, cancel=True, extra=[])  # 10^+-300
+@example(n=100, seed=2, lo=-1074, width=60, cancel=False, extra=[-0.0])
+@example(n=0, seed=0, lo=0, width=0, cancel=False, extra=[-0.0, -0.0])
+@example(n=2, seed=3, lo=1020, width=3, cancel=False, extra=[_MAX, _MAX])
+def test_exact_sum_is_fsum_on_finite_arrays(n, seed, lo, width, cancel, extra):
+    # mantissas in (-1, 1) scaled by 2^e, e uniform over [lo, lo + width]:
+    # subnormals at the bottom, sums that overflow at the top
+    rng = np.random.default_rng(seed)
+    e = rng.integers(lo, min(lo + width, 1023), endpoint=True, size=n)
+    a = np.ldexp(rng.uniform(-1.0, 1.0, n), e)
+    a = np.insert(a, rng.integers(0, n, endpoint=True, size=len(extra)), extra)
+    if cancel:  # exact cancellation: the sum is zero
+        a = rng.permutation(np.concatenate([a, -a]))
+    _assert_exact_sum_is_fsum(a)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGES)), max_size=40))
+@example([math.inf, -math.inf])  # ValueError: -inf + inf
+@example([1e308, 1e308, -1e308])  # OverflowError: intermediate overflow
+@example([math.inf, 1e308, 1e308])  # OverflowError, despite the inf
+@example([math.nan, 1.0])
+@example([-math.inf, 1.0])
+def test_exact_sum_is_fsum_on_any_float_list(values):
+    _assert_exact_sum_is_fsum(np.array(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize("n", [8385, 33153, 131841])  # j = 5, 6, 7 at B = 2
+def test_exact_sum_is_fsum_at_level_sizes(n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    for a in (np.abs(z[0]) ** 2,                # auto-power terms
+              (z[0] * np.conj(z[1])).real,      # cross-power terms, mixed sign
+              (z[0] * np.conj(z[1])).imag,
+              rng.uniform(0.0, 1.0, n) * 4.0 * math.pi / n):  # weight-like
+        _assert_exact_sum_is_fsum(a)
+
+
+@pytest.fixture(scope="module")
+def level5_reports(win):
+    """One j = 5 report of each kind on fixed seeds, with the inputs it read."""
+    j = 5
+    grid = build_cubature(j, B)
+    model = power_law(3.0, l_min=2)
+    eps = 3.0 * B ** (-j)
+    half = model.scaled(0.5)
+    alm = draw_alm(half, half, S, window_support(win, j, S).stop - 1, 21)
+    mask = polar_cap_mask(grid, 0.1, epsilon=eps)
+    inputs = {"masked": masked_analyze(
+                  synthesize_on_grid(alm.full_coeffs(), grid, S), mask, S),
+              "gapfree": needlet_analyze(alm, grid), "mask": mask,
+              "regions": hemispheres(grid, epsilon=eps), "signal": model}
+    _, inputs["noise"], inputs["channels"] = _channel_setup(win, grid, j, 22)
+    return {kind: estimate(kind, inputs) for kind in KINDS}, inputs
+
+
+def _weighted_reference(coeffs, selection):
+    idx = np.flatnonzero(selection)
+    return (4.0 * math.pi * fsum_reference(np.abs(coeffs.values[idx]) ** 2)
+            / fsum_reference(coeffs.grid.weights[idx]))
+
+
+def test_level5_values_are_the_fsum_reference_bit_for_bit(level5_reports):
+    reports, inputs = level5_reports
+    observed = inputs["mask"].observed
+    assert reports["masked"].value == _weighted_reference(inputs["masked"],
+                                                          observed)
+    assert reports["unfeasible"].value == _weighted_reference(inputs["gapfree"],
+                                                              observed)
+    regions = inputs["regions"]
+    assert reports["asymmetry"].value == (
+        _weighted_reference(inputs["gapfree"], regions.interior(1))
+        - _weighted_reference(inputs["gapfree"], regions.interior(2)))
+    for kind in ("ap", "cp"):
+        assert reports[kind].value == fsum_reference(reports[kind].pixel_values)
+
+
+def test_level5_hausman_identity_is_the_fsum_reference(level5_reports):
+    reports, _ = level5_reports
+    ap, cp = reports["ap"], reports["cp"]
+    beta = np.stack(ap.channel_values)
+    d = beta.shape[0]
+    pair = sum(np.abs(beta[r1] - beta[r2]) ** 2
+               for r1 in range(d) for r2 in range(r1 + 1, d))
+    identity = fsum_reference(((d - 1) * ap.noise_bias - pair) / (d * (d - 1)))
+    value = cp.value - ap.value
+    scale = max(abs(ap.value), abs(cp.value), abs(identity), 1e-300)
+    assert reports["hausman"].value == value
+    assert reports["hausman"].meta["identity_residual"] == (
+        abs(value - identity) / scale)
