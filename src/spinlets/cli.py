@@ -233,6 +233,9 @@ def cmd_transform(args) -> int:
 
 def cmd_estimate(args) -> int:
     _check_spectrum(args)
+    if args.epsilon is not None and not 0.0 <= args.epsilon < math.inf:
+        raise InvalidConfigError(
+            f"epsilon: --epsilon={args.epsilon} must be >= 0 and finite")
     _check_outputs(args.force, args.out, args.csv)
     if args.demo:
         for flag in ("coeffs", "mask", "kind", *ESTIMATE_DEFAULTS):

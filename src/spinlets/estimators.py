@@ -27,6 +27,14 @@ Final scalar reductions are exact sums, correctly rounded: `_exact_sum`
 gives math.fsum's bits in numpy, so estimator values do not depend on pixel
 ordering or parallel scheduling.
 
+What depends only on the grid and a pixel selection is computed once: the
+grid owns a memo (`CubatureGrid._selections`, keyed by the selection's
+packed bits and block count) holding the block partition as runs of labels,
+the block weights and sum lambda.  `block_labels` expands the runs into a
+fresh array on each call.  Gamma_{j;s} is memoized per (j, s, model) on the
+window.  Per call only the replicate's work remains: |beta|^2, the block
+sums and the variance.
+
 KINDS gives each estimator kind's inputs, function and paper name; `estimate`
 dispatches on it for the Monte Carlo harness and the CLI alike.
 """
@@ -34,6 +42,7 @@ dispatches on it for the Monte Carlo harness and the CLI alike.
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -120,16 +129,24 @@ class EstimateReport:
 
 def gamma_theoretical(window: NeedletWindow, model: PowerSpectrumModel,
                       j: int, s: int) -> float:
-    """Band power Gamma_{j;s} = sum_l b^2 C_l (2l+1) over the window support."""
+    """Band power Gamma_{j;s} = sum_l b^2 C_l (2l+1) over the window support.
+
+    Computed once per (j, s, model) and kept by the window; an empty support
+    warns on every call.
+    """
     support = window_support(window, j, s)
     if len(support) == 0:
         warnings.warn(f"empty window support at level j={j}, spin s={s}",
                       RuntimeWarning, stacklevel=2)
         return 0.0
-    ells = np.asarray(support)
-    b2 = band_profile(window, j, s, ells) ** 2
-    cl = cl_profile(model, ells)
-    return float(np.sum(b2 * cl * (2 * ells + 1)))
+    key = (j, s, model)
+    gamma = window._band_powers.get(key)
+    if gamma is None:
+        ells = np.asarray(support)
+        b2 = band_profile(window, j, s, ells) ** 2
+        cl = cl_profile(model, ells)
+        gamma = window._band_powers[key] = float(np.sum(b2 * cl * (2 * ells + 1)))
+    return gamma
 
 
 def _grid_meta(grid: CubatureGrid) -> dict:
@@ -144,8 +161,64 @@ def block_labels(grid: CubatureGrid, observed: np.ndarray,
     Returns an int array over all pixels: block id for observed pixels, -1
     elsewhere.  Bands are weight-quantiles (pixel order is already
     theta-major), sectors are equal phi intervals; undersized blocks merge
-    into their band neighbour.
+    into their band neighbour.  The partition is computed once per grid,
+    selection and n_blocks; each call returns a fresh array.
     """
+    sel = _selection(grid, observed, n_blocks)
+    return np.repeat(sel.values, sel.lengths)
+
+
+class _Selection(NamedTuple):
+    """What the estimators read of one pixel selection on one grid."""
+
+    values: np.ndarray   # block labels as runs: the label of each run
+    lengths: np.ndarray  # and its pixel count
+    n_b: int             # blocks (0 if none is admissible)
+    w_b: np.ndarray      # block weight sums W_b
+    W: float             # sum_b W_b
+    shares2: np.ndarray  # w_b^2 = (W_b / W)^2
+    denom: float         # 1 - sum_b w_b^2
+    weight_sum: float    # sum of lambda over the selection, exact
+
+
+def _selection(grid: CubatureGrid, selection: np.ndarray,
+               n_blocks: int | None = None) -> _Selection:
+    """The selection's entry in the grid's memo, computed on first use."""
+    selection = np.asarray(selection, dtype=bool)
+    key = (np.packbits(selection).tobytes(), n_blocks)
+    sel = grid._selections.get(key)
+    if sel is None:
+        labels = _partition(grid, selection, n_blocks)
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
+        n_b = int(labels.max()) + 1  # 0 when no block is admissible
+        w_b = np.bincount(labels + 1, weights=grid.weights,
+                          minlength=n_b + 1)[1:]
+        W = w_b.sum()
+        shares2 = (w_b / W) ** 2
+        sel = grid._selections[key] = _Selection(
+            values=_mapped_copy(labels[starts]),
+            lengths=_mapped_copy(np.diff(starts, append=labels.size)),
+            n_b=n_b, w_b=w_b, W=W, shares2=shares2,
+            denom=1.0 - float(np.sum(shares2)),
+            weight_sum=_exact_sum(grid.weights[selection]))
+    return sel
+
+
+def _mapped_copy(a: np.ndarray) -> np.ndarray:
+    """`a` copied into an anonymous memory map of its own, off the malloc heap.
+
+    Memo entries are made mid-replicate, above that replicate's temporaries;
+    kept on the heap, the runs of a j = 7 selection would stop the freed
+    temporaries below them from going back to the system (3 MB of heap).
+    """
+    out = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype)
+    out[:] = a
+    return out
+
+
+def _partition(grid: CubatureGrid, observed: np.ndarray,
+               n_blocks: int | None) -> np.ndarray:
+    """The labels block_labels returns, computed from the grid's pixels."""
     labels = np.full(grid.n_pixels, -1, dtype=np.int64)
     obs_idx = np.flatnonzero(observed)
     n_obs = obs_idx.size
@@ -201,26 +274,22 @@ def subsampling_variance(pixel_values: np.ndarray, grid: CubatureGrid,
     """
     if observed is None:
         observed = np.ones(grid.n_pixels, dtype=bool)
-    labels = block_labels(grid, observed)
-    used = labels >= 0
-    if not used.any():
+    labels = block_labels(grid, observed)  # the entry benchmarks/spans.py traces
+    sel = _selection(grid, observed)
+    n_b = sel.n_b
+    if n_b == 0:
         raise TooFewBlocksError("no admissible subsampling blocks")
-    n_b = labels[used].max() + 1
     if n_b < 8:
         raise TooFewBlocksError(f"only {n_b} blocks of >= 16 pixels (need 8)")
-
-    w = grid.weights
-    vals = np.asarray(pixel_values, dtype=np.float64)
-    w_b = np.bincount(labels[used], weights=w[used], minlength=n_b)
-    v_b = np.bincount(labels[used], weights=vals[used], minlength=n_b)
-    W = w_b.sum()
-    s_b = FOUR_PI * v_b / w_b
-    s_full = FOUR_PI * v_b.sum() / W
-    shares = w_b / W
-    denom = 1.0 - float(np.sum(shares ** 2))
-    if denom <= 0.0:
+    if sel.denom <= 0.0:
         raise TooFewBlocksError("degenerate block weights")
-    var = float(np.sum(shares ** 2 * (s_b - s_full) ** 2) / denom)
+
+    vals = np.asarray(pixel_values, dtype=np.float64)
+    # bin 0 collects the pixels in no block (label -1)
+    v_b = np.bincount(labels + 1, weights=vals, minlength=n_b + 1)[1:]
+    s_b = FOUR_PI * v_b / sel.w_b
+    s_full = FOUR_PI * v_b.sum() / sel.W
+    var = float(np.sum(sel.shares2 * (s_b - s_full) ** 2) / sel.denom)
     # small-sample correction: the spread over ~N_b blocks enters a
     # denominator, so scale by nu/(nu-2) (t-statistic variance) to keep the
     # standardized statistic at unit variance
@@ -261,8 +330,7 @@ def _weighted_estimate(pixel_values: np.ndarray, grid: CubatureGrid,
     if idx.size == 0:
         raise EmptyObservedRegionError("estimator selection is empty")
     num = _exact_sum(pixel_values[idx])
-    den = _exact_sum(grid.weights[idx])
-    return FOUR_PI * num / den
+    return FOUR_PI * num / _selection(grid, selection).weight_sum
 
 
 def estimate_masked(coeffs: NeedletCoefficients, mask: SkyMask,
@@ -342,7 +410,8 @@ def estimate_ap(channel_coeffs, noise_models, signal_model: PowerSpectrumModel
     gamma_n = np.array([gamma_theoretical(grid.window, nm, grid.j, first.s)
                         for nm in noise_models])
     bias = lam[None, :] * (gamma_n[:, None] / FOUR_PI)  # E|beta_N|^2 per (r, k)
-    x = (np.sum(np.abs(beta) ** 2, axis=0) - np.sum(bias, axis=0)) / d
+    noise_bias = np.sum(bias, axis=0)
+    x = (np.sum(np.abs(beta) ** 2, axis=0) - noise_bias) / d
     value = _exact_sum(x)
     target = gamma_theoretical(grid.window, signal_model, grid.j, first.s)
     variance = subsampling_variance(x, grid)
@@ -352,7 +421,7 @@ def estimate_ap(channel_coeffs, noise_models, signal_model: PowerSpectrumModel
         j=grid.j, s=first.s, kind="ap", value=value,
         theoretical_target=target, variance_estimate=variance,
         meta=meta, pixel_values=x, channel_values=[c.values for c in coeffs],
-        noise_bias=np.sum(bias, axis=0))
+        noise_bias=noise_bias)
 
 
 def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateReport:

@@ -45,6 +45,10 @@ class CubatureGrid:
     phi: np.ndarray = field(init=False, repr=False, compare=False)
     ring_weights: np.ndarray = field(init=False, repr=False, compare=False)
     window: NeedletWindow = field(init=False, repr=False, compare=False)
+    # (packed selection, block count) -> its estimator state, filled by
+    # estimators._selection (see _GRIDS below)
+    _selections: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         if self.j < 0:
@@ -124,7 +128,11 @@ def grid_size(j: int, B: float) -> int:
 
 
 # (j, B) -> the one grid of that level this process builds; grids are small
-# (rings and longitudes only), and the harmonic tables are cached elsewhere
+# (rings and longitudes only), and the harmonic tables are cached elsewhere.
+# A grid owns its selection memo (_selections, keyed by the packed bits of a
+# pixel selection and the block count asked for): the estimators' block
+# partition of each selection, stored as runs of labels, with its block
+# weights and sum lambda
 _GRIDS: dict = {}
 
 

@@ -115,6 +115,10 @@ class NeedletWindow:
     # depend only on (B, j, s), so a window owns them for its lifetime.
     _levels: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+    # (j, s, spectrum model) -> band power Gamma_{j;s}; filled by
+    # estimators.gamma_theoretical
+    _band_powers: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     def _phi(self, t):
         t = np.asarray(t, dtype=np.float64)

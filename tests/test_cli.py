@@ -677,6 +677,20 @@ def test_estimate_nan_epsilon_refused(tmp_path, capsys):
         assert "epsilon=nan must be >= 0" in err and not report.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.5"])
+def test_estimate_refuses_nonfinite_or_negative_epsilon(tmp_path, capsys,
+                                                       value):
+    # refused before any file is read: the coefficients file does not exist
+    report = tmp_path / "r.json"
+    assert run(["estimate", "--kind", "unfeasible", "--epsilon", value,
+                "--coeffs", str(tmp_path / "c" / "level04.snbc"),
+                "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"spinlets: error: epsilon: --epsilon={float(value)} "
+                   f"must be >= 0 and finite\n")
+    assert not report.exists()
+
+
 def test_failure_budget_abort_is_one_line(tmp_path, capsys):
     # at j = 1 the margin 3 B^-1 empties both hemisphere interiors, so
     # every replicate fails

@@ -22,7 +22,7 @@ from spinlets.errors import (EmptyRegionError, InvalidChannelCountError,
 from spinlets.estimators import (KINDS, PAPER_KIND, EstimateReport,
                                  _exact_sum, block_labels, estimate_hausman)
 from spinlets.fields import PowerSpectrumModel
-from spinlets.grid import empty_mask, polar_cap_mask
+from spinlets.grid import CubatureGrid, empty_mask, polar_cap_mask
 from spinlets.transform import synthesize_on_grid
 from spinlets.window import band_profile, window_support
 
@@ -75,11 +75,23 @@ def test_gamma_scaling_across_levels(win):
 
 def test_gamma_empty_support_warns(win):
     model = power_law(3.0, l_min=2)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        val = gamma_theoretical(win, model, 0, 25)
-    assert val == 0.0
-    assert any("empty window support" in str(w.message) for w in rec)
+    for _ in range(3):  # on every call, not only before the band power is kept
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            val = gamma_theoretical(win, model, 0, 25)
+        assert val == 0.0
+        assert any("empty window support" in str(w.message) for w in rec)
+
+
+def test_gamma_is_kept_per_level_spin_and_model():
+    window, model = build_window(B), power_law(3.0, l_min=2)
+    first = gamma_theoretical(window, model, 5, S)
+    assert gamma_theoretical(window, model, 5, S) == first
+    assert gamma_theoretical(build_window(B), model, 5, S) == first
+    other = power_law(3.0, l_min=2, amplitude=2.0)
+    assert gamma_theoretical(window, other, 5, S) == pytest.approx(2 * first,
+                                                                   rel=1e-15)
+    assert len(window._band_powers) == 2
 
 
 def test_gamma_of_silent_noise_model_is_zero(win):
@@ -304,6 +316,84 @@ def test_block_labels_empty_selection(grid4):
     assert np.all(block_labels(grid4, none) == -1)
     with pytest.raises(TooFewBlocksError):
         subsampling_variance(np.ones(grid4.n_pixels), grid4, observed=none)
+
+
+def _level4_selections(grid):
+    eps = 3.0 * B ** (-4)
+    return [np.ones(grid.n_pixels, dtype=bool),
+            polar_cap_mask(grid, 0.10, eps).observed,
+            hemispheres(grid, epsilon=eps).interior(1)]
+
+
+def test_block_labels_hit_equals_the_loop_and_a_fresh_grid():
+    grid = CubatureGrid(j=4, B=B)
+    for n, observed in enumerate(_level4_selections(grid), start=1):
+        block_labels(grid, observed)
+        assert len(grid._selections) == n
+        hit = block_labels(grid, observed)
+        assert len(grid._selections) == n
+        assert np.array_equal(hit, block_labels_loop(grid, observed))
+        assert np.array_equal(hit, block_labels(CubatureGrid(j=4, B=B),
+                                                observed))
+    # the memo keeps runs of labels, not an array over the pixels
+    for entry in grid._selections.values():
+        sizes = [a.size for a in entry if isinstance(a, np.ndarray)]
+        assert max(sizes) < grid.n_pixels // 4
+
+
+def test_block_labels_returns_a_fresh_array():
+    grid = CubatureGrid(j=4, B=B)
+    observed = np.ones(grid.n_pixels, dtype=bool)
+    labels = block_labels(grid, observed)
+    want = labels.copy()
+    labels[:] = 7
+    assert np.array_equal(block_labels(grid, observed), want)
+
+
+def test_selections_of_equal_size_get_distinct_entries():
+    grid = CubatureGrid(j=4, B=B)
+    first, second = np.zeros((2, grid.n_pixels), dtype=bool)
+    first[:1000], second[1000:2000] = True, True
+    weights = np.ones(grid.n_pixels)
+    for observed in (first, second):
+        assert np.array_equal(block_labels(grid, observed),
+                              block_labels_loop(grid, observed))
+        assert estimators._weighted_estimate(weights, grid, observed) == \
+            4.0 * math.pi * 1000 / fsum_reference(grid.weights[observed])
+    assert len(grid._selections) == 2
+
+
+def _subsampling_reference(values, grid, observed):
+    """The block-subsampling variance from the loop labels, step by step."""
+    labels = block_labels_loop(grid, observed)
+    used = labels >= 0
+    n_b = labels[used].max() + 1
+    w_b = np.bincount(labels[used], weights=grid.weights[used], minlength=n_b)
+    v_b = np.bincount(labels[used], weights=values[used], minlength=n_b)
+    W = w_b.sum()
+    s_b = 4.0 * math.pi * v_b / w_b
+    s_full = 4.0 * math.pi * v_b.sum() / W
+    shares = w_b / W
+    denom = 1.0 - float(np.sum(shares ** 2))
+    var = float(np.sum(shares ** 2 * (s_b - s_full) ** 2) / denom)
+    nu = n_b - 1
+    return var * (nu / (nu - 2.0)) if nu > 2 else var
+
+
+def test_variance_and_estimate_on_a_hit_equal_a_fresh_grid():
+    grid = CubatureGrid(j=4, B=B)
+    rng = np.random.default_rng(11)
+    for observed in _level4_selections(grid):
+        for _ in range(3):  # the first fills the memo, the others hit it
+            x = rng.standard_normal(grid.n_pixels) ** 2
+            fresh = CubatureGrid(j=4, B=B)
+            variance = subsampling_variance(x, grid, observed)
+            assert variance == subsampling_variance(x, fresh, observed)
+            assert variance == _subsampling_reference(x, grid, observed)
+            value = estimators._weighted_estimate(x, grid, observed)
+            assert value == estimators._weighted_estimate(x, fresh, observed)
+            assert value == 4.0 * math.pi * fsum_reference(x[observed]) \
+                / fsum_reference(grid.weights[observed])
 
 
 def test_asymmetry_regions_and_errors(win, grid4):
