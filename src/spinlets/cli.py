@@ -38,10 +38,15 @@ from .window import build_window
 # plan key -> declared type of its ExperimentPlan field, in field order
 _PLAN_TYPES = typing.get_type_hints(mc.ExperimentPlan)
 DEMO_CONFIG = Path(__file__).parent / "configs" / "demo_estimate.cfg"
-# `estimate`'s spectrum and dilation flags default to None, so that --demo
-# can refuse a given one; without --demo a missing one reads as below
+# `estimate`'s spectrum and dilation flags, and `simulate`'s --gamma and
+# --noise-level, default to None, so that a flag without an effect can be
+# refused when given; a missing one reads as below
 ESTIMATE_DEFAULTS = {"alpha": 3.0, "gamma": 2.5, "noise_level": 1.0,
                      "epsilon": 0.0}
+# the estimate flags that only some inputs read: the flag is refused
+# unless a requested kind reads one of them
+FLAG_READERS = {"gamma": {"noise"}, "noise_level": {"noise"},
+                "epsilon": {"mask", "regions"}, "mask": {"mask"}}
 # what a config line that configparser refuses does wrong
 _SYNTAX = {configparser.MissingSectionHeaderError: "key before the [plan] header",
            configparser.DuplicateOptionError: "key given twice",
@@ -171,6 +176,13 @@ def cmd_simulate(args) -> int:
     _check_spectrum(args)
     if args.channels < 0 or args.channels == 1:
         raise InvalidConfigError("channels: must be 0 or >= 2")
+    for flag in ("gamma", "noise_level"):  # read by noise channels only
+        name = flag.replace("_", "-")
+        if getattr(args, flag) is None:
+            setattr(args, flag, ESTIMATE_DEFAULTS[flag])
+        elif not args.channels:
+            raise InvalidConfigError(f"{name}: --{name} sets the noise "
+                                     f"channels; pass --channels or drop it")
     out = Path(args.out)
     noise_paths = [out.with_name(f"{out.stem}.noise{r}{out.suffix}")
                    for r in range(args.channels)]
@@ -247,20 +259,31 @@ def cmd_estimate(args) -> int:
         reports = [rep for _, _, rep in mc.replicate_reports(plan, 0)]
         _write_reports(reports, args.out, args.csv)
         return 0
-    for flag, default in ESTIMATE_DEFAULTS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
     text = "masked" if args.kind is None else args.kind
     kinds = [kind.strip() for kind in text.split(",") if kind.strip()]
     if not kinds:
         raise InvalidConfigError(f"kind: {text!r} names no estimator kind")
+    for kind in kinds:
+        if kind not in estimators.KINDS:
+            raise InvalidConfigError(f"kind: unknown estimator {kind!r}")
+    needs = estimators.inputs_read(kinds)
+    for flag, readers in FLAG_READERS.items():
+        if getattr(args, flag) is not None and not readers & needs:
+            name = flag.replace("_", "-")
+            raise InvalidConfigError(f"{name}: no kind in {text!r} reads "
+                                     f"--{name}; drop it")
+    for flag, default in ESTIMATE_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     if not args.coeffs:
         raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
     coeff_list = [read_coefficients(path) for path in args.coeffs]
+    for kind in kinds:
+        estimators.check_masked_flags(kind, coeff_list,
+                                      [f"coeffs {path}" for path in args.coeffs])
     first = coeff_list[0]
     inputs = {"masked": first, "gapfree": first, "channels": coeff_list,
               "signal": power_law(args.alpha, l_min=max(1, abs(first.s)))}
-    needs = estimators.inputs_read(kinds)
     if "mask" in needs:
         if args.mask is None and first.masked:
             raise InvalidConfigError(f"coeffs {args.coeffs[0]} were computed "
@@ -400,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", type=int, default=2)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--alpha", type=float, default=3.0)
-    p.add_argument("--gamma", type=float, default=2.5)
-    p.add_argument("--noise-level", type=float, default=1.0)
+    for flag in ("gamma", "noise_level"):
+        p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
+                       help=f"default {ESTIMATE_DEFAULTS[flag]}; needs --channels")
     p.add_argument("--channels", type=int, default=0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -102,10 +102,8 @@ class EstimateReport:
     variance_estimate: float
     meta: dict = field(default_factory=dict)
     # AP's and CP's per-pixel contributions, whose difference Hausman
-    # subsamples, and AP's inputs to the Hausman identity; not serialized
+    # subsamples; not serialized
     pixel_values: np.ndarray | None = field(default=None, repr=False)
-    channel_values: list | None = field(default=None, repr=False)
-    noise_bias: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def standardized(self) -> float:
@@ -388,40 +386,43 @@ def _channel_beta(channel_coeffs) -> tuple:
     coeffs = list(channel_coeffs)
     if not coeffs:
         raise InvalidChannelCountError("no channels provided")
-    first = coeffs[0]
-    for c in coeffs[1:]:
-        if c.s != first.s or c.grid != first.grid:
-            raise ValueError("channel coefficients must share (s, grid)")
+    if any(c.s != coeffs[0].s or c.grid != coeffs[0].grid for c in coeffs):
+        raise ValueError("channel coefficients must share (s, grid)")
     return coeffs, np.stack([c.values for c in coeffs])
+
+
+def _noise_bias(coeffs: list, noise_models) -> np.ndarray:
+    """Per-pixel noise bias sum_r E|beta_{jk;sN_r}|^2 = lambda_k sum_r
+    GammaN_{j;s,r} / 4pi of the channels `coeffs`, one noise model each."""
+    noise_models = list(noise_models)
+    if len(noise_models) != len(coeffs):
+        raise MissingNoiseModelError(
+            f"got {len(noise_models)} noise spectra for {len(coeffs)} channels")
+    grid, s = coeffs[0].grid, coeffs[0].s
+    gamma_n = np.array([gamma_theoretical(grid.window, nm, grid.j, s)
+                        for nm in noise_models])
+    return np.sum(grid.weights[None, :] * (gamma_n[:, None] / FOUR_PI), axis=0)
+
+
+def _channel_report(kind: str, coeffs: list, x: np.ndarray, value: float,
+                    signal_model: PowerSpectrumModel) -> EstimateReport:
+    """The AP or CP report of per-pixel contributions x summing to value."""
+    grid, s = coeffs[0].grid, coeffs[0].s
+    target = gamma_theoretical(grid.window, signal_model, grid.j, s)
+    variance = subsampling_variance(x, grid)
+    return EstimateReport(
+        j=grid.j, s=s, kind=kind, value=value, theoretical_target=target,
+        variance_estimate=variance,
+        meta=dict(_grid_meta(grid), channels=len(coeffs)), pixel_values=x)
 
 
 def estimate_ap(channel_coeffs, noise_models, signal_model: PowerSpectrumModel
                 ) -> EstimateReport:
     """Auto-power estimator: channel-averaged |beta|^2 minus the known noise bias."""
     coeffs, beta = _channel_beta(channel_coeffs)
-    d = len(coeffs)
-    noise_models = list(noise_models)
-    if len(noise_models) != d:
-        raise MissingNoiseModelError(
-            f"got {len(noise_models)} noise spectra for {d} channels")
-    first = coeffs[0]
-    grid = first.grid
-    lam = grid.weights
-    gamma_n = np.array([gamma_theoretical(grid.window, nm, grid.j, first.s)
-                        for nm in noise_models])
-    bias = lam[None, :] * (gamma_n[:, None] / FOUR_PI)  # E|beta_N|^2 per (r, k)
-    noise_bias = np.sum(bias, axis=0)
-    x = (np.sum(np.abs(beta) ** 2, axis=0) - noise_bias) / d
-    value = _exact_sum(x)
-    target = gamma_theoretical(grid.window, signal_model, grid.j, first.s)
-    variance = subsampling_variance(x, grid)
-    meta = _grid_meta(grid)
-    meta["channels"] = d
-    return EstimateReport(
-        j=grid.j, s=first.s, kind="ap", value=value,
-        theoretical_target=target, variance_estimate=variance,
-        meta=meta, pixel_values=x, channel_values=[c.values for c in coeffs],
-        noise_bias=noise_bias)
+    noise_bias = _noise_bias(coeffs, noise_models)
+    x = (np.sum(np.abs(beta) ** 2, axis=0) - noise_bias) / len(coeffs)
+    return _channel_report("ap", coeffs, x, _exact_sum(x), signal_model)
 
 
 def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateReport:
@@ -430,7 +431,6 @@ def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateRep
     d = len(coeffs)
     if d < 2:
         raise InvalidChannelCountError("cross-power needs at least 2 channels")
-    first = coeffs[0]
     acc = np.zeros(beta.shape[1], dtype=np.complex128)
     for r1 in range(d):
         for r2 in range(d):
@@ -440,22 +440,13 @@ def estimate_cp(channel_coeffs, signal_model: PowerSpectrumModel) -> EstimateRep
     total = complex(_exact_sum(acc.real), _exact_sum(acc.imag))
     if abs(total.imag) > 1e-10 * max(abs(total.real), 1e-300):
         raise SelfCheckError(f"cross-power came out non-real: {total!r}")
-    x = acc.real
-    value = total.real
-    grid = first.grid
-    target = gamma_theoretical(grid.window, signal_model, grid.j, first.s)
-    variance = subsampling_variance(x, grid)
-    meta = _grid_meta(grid)
-    meta["channels"] = d
-    return EstimateReport(
-        j=grid.j, s=first.s, kind="cp", value=value,
-        theoretical_target=target, variance_estimate=variance,
-        meta=meta, pixel_values=x)
+    return _channel_report("cp", coeffs, acc.real, total.real, signal_model)
 
 
-def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
-                      variance: float) -> EstimateReport:
-    """Standardized CP - AP difference, with the algebraic identity verified.
+def hausman_statistic(ap: EstimateReport, cp: EstimateReport, variance: float,
+                      channel_coeffs, noise_models) -> EstimateReport:
+    """Standardized CP - AP difference, with the algebraic identity verified
+    on the channel coefficients and noise models the reports were computed from:
 
     CP - AP = (1/(D(D-1))) sum_k { (D-1) sum_r E|beta_{jk;sN_r}|^2
               - sum_{r1<r2} |beta_{jk;sr1} - beta_{jk;sr2}|^2 }
@@ -466,20 +457,19 @@ def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
         raise ValueError("AP and CP reports are for different (j, s)")
     if ap.kind != "ap" or cp.kind != "cp":
         raise ValueError("hausman_statistic needs one AP and one CP report")
-    for name in ("channel_values", "noise_bias"):
-        if getattr(ap, name) is None:
-            raise ValueError(f"AP report has no {name} for the identity check")
     if not variance > 0.0:
         raise NonpositiveVarianceError(f"variance={variance} must be > 0")
+    coeffs, beta = _channel_beta(channel_coeffs)
+    if (coeffs[0].grid.j, coeffs[0].s) != (ap.j, ap.s):
+        raise ValueError(f"channels are for (j, s) = ({coeffs[0].grid.j}, "
+                         f"{coeffs[0].s}), the reports for ({ap.j}, {ap.s})")
     value = cp.value - ap.value
-
-    beta = np.stack(ap.channel_values)
     d = beta.shape[0]
     pair = np.zeros(beta.shape[1])
     for r1 in range(d):
         for r2 in range(r1 + 1, d):
             pair += np.abs(beta[r1] - beta[r2]) ** 2
-    per_pixel = ((d - 1) * ap.noise_bias - pair) / (d * (d - 1))
+    per_pixel = ((d - 1) * _noise_bias(coeffs, noise_models) - pair) / (d * (d - 1))
     identity = _exact_sum(per_pixel)
     scale = max(abs(ap.value), abs(cp.value), abs(identity), 1e-300)
     residual = abs(value - identity) / scale
@@ -496,13 +486,24 @@ def hausman_statistic(ap: EstimateReport, cp: EstimateReport,
 def estimate_hausman(channel_coeffs, noise_models,
                      signal_model: PowerSpectrumModel) -> EstimateReport:
     """AP, CP, subsampled variance of their difference, then the test statistic."""
+    channel_coeffs, noise_models = list(channel_coeffs), list(noise_models)
     ap = estimate_ap(channel_coeffs, noise_models, signal_model)
     cp = estimate_cp(channel_coeffs, signal_model)
-    diff = cp.pixel_values - ap.pixel_values
-    variance = subsampling_variance(diff, channel_coeffs[0].grid)
-    if variance <= 0.0:
-        raise NonpositiveVarianceError("subsampling variance of CP-AP is zero")
-    return hausman_statistic(ap, cp, variance)
+    variance = subsampling_variance(cp.pixel_values - ap.pixel_values,
+                                    channel_coeffs[0].grid)
+    return hausman_statistic(ap, cp, variance, channel_coeffs, noise_models)
+
+
+def check_masked_flags(kind: str, coeffs: list, names=None) -> None:
+    """Refuse what `kind` reads of `coeffs` (all for "channels", else the first)
+    unless masked for "masked", unmasked for "gapfree" and "channels"; the
+    error names coefficients i by names[i], if given."""
+    name = KINDS[kind].args[0]
+    for i, c in enumerate(coeffs if name == "channels" else coeffs[:1]):
+        if c.masked != (name == "masked"):
+            raise MaskedFlagMismatchError(
+                f"{names[i] if names else f'{name} input {i}'} has masked="
+                f"{c.masked}; kind {kind!r} needs masked={name == 'masked'}")
 
 
 def estimate(kind: str, inputs: dict) -> EstimateReport:
@@ -512,12 +513,10 @@ def estimate(kind: str, inputs: dict) -> EstimateReport:
     if spec is None:
         raise InvalidConfigError(f"kind: unknown estimator {kind!r}")
     try:
+        first = inputs[spec.args[0]]
+        check_masked_flags(kind, first if spec.args[0] == "channels" else [first])
         # by name on each call, so wrappers installed on this module see it
         rep = globals()[spec.function](*(inputs[name] for name in spec.args))
-        if rep.kind != kind:
-            raise MaskedFlagMismatchError(
-                f"coefficients with masked={rep.kind == 'masked'} give "
-                f"{rep.kind!r}, not {kind!r}")
     except SpinletsError as exc:
         raise type(exc)(f"[kind={kind}] {exc}") from exc
     return rep

@@ -298,18 +298,22 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
     """Execute the plan; returns (DiagnosticsReport, raw rows).
 
     Rows are (replicate, j, kind, value, target, variance, standardized) in
-    deterministic order.  Aborts when more than 1% of replicates fail.
+    deterministic order.  Aborts when more than 1% of replicates fail.  The
+    pool has min(threads, replicates) workers, all forked at the first submit.
     """
+    if threads < 1:
+        raise InvalidConfigError(f"threads: {threads} must be >= 1")
     ctx = _PlanContext(plan)  # validates; built once per run
+    workers = min(threads, plan.replicates)
     # fork: workers start without re-importing, so they see the caller's
     # monkeypatches (test_failure_budget_same_for_serial_and_pool needs it)
-    pool = None if threads <= 1 else ProcessPoolExecutor(
-        threads, mp_context=multiprocessing.get_context("fork"))
+    pool = None if workers == 1 else ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
     results, failures = {}, []
     try:
         outcomes = map(ctx.rows, range(plan.replicates)) if pool is None \
             else pool.map(ctx.rows, range(plan.replicates),
-                          chunksize=max(1, plan.replicates // (4 * threads)))
+                          chunksize=max(1, plan.replicates // (4 * workers)))
         for r, rows, err in outcomes:
             if err is None:
                 results[r] = rows

@@ -140,19 +140,13 @@ def iter_d_slices(L: int, n: int, theta, out=None):
         ls = np.log(np.sin(0.5 * theta))
         # seed row of the sweep: l = |n|, all |m| <= |n|
         cur = rows(l0)
-        if l0 > 0:
-            mcol = np.arange(-l0, l0 + 1)
-            if n >= 0:
-                half = 0.5 * np.array([_log_binom(2 * l0, l0 + m) for m in mcol])
-                logmag = (half[:, None]
-                          + np.outer(l0 + mcol, lc) + np.outer(l0 - mcol, ls))
-                sign = np.ones(mcol.size)
-            else:
-                half = 0.5 * np.array([_log_binom(2 * l0, l0 - m) for m in mcol])
-                logmag = (half[:, None]
-                          + np.outer(l0 - mcol, lc) + np.outer(l0 + mcol, ls))
-                sign = np.where((mcol + l0) % 2 == 0, 1.0, -1.0)
-            np.multiply(sign[:, None], np.exp(logmag), out=cur)
+        if l0 > 0:  # for n < 0, the n >= 0 row at -m times (-1)^(m+|n|)
+            mcol = np.arange(-l0, l0 + 1) * (1 if n >= 0 else -1)
+            half = 0.5 * np.array([_log_binom(2 * l0, l0 + m) for m in mcol])
+            np.exp(half[:, None] + np.outer(l0 + mcol, lc)
+                   + np.outer(l0 - mcol, ls), out=cur)
+            if n < 0:  # row i holds m = i - |n|, so the sign is (-1)^i
+                cur[1::2] *= -1.0
         else:
             cur[...] = 1.0
     prev = None

@@ -34,21 +34,32 @@ def wigner_d_factorial(l, m, n, beta):
     return pref * math.fsum(terms)
 
 
-def wigner_d_factorial_mp(l, m, n, beta, dps=50):
-    """Same sum in mpmath arbitrary precision (truth for conditioning checks)."""
+def wigner_d_factorial_mp(l, beta, dps=50):
+    """Same sum in mpmath arbitrary precision (truth for conditioning checks),
+    for every m, n at once: out[m + l, n + l] = d^l_{m,n}(beta).
+
+    The factorials and the half-angle power products c^(2l-b) s^b are
+    computed once per (l, beta) and shared by every (m, n).
+    """
     import mpmath as mp
+    out = np.empty((2 * l + 1, 2 * l + 1))
     with mp.workdps(dps):
         c = mp.cos(mp.mpf(beta) / 2)
         s = mp.sin(mp.mpf(beta) / 2)
-        pref = mp.sqrt(mp.factorial(l + m) * mp.factorial(l - m)
-                       * mp.factorial(l + n) * mp.factorial(l - n))
-        total = mp.mpf(0)
-        for k in range(max(0, n - m), min(l + n, l - m) + 1):
-            denom = (mp.factorial(l + n - k) * mp.factorial(k)
-                     * mp.factorial(m - n + k) * mp.factorial(l - m - k))
-            total += (-1) ** (m - n + k) * c ** (2 * l + n - m - 2 * k) \
-                * s ** (m - n + 2 * k) / denom
-        return float(pref * total)
+        fact = [mp.factorial(k) for k in range(2 * l + 1)]
+        # the exponents of c and s in each term sum to 2l
+        power = [c ** (2 * l - b) * s ** b for b in range(2 * l + 1)]
+        for m in range(-l, l + 1):
+            for n in range(-l, l + 1):
+                pref = mp.sqrt(fact[l + m] * fact[l - m]
+                               * fact[l + n] * fact[l - n])
+                total = mp.mpf(0)
+                for k in range(max(0, n - m), min(l + n, l - m) + 1):
+                    denom = (fact[l + n - k] * fact[k]
+                             * fact[m - n + k] * fact[l - m - k])
+                    total += (-1) ** (m - n + k) * power[m - n + 2 * k] / denom
+                out[m + l, n + l] = float(pref * total)
+    return out
 
 
 def scalar_sph_harm(l, m, theta, phi):

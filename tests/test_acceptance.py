@@ -72,10 +72,11 @@ def test_criterion_02_wigner_oracle():
                 for ll, dcol in iter_d_slices(l, n, np.array([beta])):
                     if ll == l:
                         got[n] = dcol[:, 0]
+            refs = wigner_d_factorial_mp(l, beta, dps=40)
             for n in range(-l, l + 1):
                 for m in range(-l, l + 1):
                     a = got[n][m + l]
-                    ref = wigner_d_factorial_mp(l, m, n, beta, dps=40)
+                    ref = refs[m + l, n + l]
                     mag = max(abs(a), abs(ref))
                     if mag > 1e-12:
                         worst = max(worst, abs(a - ref) / mag)

@@ -532,6 +532,32 @@ def test_estimate_demo_refuses_flags_it_would_ignore(tmp_path, capsys, flags,
         f"{flag}: --demo reports the bundled plan; drop --{flag}")
 
 
+@pytest.mark.parametrize("flags, flag", [(["--gamma", "7"], "gamma"),
+                                         (["--noise-level", "2"], "noise-level")])
+def test_simulate_refuses_noise_flags_without_channels(tmp_path, capsys, flags,
+                                                       flag):
+    _refused_before_any_write(tmp_path, capsys, [
+        "simulate", "--lmax", "20", "--seed", "3",
+        "--out", str(tmp_path / "sig.salm")] + flags,
+        f"{flag}: --{flag} sets the noise channels; pass --channels or drop it")
+
+
+@pytest.mark.parametrize("kinds, flags, flag", [
+    ("masked", ["--gamma", "9"], "gamma"),
+    ("cp,asymmetry", ["--noise-level", "2"], "noise-level"),
+    ("ap,cp,hausman", ["--epsilon", "0.1"], "epsilon"),
+    ("asymmetry", ["--mask", "cap.mask"], "mask"),
+    ("hausman", ["--mask", "cap.mask"], "mask"),
+])
+def test_estimate_refuses_flags_no_requested_kind_reads(tmp_path, capsys, kinds,
+                                                        flags, flag):
+    # refused before any file is read: the coefficients file does not exist
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--kind", kinds, "--coeffs", str(tmp_path / "c.snbc"),
+        "--out", str(tmp_path / "r.json")] + flags,
+        f"{flag}: no kind in {kinds!r} reads --{flag}; drop it")
+
+
 def test_estimate_reads_missing_spectrum_flags_as_their_defaults(tmp_path):
     # without --demo, no flag and the documented default give the same report
     alm_path = tmp_path / "sig.salm"
@@ -576,6 +602,16 @@ def _mc_refused(tmp_path, capsys, plan_text):
     assert err.count("\n") == 1 and err.startswith("spinlets: error: ")
     assert not out.exists()  # no empty output directory left behind
     return err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_mc_refuses_threads_below_one_before_any_write(tmp_path, capsys,
+                                                       threads):
+    plan_path = tmp_path / "plan.cfg"
+    plan_path.write_text("[plan]\nj_list = 3\nkinds = unfeasible\n")
+    _refused_before_any_write(tmp_path, capsys, [
+        "mc", "--config", str(plan_path), "--threads", threads,
+        "--out-dir", str(tmp_path / "mc")], f"threads: {threads} must be >= 1")
 
 
 def test_mc_refused_at_set_up_creates_no_directory(tmp_path, capsys):
@@ -797,6 +833,19 @@ def test_masked_coefficients_need_their_mask(tmp_path, capsys):
     assert f"coeffs {coeffs} were computed with a mask" in err
     assert "Traceback" not in err and not report.exists()
     assert run(argv + ["--mask", str(mask_path)]) == 0
+
+
+@pytest.mark.parametrize("kinds, copies", [("asymmetry", 1), ("unfeasible", 1),
+                                           ("ap,cp,hausman", 2)])
+def test_estimate_refuses_masked_coefficients_a_kind_reads_unmasked(
+        tmp_path, capsys, kinds, copies):
+    # gap-free and channel kinds read unmasked coefficients only
+    coeffs, _ = _masked_level4(tmp_path)
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--kind", kinds, "--coeffs"] + [str(coeffs)] * copies
+        + ["--out", str(tmp_path / "r.json")],
+        f"coeffs {coeffs} has masked=True; kind {kinds.split(',')[0]!r} "
+        f"needs masked=False")
 
 
 def test_estimate_refuses_a_mask_of_another_grid(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,9 +100,10 @@ def test_gamma_of_silent_noise_model_is_zero(win):
     assert gamma_theoretical(win, silent, 5, S) == 0.0
 
 
-def test_masked_flag_contracts(win, grid4):
+def test_masked_flag_contracts(win, grid4, monkeypatch):
     # estimate_masked reports the kind its coefficients give; the dispatch
-    # refuses a requested kind that the coefficients do not give
+    # refuses, before the call, coefficients whose masked flag the kind
+    # does not read: masked for "masked", unmasked for gapfree and channels
     model = power_law(3.0, l_min=2)
     mask = empty_mask(grid4)
     plain = _coeffs(win, grid4, 4, 1)
@@ -116,6 +118,19 @@ def test_masked_flag_contracts(win, grid4):
                   "signal": model}
         with pytest.raises(MaskedFlagMismatchError, match=f"kind={kind}"):
             estimate(kind, inputs)
+    calls = []
+    monkeypatch.setattr(estimators, "estimate_asymmetry",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(estimators, "estimate_cp",
+                        lambda *args: calls.append(args))
+    with pytest.raises(MaskedFlagMismatchError,
+                       match="gapfree input 0 has masked=True"):
+        estimate("asymmetry", {"gapfree": star, "regions": None,
+                               "signal": model})
+    with pytest.raises(MaskedFlagMismatchError,
+                       match="channels input 1 has masked=True"):
+        estimate("cp", {"channels": [plain, star], "signal": model})
+    assert calls == []
     inputs = {"masked": star, "gapfree": plain, "mask": mask,
               "signal": model}
     for kind in ("masked", "unfeasible"):
@@ -524,22 +539,37 @@ def test_hausman_requires_positive_variance(win, grid4):
     model, noise, coeffs = _channel_setup(win, grid4, 4, 15)
     ap = estimate_ap(coeffs, noise, model)
     cp = estimate_cp(coeffs, model)
-    with pytest.raises(NonpositiveVarianceError):
-        hausman_statistic(ap, cp, 0.0)
+    for variance in (0.0, -1.0, float("nan")):
+        with pytest.raises(NonpositiveVarianceError):
+            hausman_statistic(ap, cp, variance, coeffs, noise)
 
 
 def test_hausman_identity_violation_raises(win, grid4):
+    # the identity is checked on the channels and noise models it is handed
     model, noise, coeffs = _channel_setup(win, grid4, 4, 17)
     ap = estimate_ap(coeffs, noise, model)
     cp = estimate_cp(coeffs, model)
-    assert hausman_statistic(ap, cp, 1.0).meta["identity_residual"] < 1e-10
-    ap.noise_bias = ap.noise_bias * (1.0 + 1e-6)
+    assert not hasattr(ap, "channel_values") and not hasattr(ap, "noise_bias")
+    rep = hausman_statistic(ap, cp, 1.0, coeffs, noise)
+    assert rep.meta["identity_residual"] < 1e-10
+    off = [m.scaled(1.0 + 1e-6) for m in noise]
     with pytest.raises(SelfCheckError, match="hausman identity violated"):
-        hausman_statistic(ap, cp, 1.0)
-    # a report without the identity's inputs is refused, not passed unchecked
-    ap.channel_values = None
-    with pytest.raises(ValueError, match="AP report has no channel_values"):
-        hausman_statistic(ap, cp, 1.0)
+        hausman_statistic(ap, cp, 1.0, coeffs, off)
+    with pytest.raises(MissingNoiseModelError):
+        hausman_statistic(ap, cp, 1.0, coeffs, noise[:2])
+
+
+def test_hausman_refuses_channels_of_another_level_or_spin(win, grid4):
+    model, noise, coeffs = _channel_setup(win, grid4, 4, 19)
+    ap = estimate_ap(coeffs, noise, model)
+    cp = estimate_cp(coeffs, model)
+    grid3 = build_cubature(3, B)
+    _, _, level3 = _channel_setup(win, grid3, 3, 19)
+    with pytest.raises(ValueError, match=r"\(j, s\) = \(3, 2\).* \(4, 2\)"):
+        hausman_statistic(ap, cp, 1.0, level3, noise)
+    spin3 = [replace(c, s=3) for c in coeffs]
+    with pytest.raises(ValueError, match=r"\(j, s\) = \(4, 3\).* \(4, 2\)"):
+        hausman_statistic(ap, cp, 1.0, spin3, noise)
 
 
 @pytest.mark.parametrize("value, target, variance, want", [
@@ -672,13 +702,19 @@ def test_level5_values_are_the_fsum_reference_bit_for_bit(level5_reports):
 
 
 def test_level5_hausman_identity_is_the_fsum_reference(level5_reports):
-    reports, _ = level5_reports
+    # recomputed from the level's channel coefficients and noise models
+    reports, inputs = level5_reports
     ap, cp = reports["ap"], reports["cp"]
-    beta = np.stack(ap.channel_values)
+    grid = inputs["channels"][0].grid
+    beta = np.stack([c.values for c in inputs["channels"]])
     d = beta.shape[0]
     pair = sum(np.abs(beta[r1] - beta[r2]) ** 2
                for r1 in range(d) for r2 in range(r1 + 1, d))
-    identity = fsum_reference(((d - 1) * ap.noise_bias - pair) / (d * (d - 1)))
+    gamma_n = np.array([gamma_theoretical(grid.window, m, grid.j, S)
+                        for m in inputs["noise"]])
+    noise_bias = np.sum(grid.weights[None, :] * (gamma_n[:, None]
+                                                 / (4.0 * math.pi)), axis=0)
+    identity = fsum_reference(((d - 1) * noise_bias - pair) / (d * (d - 1)))
     value = cp.value - ap.value
     scale = max(abs(ap.value), abs(cp.value), abs(identity), 1e-300)
     assert reports["hausman"].value == value

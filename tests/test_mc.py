@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,35 @@ def test_reproducible_and_thread_count_invariant():
     assert rows_to_csv(rows1) == rows_to_csv(rows2)
     _, rows3 = run_experiment(SMALL, threads=1)
     assert rows_to_csv(rows1) == rows_to_csv(rows3)
+
+
+def test_pool_is_sized_by_its_work(monkeypatch):
+    # 3 replicates on 8 threads get 3 workers, not 8: the fork start method
+    # forks every worker at the first submit.  The stub records the size and
+    # runs the replicates here, so no process is started.
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def map(self, fn, iterable, chunksize=1):
+            sizes.append(chunksize)
+            return map(fn, iterable)
+
+        def shutdown(self):
+            pass
+
+    plan = replace(SMALL, replicates=3)
+    _, serial = run_experiment(plan, threads=1)
+    assert sizes == []
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingExecutor)
+    _, rows = run_experiment(plan, threads=8)
+    assert sizes == [3, 1]  # max_workers, then the chunksize from 3 workers
+    assert rows_to_csv(rows) == rows_to_csv(serial)
+    sizes.clear()
+    run_experiment(replace(SMALL, replicates=1), threads=2)
+    assert sizes == []  # one replicate runs serially
 
 
 @pytest.mark.parametrize("threads", [1, 2])
