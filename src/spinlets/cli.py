@@ -27,8 +27,8 @@ import numpy as np
 
 from . import estimators, mc
 from .errors import InvalidConfigError, ResourceLimitError, SpinletsError
-from .fields import (draw_alm, observe_channels, power_law, read_alm,
-                     seed_key, write_alm)
+from .fields import (draw_alm, observe_channels, read_alm, seed_key,
+                     spin_power_law, write_alm)
 from .grid import build_cubature, empty_mask, grid_size, hemispheres, read_mask
 from .transform import (level_support, masked_analyze, needlet_analyze,
                         needlet_synthesize, read_coefficients,
@@ -138,9 +138,7 @@ def plan_from_config(path) -> mc.ExperimentPlan:
     for key in sorted(section, key=lambda k: k != "B"):  # levels are checked at B
         values[key] = _parse_value(path, key, section[key],
                                    values.get("B", mc.ExperimentPlan.B))
-    plan = mc.ExperimentPlan(**values)
-    plan.validate()
-    return plan
+    return mc.ExperimentPlan(**values)
 
 
 def _parse_value(path, key: str, text: str, B: float):
@@ -187,17 +185,14 @@ def cmd_simulate(args) -> int:
     noise_paths = [out.with_name(f"{out.stem}.noise{r}{out.suffix}")
                    for r in range(args.channels)]
     _check_outputs(args.force, out, *noise_paths)
-    signal_model = power_law(args.alpha, l_min=max(1, abs(args.spin)))
-    half = signal_model.scaled(0.5)
+    half = spin_power_law(args.alpha, args.spin).scaled(0.5)
     signal = draw_alm(half, half, args.spin, args.lmax, (args.seed, 0))
     write_alm(out, signal)
     _err(f"wrote signal {out} (spin={args.spin}, L={args.lmax}, "
          f"seed key={seed_key((args.seed, 0))})")
     if args.channels:
-        noise_models = [power_law(args.gamma, l_min=max(1, abs(args.spin)),
-                                  kind="noise", amplitude=args.noise_level)
-                        for _ in range(args.channels)]
-        chans = observe_channels(signal, noise_models, (args.seed, 1))
+        noise = spin_power_law(args.gamma, args.spin, "noise", args.noise_level)
+        chans = observe_channels(signal, [noise] * args.channels, (args.seed, 1))
         for r, noise_path in enumerate(noise_paths):
             write_alm(noise_path, chans.noise[r])
             _err(f"wrote noise channel {r}: {noise_path} "
@@ -277,13 +272,16 @@ def cmd_estimate(args) -> int:
             setattr(args, flag, default)
     if not args.coeffs:
         raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
+    if len(args.coeffs) > 1 and "channels" not in needs:
+        raise InvalidConfigError(f"coeffs: no kind in {text!r} reads more than "
+                                 f"one file; drop {args.coeffs[1]}")
     coeff_list = [read_coefficients(path) for path in args.coeffs]
     for kind in kinds:
         estimators.check_masked_flags(kind, coeff_list,
                                       [f"coeffs {path}" for path in args.coeffs])
     first = coeff_list[0]
     inputs = {"masked": first, "gapfree": first, "channels": coeff_list,
-              "signal": power_law(args.alpha, l_min=max(1, abs(first.s)))}
+              "signal": spin_power_law(args.alpha, first.s)}
     if "mask" in needs:
         if args.mask is None and first.masked:
             raise InvalidConfigError(f"coeffs {args.coeffs[0]} were computed "
@@ -299,9 +297,8 @@ def cmd_estimate(args) -> int:
     if "regions" in needs:
         inputs["regions"] = hemispheres(first.grid, epsilon=args.epsilon)
     if "noise" in needs:
-        inputs["noise"] = [power_law(args.gamma, l_min=max(1, abs(first.s)),
-                                     kind="noise", amplitude=args.noise_level)
-                           for _ in coeff_list]
+        inputs["noise"] = [spin_power_law(args.gamma, first.s, "noise",
+                                          args.noise_level)] * len(coeff_list)
     reports = [estimators.estimate(kind, inputs) for kind in kinds]
     _write_reports(reports, args.out, args.csv)
     return 0
@@ -329,7 +326,6 @@ def cmd_mc(args) -> int:
     plan = plan_from_config(args.config)
     overrides = {"replicates": args.replicates, "base_seed": args.seed}
     plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
-    plan.validate()
     out_dir = Path(args.out_dir)
     raw_path, diag_path, cfg_path = (out_dir / name for name in
                                      ("raw.csv", "diagnostics.json", "plan.cfg"))
@@ -391,7 +387,7 @@ def cmd_selftest(args) -> int:
 
     def _roundtrip():
         s, L, B = 2, 14, 2.0
-        half = power_law(3.0, l_min=max(1, s)).scaled(0.5)
+        half = spin_power_law(3.0, s).scaled(0.5)
         alm = draw_alm(half, half, s, L, 42)
         alm.alm_e[s, :] = 0.0
         alm.alm_b[s, :] = 0.0

@@ -68,6 +68,12 @@ def power_law(alpha: float, l_min: int = 1, kind: str = "signal",
                               amplitude=amplitude)
 
 
+def spin_power_law(alpha: float, s: int, kind: str = "signal",
+                   amplitude: float = 1.0) -> PowerSpectrumModel:
+    """The power law of a spin-s field: it starts at l = max(1, |s|)."""
+    return power_law(alpha, l_min=max(1, abs(s)), kind=kind, amplitude=amplitude)
+
+
 def eval_cl(model: PowerSpectrumModel, l) -> float | np.ndarray:
     """Spectrum value(s); raises below the model's first nonzero degree."""
     arr = np.asarray(l)
@@ -271,6 +277,10 @@ def read_alm(path) -> SpinAlm:
         raise InvalidAlmFileError(
             f"{path}: payload has {len(raw) - 16} bytes, L={L} needs {4 * n * 8}")
     data = np.frombuffer(raw[16:], dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise InvalidAlmFileError(f"{path}: payload value {bad[0]} is "
+                                  f"{data[bad[0]]}, not a finite number")
     idx_l, idx_m = _packed_indices(L)
     alm = SpinAlm.zeros(s, L)
     for offset, arr in ((0, alm.alm_e), (2 * n, alm.alm_b)):

@@ -115,9 +115,12 @@ class CubatureGrid:
 
 def grid_size(j: int, B: float) -> int:
     """n = ceil(B^(j+1)) of the level-j grid (n + 1 rings of 2n + 1 pixels);
-    raises ResourceLimitError past the pixel cap."""
+    raises InvalidBandwidthError unless 1 < B < inf, ResourceLimitError past
+    the pixel cap."""
     if not B > 1.0:
         raise InvalidBandwidthError(f"bandwidth B={B} must be > 1")
+    if B == math.inf:
+        raise InvalidBandwidthError(f"bandwidth B={B} must be finite")
     if (j + 1) * math.log(B) > math.log(MAX_PIXELS):  # before B^(j+1) overflows
         raise ResourceLimitError(f"level j={j} needs > {MAX_PIXELS} pixels (cap)")
     n = math.ceil(B ** (j + 1))

@@ -26,14 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators
-from .errors import (BandLimitExceededError, EmptyRegionError,
-                     InvalidConfigError, ReplicateFailuresError,
-                     TooFewLevelsError, TooFewSamplesError)
+from .errors import (BandLimitExceededError, InvalidConfigError,
+                     ReplicateFailuresError, TooFewLevelsError,
+                     TooFewSamplesError)
 from .estimators import KNOWN_KINDS, inputs_read
-from .fields import draw_alm, observe_channels, power_law
+from .fields import draw_alm, observe_channels, spin_power_law
 from .grid import build_cubature, hemispheres, polar_cap_mask
 from .transform import (level_support, masked_analyze, needlet_analyze,
-                        synthesize_on_grid)
+                        support_top, synthesize_on_grid)
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
 
@@ -55,6 +55,9 @@ class ExperimentPlan:
     mask_fraction: float = 0.0
     epsilon_scale: float = 3.0
     noise_bias_factor: float = 1.0
+
+    def __post_init__(self):  # so dataclasses.replace re-checks too
+        self.validate()
 
     def validate(self) -> None:
         for name, value in vars(self).items():
@@ -84,26 +87,18 @@ class ExperimentPlan:
         if self.epsilon_scale < 0.0:
             raise InvalidConfigError("epsilon_scale: must be >= 0")
 
-    def signal_model(self):
-        return power_law(self.alpha, l_min=max(1, abs(self.s)), kind="signal")
-
-    def noise_models(self) -> list:
-        return [power_law(self.gamma, l_min=max(1, abs(self.s)), kind="noise",
-                          amplitude=self.noise_level)
-                for _ in range(self.channels)]
-
 
 class _PlanContext:
     """Immutable state shared by all replicates of one plan, and the runner of
     each replicate; pool workers receive it pickled with each chunk."""
 
     def __init__(self, plan: ExperimentPlan):
-        plan.validate()
         self.plan = plan
         self.reads = inputs_read(plan.kinds)
         # refused here, not by every replicate: a level past the pixel cap
         # before any support is computed, then level by level one its grid
-        # cannot resolve exactly or whose table passes the cap (level_support)
+        # cannot resolve exactly or whose table passes the cap (level_support),
+        # an empty mask and an empty hemisphere interior
         grids = {j: build_cubature(j, plan.B) for j in plan.j_list}
         try:
             supports = {j: level_support(grid, plan.s)
@@ -111,13 +106,14 @@ class _PlanContext:
         except BandLimitExceededError as exc:
             raise InvalidConfigError(
                 f"j_list: {exc} (B={plan.B}, s={plan.s})") from None
-        self.signal_model = plan.signal_model()
-        self.noise_models = plan.noise_models()
+        self.signal_model = spin_power_law(plan.alpha, plan.s)
+        self.noise_models = [spin_power_law(plan.gamma, plan.s, "noise",
+                                            plan.noise_level)] * plan.channels
         self.adopted_noise = [m.scaled(plan.noise_bias_factor)
                               for m in self.noise_models]
-        # band limit: top degree of the deepest level's support (|s| if none)
-        tops = [support.stop - 1 for support in supports.values()]
-        self.L = max([t for t in tops if t >= abs(plan.s)], default=abs(plan.s))
+        tops = {j: support_top(support, plan.s)
+                for j, support in supports.items()}
+        self.L = max(tops.values())  # band limit: the deepest level's top
         self.levels = {}
         for j, grid in grids.items():
             eps = plan.epsilon_scale * plan.B ** (-j)
@@ -126,14 +122,9 @@ class _PlanContext:
             regions = hemispheres(grid, epsilon=eps) \
                 if "regions" in self.reads else None
             if regions is not None:  # pickled warm to the pool workers
-                try:
-                    for which in (1, 2):
-                        regions.interior(which)
-                except EmptyRegionError:  # left to fail each replicate
-                    pass
-            # the masked map's degree: the support top, or |s| if it is empty
-            lj = supports[j].stop - 1 if len(supports[j]) else abs(plan.s)
-            self.levels[j] = (grid, mask, regions, lj)
+                for which in (1, 2):
+                    regions.interior(which)
+            self.levels[j] = (grid, mask, regions, tops[j])
 
     def reports(self, r: int) -> list:
         """[(j, kind, EstimateReport)] of replicate r, in plan order."""
@@ -303,7 +294,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple:
     """
     if threads < 1:
         raise InvalidConfigError(f"threads: {threads} must be >= 1")
-    ctx = _PlanContext(plan)  # validates; built once per run
+    ctx = _PlanContext(plan)  # built once per run
     workers = min(threads, plan.replicates)
     # fork: workers start without re-importing, so they see the caller's
     # monkeypatches (test_failure_budget_same_for_serial_and_pool needs it)

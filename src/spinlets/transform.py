@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BandLimitExceededError, CoverageGapError,
-                     InvalidCoefficientFileError, ResourceLimitError)
+                     InvalidBandwidthError, InvalidCoefficientFileError,
+                     ResourceLimitError)
 from .fields import SpinAlm, cl_profile
 from .grid import CubatureGrid, SkyMask, build_cubature
 from .wigner import SphPoint, d_table, kernel_sum
@@ -177,13 +178,18 @@ def _exact_support(grid: CubatureGrid, s: int) -> range:
     return support
 
 
+def support_top(support: range, s: int) -> int:
+    """The top degree of a level's window support, or |s| if it is empty."""
+    return support.stop - 1 if len(support) else abs(s)
+
+
 def level_support(grid: CubatureGrid, s: int, L: int | None = None) -> range:
     """The level's window support, once admitted: refuses, before any
     transform, a grid not exact for the support (BandLimitExceededError) and
     a table at degree min(L, top) over MAX_TABLE_BYTES (ResourceLimitError);
-    top is the support top (|s| if empty), L the band limit (None: unbounded)."""
+    top is support_top, L the band limit (None: unbounded)."""
     support = _exact_support(grid, s)
-    top = support.stop - 1 if len(support) else abs(s)
+    top = support_top(support, s)
     _check_table_size(grid, s, top if L is None else min(L, top))
     return support
 
@@ -258,9 +264,8 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
     if any(c.grid.B != B for c in levels):
         raise ValueError("levels mix bandwidths B")
 
-    l_cap = max((window_support(c.grid.window, c.grid.j, s).stop - 1
-                 for c in levels), default=0)
-    l_cap = max(l_cap, abs(s))
+    l_cap = max(support_top(window_support(c.grid.window, c.grid.j, s), s)
+                for c in levels)
     ells = np.arange(l_cap + 1)
     coverage = np.zeros(l_cap + 1)
     for c in levels:
@@ -362,14 +367,18 @@ def read_coefficients(path) -> NeedletCoefficients:
         raise InvalidCoefficientFileError(
             f"{path}: version {version} is not 2; write the file again with "
             f"`spinlets transform` (SNBC v2 records the bandwidth B)")
+    if masked not in (0, 1):
+        raise InvalidCoefficientFileError(
+            f"{path}: header field masked={masked} must be 0 or 1")
     if not B > 1.0:
         raise InvalidCoefficientFileError(
             f"{path}: header field B={B} must be > 1")
     try:
         grid = build_cubature(j, B)
-    except ResourceLimitError as exc:
+    except (InvalidBandwidthError, ResourceLimitError) as exc:
+        name = f"B={B}" if isinstance(exc, InvalidBandwidthError) else f"j={j}"
         raise InvalidCoefficientFileError(
-            f"{path}: header field j={j}: {exc}") from None
+            f"{path}: header field {name}: {exc}") from None
     if npix != grid.n_pixels:
         raise InvalidCoefficientFileError(
             f"{path}: header field npix={npix} does not match the "
@@ -379,6 +388,10 @@ def read_coefficients(path) -> NeedletCoefficients:
             f"{path}: payload has {len(raw) - _SNBC_HEADER} bytes, "
             f"npix={npix} needs {16 * npix}")
     data = np.frombuffer(raw[_SNBC_HEADER:], dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise InvalidCoefficientFileError(f"{path}: payload value {bad[0]} is "
+                                          f"{data[bad[0]]}, not a finite number")
     values = data[0::2] + 1j * data[1::2]
     return NeedletCoefficients(s=s, values=values, masked=bool(masked),
                                grid=grid)

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from spinlets import build_window, gamma_theoretical, mc, power_law
+from spinlets import build_window, estimators, gamma_theoretical, mc, power_law
 from spinlets.cli import (DEMO_CONFIG, build_parser, main, plan_from_config,
                           plan_to_config_text)
-from spinlets.errors import InvalidConfigError
+from spinlets.errors import EmptyRegionError, InvalidConfigError
 from spinlets.fields import read_alm
 from spinlets.grid import build_cubature, polar_cap_mask, write_mask
 from spinlets.mc import ExperimentPlan, rows_to_csv, run_experiment
@@ -176,7 +176,9 @@ def test_transform_bad_alm_and_mask_header_clean_error(tmp_path, capsys):
     for header, field in (("mask v1 j=2 B=2.0 npix=99", "npix=99"),
                           ("mask j=2", "header 'mask j=2'"),
                           ("mask v1 j=2 B=1.0 npix=153",
-                           "header field B=1.0: bandwidth B=1.0 must be > 1")):
+                           "header field B=1.0: bandwidth B=1.0 must be > 1"),
+                          ("mask v1 j=2 B=1e400 npix=153",
+                           "header field B=inf: bandwidth B=inf must be finite")):
         mask_path.write_text(f"{header}\n4\n")
         code = run(["transform", "--alm", str(alm_path),
                     "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")])
@@ -558,6 +560,33 @@ def test_estimate_refuses_flags_no_requested_kind_reads(tmp_path, capsys, kinds,
         f"{flag}: no kind in {kinds!r} reads --{flag}; drop it")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "bogus", "--coeffs", "a.snbc"], "kind: unknown estimator 'bogus'"),
+    (["--kind", "unfeasible"], "coeffs: need at least one SNBC file (or --demo)"),
+    (["--kind", "unfeasible", "--coeffs", "a.snbc", "b.snbc"],
+     "coeffs: no kind in 'unfeasible' reads more than one file; drop b.snbc"),
+    (["--kind", "masked,asymmetry", "--coeffs", "a.snbc", "b.snbc", "c.snbc"],
+     "coeffs: no kind in 'masked,asymmetry' reads more than one file; "
+     "drop b.snbc"),
+])
+def test_estimate_refuses_kinds_and_coeffs_before_reading_a_file(
+        tmp_path, capsys, argv, message):
+    # none of the coefficients files exists
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--out", str(tmp_path / "r.json")] + argv, message)
+
+
+def test_transform_refuses_a_nonfinite_bandwidth_as_a_bandwidth(tmp_path,
+                                                                capsys):
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "1",
+         "--out", str(alm_path)])
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--bandwidth", "inf",
+        "--levels", "3", "--out-dir", str(tmp_path / "c")],
+        "bandwidth B=inf must be finite")
+
+
 def test_estimate_reads_missing_spectrum_flags_as_their_defaults(tmp_path):
     # without --demo, no flag and the documented default give the same report
     alm_path = tmp_path / "sig.salm"
@@ -727,11 +756,14 @@ def test_estimate_refuses_nonfinite_or_negative_epsilon(tmp_path, capsys,
     assert not report.exists()
 
 
-def test_failure_budget_abort_is_one_line(tmp_path, capsys):
-    # at j = 1 the margin 3 B^-1 empties both hemisphere interiors, so
-    # every replicate fails
+def test_failure_budget_abort_is_one_line(tmp_path, capsys, monkeypatch):
+    # every replicate's estimator fails, so the second failure aborts the run
+    def failing_asymmetry(*args):
+        raise EmptyRegionError("no pixel left")
+
+    monkeypatch.setattr(estimators, "estimate_asymmetry", failing_asymmetry)
     plan_path = tmp_path / "plan.cfg"
-    plan_path.write_text("[plan]\nkinds = asymmetry\nj_list = 1\n")
+    plan_path.write_text("[plan]\nkinds = asymmetry\nj_list = 3\n")
     out = tmp_path / "mc"
     assert run(["mc", "--config", str(plan_path), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
@@ -739,6 +771,19 @@ def test_failure_budget_abort_is_one_line(tmp_path, capsys):
                           "first: r=0: EmptyRegionError")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "raw.csv").exists()
+
+
+def test_empty_hemisphere_interior_refused_before_any_replicate(
+        tmp_path, capsys, monkeypatch):
+    # at j = 1 the margin 3 B^-1 empties both hemisphere interiors: the plan
+    # is refused at set-up, not by the failure budget
+    def no_estimate(*args):
+        raise AssertionError("a refused plan must run no estimator")
+
+    monkeypatch.setattr(estimators, "estimate_asymmetry", no_estimate)
+    err = _mc_refused(tmp_path, capsys, "[plan]\nkinds = asymmetry\nj_list = 1\n")
+    assert err == ("spinlets: error: region 1 has an empty eps-interior "
+                   "(epsilon=1.5)\n")
 
 
 def test_config_roundtrip_idempotent(tmp_path):

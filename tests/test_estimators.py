@@ -181,6 +181,8 @@ def test_unfeasible_equals_masked_on_empty_mask(grid4):
     b = estimate_masked(plain, mask, model)
     assert a.value == pytest.approx(b.value, rel=1e-10)
     assert a.theoretical_target == b.theoretical_target
+    with pytest.raises(ValueError, match="^mask and coefficients use different"):
+        estimate_masked(plain, empty_mask(build_cubature(3, B)), model)
 
 
 def test_estimator_phase_invariance(win, grid4):
@@ -424,6 +426,8 @@ def test_asymmetry_regions_and_errors(win, grid4):
     big = hemispheres(grid4, epsilon=2.0)  # interiors empty
     with pytest.raises(EmptyRegionError):
         estimate_asymmetry(coeffs, big, model)
+    with pytest.raises(ValueError, match="^regions and coefficients use different"):
+        estimate_asymmetry(coeffs, hemispheres(build_cubature(3, B)), model)
 
 
 def test_ap_cp_zero_noise_consistency(win, grid4):
@@ -448,8 +452,14 @@ def test_ap_noise_model_count(win, grid4):
 def test_cp_needs_two_channels(win, grid4):
     model = power_law(3.0, l_min=2)
     coeffs = _coeffs(win, grid4, 4, 8)
-    with pytest.raises(InvalidChannelCountError):
+    with pytest.raises(InvalidChannelCountError, match="at least 2 channels"):
         estimate_cp([coeffs], model)
+    with pytest.raises(InvalidChannelCountError, match="^no channels provided$"):
+        estimate_cp([], model)
+    level3 = _coeffs(win, build_cubature(3, B), 3, 8)
+    for other in (level3, replace(coeffs, s=S + 1)):
+        with pytest.raises(ValueError, match=r"must share \(s, grid\)"):
+            estimate_cp([coeffs, other], model)
 
 
 def test_cp_common_phase_invariance(win, grid4):
@@ -570,6 +580,11 @@ def test_hausman_refuses_channels_of_another_level_or_spin(win, grid4):
     spin3 = [replace(c, s=3) for c in coeffs]
     with pytest.raises(ValueError, match=r"\(j, s\) = \(4, 3\).* \(4, 2\)"):
         hausman_statistic(ap, cp, 1.0, spin3, noise)
+    with pytest.raises(ValueError, match=r"different \(j, s\)"):
+        hausman_statistic(ap, replace(cp, j=3), 1.0, coeffs, noise)
+    for first, second in ((cp, ap), (ap, ap)):
+        with pytest.raises(ValueError, match="needs one AP and one CP report"):
+            hausman_statistic(first, second, 1.0, coeffs, noise)
 
 
 @pytest.mark.parametrize("value, target, variance, want", [

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from spinlets.cli import plan_from_config
 from spinlets.errors import (InvalidConfigError, TooFewLevelsError,
                              TooFewSamplesError)
 from spinlets.mc import RAW_HEADER, ExperimentPlan, rows_to_csv
+from spinlets.transform import support_top
 
 
 def test_normality_on_normal_draws():
@@ -72,22 +74,41 @@ def test_slope_needs_levels():
 
 
 def test_plan_validation_messages():
-    with pytest.raises(InvalidConfigError, match="j_list"):
-        ExperimentPlan(j_list=()).validate()
-    with pytest.raises(InvalidConfigError, match="kinds"):
-        ExperimentPlan(kinds=("nope",)).validate()
-    with pytest.raises(InvalidConfigError, match="kinds"):
-        ExperimentPlan(kinds=()).validate()
-    with pytest.raises(InvalidConfigError, match="channels"):
-        ExperimentPlan(kinds=("cp",), channels=1).validate()
+    # a plan is checked when it is built, and again by dataclasses.replace
+    for fields, message in (
+            ({"B": 1.0}, "B: bandwidth must be > 1"),
+            ({"replicates": 0}, "replicates: must be >= 1"),
+            ({"j_list": ()}, "j_list: needs levels j >= 0"),
+            ({"j_list": (3, 4, 3)}, "j_list: duplicate levels"),
+            ({"kinds": ("nope",)}, "kinds: unknown estimator kind 'nope'"),
+            ({"kinds": ()}, "kinds: needs at least one estimator kind"),
+            ({"kinds": ("cp",), "channels": 1}, "channels: ap/cp/hausman need"),
+            ({"kinds": ("cp",), "channels": 2, "noise_level": -1.0},
+             "noise_level: must be >= 0"),
+            ({"epsilon_scale": -1.0}, "epsilon_scale: must be >= 0")):
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}"):
+            ExperimentPlan(**fields)
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}"):
+            replace(ExperimentPlan(), **fields)
     for name in ("B", "alpha", "gamma", "noise_level", "mask_fraction",
                  "epsilon_scale", "noise_bias_factor"):
         for value in (math.nan, math.inf):
             with pytest.raises(InvalidConfigError,
                                match=f"^{name}: .* is not a finite number"):
-                ExperimentPlan(**{name: value}).validate()
-    with pytest.raises(InvalidConfigError, match="^epsilon_scale: must be >= 0"):
-        ExperimentPlan(epsilon_scale=-1.0).validate()
+                ExperimentPlan(**{name: value})
+
+
+def test_band_limit_reads_an_empty_support_as_its_spin():
+    # at B = 1.2 and s = 0 level 3's support is range(2, 2): its top is
+    # |s| = 0, the degree level_support admits, and level 5's top (2) is
+    # the band limit
+    assert support_top(range(2, 2), 0) == 0 and support_top(range(2, 9), 0) == 8
+    plan = ExperimentPlan(B=1.2, s=0, j_list=(3, 5), kinds=("unfeasible",),
+                          replicates=2)
+    ctx = mc._PlanContext(plan)
+    assert ctx.L == 2
+    assert {j: level[3] for j, level in ctx.levels.items()} == {3: 0, 5: 2}
+    assert mc._PlanContext(replace(plan, j_list=(3,))).L == 0
 
 
 def test_context_builds_only_the_inputs_its_kinds_read():

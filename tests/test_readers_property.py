@@ -166,6 +166,7 @@ def test_valid_files_are_read(work):
 @PROPERTY
 @given(SALM_INPUTS)
 @example(_put(VALID_SALM, 8, "<i", 9))  # spin 9 above L = 8
+@example(_put(VALID_SALM, 16, "<d", float("inf")))  # first payload value
 def test_salm_reader_returns_or_raises_named_error(work, data):
     _check("salm", data, work, cli_if_read=True)
 
@@ -179,8 +180,29 @@ def test_salm_reader_returns_or_raises_named_error(work, data):
 @example(_put(VALID_SNBC, 21, "<d", 1.0))
 @example(_put(VALID_SNBC, 21, "<d", 1e300))
 @example(_put(VALID_SNBC, 4, "<I", 1))
+@example(_put(VALID_SNBC, 20, "<B", 7))  # masked flag neither 0 nor 1
+@example(_put(VALID_SNBC, 29, "<d", float("nan")))  # first payload value
 def test_snbc_reader_returns_or_raises_named_error(work, data):
     _check("snbc", data, work)
+
+
+def test_nonfinite_payload_values_are_refused_by_index(work):
+    # refused by the reader, so no transform or estimator sees them
+    for kind, data, message in (
+            ("salm", _put(VALID_SALM, 16, "<d", float("inf")),
+             "payload value 0 is inf, not a finite number"),
+            ("salm", _put(VALID_SALM, len(VALID_SALM) - 8, "<d", -float("inf")),
+             f"payload value {(len(VALID_SALM) - 24) // 8} is -inf, "
+             "not a finite number"),
+            ("snbc", _put(VALID_SNBC, 29, "<d", float("nan")),
+             "payload value 0 is nan, not a finite number"),
+            ("snbc", _put(VALID_SNBC, 29 + 8 * 5, "<d", float("inf")),
+             "payload value 5 is inf, not a finite number")):
+        path = work / f"nonfinite.{kind}"
+        path.write_bytes(data)
+        with pytest.raises(SpinletsError) as err:
+            READERS[kind].read(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 @PROPERTY

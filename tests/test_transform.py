@@ -5,6 +5,7 @@ import inspect
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,9 +90,12 @@ def test_analysis_stops_at_the_field_band_limit(half_model):
 def test_synthesis_refuses_mixed_bandwidths(half_model):
     alm = draw_alm(half_model, half_model, S, 12, 4)
     levels = [needlet_analyze(alm, build_cubature(j, B)) for j in range(4)]
-    levels.append(needlet_analyze(alm, build_cubature(4, 2.5)))
     with pytest.raises(ValueError, match="bandwidths"):
-        needlet_synthesize(levels)
+        needlet_synthesize(levels + [needlet_analyze(alm, build_cubature(4, 2.5))])
+    with pytest.raises(ValueError, match="^levels mix spins$"):
+        needlet_synthesize(levels + [replace(levels[3], s=S + 1)])
+    with pytest.raises(ValueError, match="^need at least one coefficient level$"):
+        needlet_synthesize([])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -364,6 +368,9 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
          "header field B=1.0 must be > 1"),
         (good[:21] + struct.pack("<d", math.nan) + good[29:],
          "header field B=nan must be > 1"),
+        (good[:21] + struct.pack("<d", math.inf) + good[29:],
+         "header field B=inf: bandwidth B=inf must be finite"),
+        (good[:20] + bytes([7]) + good[21:], "header field masked=7 must be 0 or 1"),
         (good[:-16], f"payload has {16 * grid.n_pixels - 16} bytes, "
                      f"npix={grid.n_pixels} needs {16 * grid.n_pixels}"),
         (good + b"\0", f"payload has {16 * grid.n_pixels + 1} bytes"),
