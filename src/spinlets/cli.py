@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,18 +34,7 @@ from .transform import (level_support, masked_analyze, needlet_analyze,
                         synthesize_on_grid, write_coefficients)
 from .window import build_window
 
-# plan key -> declared type of its ExperimentPlan field, in field order
-_PLAN_TYPES = typing.get_type_hints(mc.ExperimentPlan)
 DEMO_CONFIG = Path(__file__).parent / "configs" / "demo_estimate.cfg"
-# `estimate`'s spectrum and dilation flags, and `simulate`'s --gamma and
-# --noise-level, default to None, so that a flag without an effect can be
-# refused when given; a missing one reads as below
-ESTIMATE_DEFAULTS = {"alpha": 3.0, "gamma": 2.5, "noise_level": 1.0,
-                     "epsilon": 0.0}
-# the estimate flags that only some inputs read: the flag is refused
-# unless a requested kind reads one of them
-FLAG_READERS = {"gamma": {"noise"}, "noise_level": {"noise"},
-                "epsilon": {"mask", "regions"}, "mask": {"mask"}}
 # what a config line that configparser refuses does wrong
 _SYNTAX = {configparser.MissingSectionHeaderError: "key before the [plan] header",
            configparser.DuplicateOptionError: "key given twice",
@@ -63,52 +51,6 @@ def _check_outputs(force: bool, *paths) -> None:
     if existing and not force:
         raise InvalidConfigError(
             f"output {existing[0]} exists; pass --force to overwrite")
-
-
-def _check_spectrum(args) -> None:
-    """Refuse the spectrum flags a plan refuses: a non-finite --alpha,
-    --gamma or --noise-level, or a negative --noise-level.  A flag left
-    at None (not given to `estimate`) is skipped."""
-    for flag in ("alpha", "gamma", "noise_level"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise InvalidConfigError(
-                f"{flag.replace('_', '-')}: {value} is not a finite number")
-    if args.noise_level is not None and args.noise_level < 0:
-        raise InvalidConfigError("noise-level: must be >= 0")
-
-
-def _parse_levels(text: str, B: float, name: str = "levels") -> tuple:
-    """`lo..hi` or `a,b,c`, each level within the pixel cap of its grid at
-    B; a range is bounded before it is expanded: its bottom by 0 and its top
-    by the cap.  Errors name the key or flag `name`."""
-    text = text.strip()
-    parts = text.split("..", 1) if ".." in text else \
-        [t for t in text.split(",") if t.strip()]
-    ends = []
-    for t in parts:
-        try:
-            ends.append(int(t))
-        except ValueError:
-            raise InvalidConfigError(
-                f"{name}: level {t.strip()!r} in {text!r} is not an integer") from None
-    if ".." in text:
-        lo, hi = ends
-        if lo < 0:
-            raise InvalidConfigError(f"{name}: needs levels j >= 0")
-        if hi < lo:
-            raise InvalidConfigError(f"{name}: range {text!r} is empty")
-        levels, checked = range(lo, hi + 1), (hi,)
-    else:
-        levels = checked = tuple(ends)
-    if not levels:
-        raise InvalidConfigError(f"{name}: no levels given")
-    try:
-        for j in checked:
-            grid_size(j, B)
-    except ResourceLimitError as exc:
-        raise InvalidConfigError(f"{name}: {exc}") from None
-    return tuple(levels)
 
 
 def plan_from_config(path) -> mc.ExperimentPlan:
@@ -130,57 +72,54 @@ def plan_from_config(path) -> mc.ExperimentPlan:
     if "plan" not in parser:
         raise InvalidConfigError(f"config {path}: missing [plan] section")
     section = parser["plan"]
-    unknown = set(section) - set(_PLAN_TYPES)
+    unknown = set(section) - set(mc.ExperimentPlan.__dataclass_fields__)
     if unknown:
         raise InvalidConfigError(
             f"config {path}: unknown keys {sorted(unknown)}")
     values = {}
-    for key in sorted(section, key=lambda k: k != "B"):  # levels are checked at B
-        values[key] = _parse_value(path, key, section[key],
-                                   values.get("B", mc.ExperimentPlan.B))
-    return mc.ExperimentPlan(**values)
-
-
-def _parse_value(path, key: str, text: str, B: float):
-    """A config value parsed as the declared type of its plan field."""
-    hint, raw = _PLAN_TYPES[key], text.strip()
     try:
-        if hint == tuple[int, ...]:
-            return _parse_levels(raw, B, key)
-        if hint == tuple[str, ...]:
-            return tuple(t.strip() for t in raw.split(",") if t.strip())
-        return hint(raw)
-    except InvalidConfigError as exc:  # a level list names its key itself
+        for key in sorted(section, key=lambda k: k != "B"):  # levels are checked at B
+            field, raw = mc.FIELDS[key], section[key].strip()
+            try:
+                value = field.parse(raw)
+            except ValueError:
+                raise InvalidConfigError(f"{key} = {raw!r} is not "
+                                         f"{field.parse.__name__}") from None
+            values[key] = field.check(value, key, values.get("B", mc.ExperimentPlan.B))
+    except InvalidConfigError as exc:
         raise InvalidConfigError(f"config {path}: {exc}") from None
-    except ValueError as exc:
-        raise InvalidConfigError(
-            f"config {path}: {key} = {raw!r} is not "
-            f"{hint.__name__ if isinstance(hint, type) else hint}") from exc
+    return mc.ExperimentPlan(**values)
 
 
 def plan_to_config_text(plan: mc.ExperimentPlan) -> str:
     """Canonical config serialization (idempotent under plan_from_config)."""
     out = io.StringIO()
     out.write("[plan]\n")
-    for key in _PLAN_TYPES:
-        value = getattr(plan, key)
-        if key in ("j_list", "kinds"):
+    for key, value in vars(plan).items():
+        if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         out.write(f"{key} = {value}\n")
     return out.getvalue()
 
 
+def _check_flags(args, reads: set, unread: str) -> None:
+    """Keep each mc.FIELDS flag of this command by its rule, and refuse a
+    given one that no input in `reads` reads (`unread`, formatted with the
+    flag, ends the error); a missing one reads as its default."""
+    for name in filter(vars(args).__contains__, mc.FIELDS):
+        field, value = mc.FIELDS[name], getattr(args, name)
+        flag = name.replace("_", "-")
+        setattr(args, name, field.check(field.default if value is None
+                                        else value, flag))
+        if value is not None and field.readers and not field.readers & reads:
+            raise InvalidConfigError(f"{flag}: " + unread.format(flag=flag))
+
+
 def cmd_simulate(args) -> int:
-    _check_spectrum(args)
+    _check_flags(args, {"noise"} if args.channels else set(),
+                 "--{flag} sets the noise channels; pass --channels or drop it")
     if args.channels < 0 or args.channels == 1:
         raise InvalidConfigError("channels: must be 0 or >= 2")
-    for flag in ("gamma", "noise_level"):  # read by noise channels only
-        name = flag.replace("_", "-")
-        if getattr(args, flag) is None:
-            setattr(args, flag, ESTIMATE_DEFAULTS[flag])
-        elif not args.channels:
-            raise InvalidConfigError(f"{name}: --{name} sets the noise "
-                                     f"channels; pass --channels or drop it")
     out = Path(args.out)
     noise_paths = [out.with_name(f"{out.stem}.noise{r}{out.suffix}")
                    for r in range(args.channels)]
@@ -211,7 +150,8 @@ def cmd_transform(args) -> int:
     else:  # every level's grid, and so the pixel cap, before any transform
         mask = None
         B = 2.0 if args.bandwidth is None else args.bandwidth
-        grids = [build_cubature(j, B) for j in _parse_levels(args.levels, B)]
+        grids = [build_cubature(j, B)
+                 for j in mc.FIELDS["j_list"].check(args.levels, "levels", B)]
     for grid in grids:  # a roundtrip reads each table up to its support top
         level_support(grid, alm.s, None if args.roundtrip else alm.L)
     out_dir = Path(args.out_dir)
@@ -239,39 +179,20 @@ def cmd_transform(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    _check_spectrum(args)
-    if args.epsilon is not None and not 0.0 <= args.epsilon < math.inf:
-        raise InvalidConfigError(
-            f"epsilon: --epsilon={args.epsilon} must be >= 0 and finite")
     _check_outputs(args.force, args.out, args.csv)
     if args.demo:
-        for flag in ("coeffs", "mask", "kind", *ESTIMATE_DEFAULTS):
-            if getattr(args, flag) is not None:
-                name = flag.replace("_", "-")
-                raise InvalidConfigError(f"{name}: --demo reports the bundled "
-                                         f"plan; drop --{name}")
-        plan = plan_from_config(DEMO_CONFIG)
-        reports = [rep for _, _, rep in mc.replicate_reports(plan, 0)]
-        _write_reports(reports, args.out, args.csv)
+        for name in mc.FIELDS:
+            if getattr(args, name, None) is not None:
+                flag = name.replace("_", "-")
+                raise InvalidConfigError(f"{flag}: --demo reports the bundled "
+                                         f"plan; drop --{flag}")
+        reports = mc.replicate_reports(plan_from_config(DEMO_CONFIG), 0)
+        _write_reports([rep for _, _, rep in reports], args.out, args.csv)
         return 0
-    text = "masked" if args.kind is None else args.kind
-    kinds = [kind.strip() for kind in text.split(",") if kind.strip()]
-    if not kinds:
-        raise InvalidConfigError(f"kind: {text!r} names no estimator kind")
-    for kind in kinds:
-        if kind not in estimators.KINDS:
-            raise InvalidConfigError(f"kind: unknown estimator {kind!r}")
+    text = mc.FIELDS["kind"].default if args.kind is None else args.kind
+    kinds = mc.FIELDS["kind"].check(text, "kind")
     needs = estimators.inputs_read(kinds)
-    for flag, readers in FLAG_READERS.items():
-        if getattr(args, flag) is not None and not readers & needs:
-            name = flag.replace("_", "-")
-            raise InvalidConfigError(f"{name}: no kind in {text!r} reads "
-                                     f"--{name}; drop it")
-    for flag, default in ESTIMATE_DEFAULTS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-    if not args.coeffs:
-        raise InvalidConfigError("coeffs: need at least one SNBC file (or --demo)")
+    _check_flags(args, needs, f"no kind in {text!r} reads --{{flag}}; drop it")
     if len(args.coeffs) > 1 and "channels" not in needs:
         raise InvalidConfigError(f"coeffs: no kind in {text!r} reads more than "
                                  f"one file; drop {args.coeffs[1]}")
@@ -416,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="draw spin-field coefficients")
-    p.add_argument("--spin", type=int, default=2)
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=3.0)
-    for flag in ("gamma", "noise_level"):
-        p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
-                       help=f"default {ESTIMATE_DEFAULTS[flag]}; needs --channels")
-    p.add_argument("--channels", type=int, default=0)
-    p.add_argument("--seed", type=int, required=True)
+    for name in ("spin", "lmax", "alpha", "gamma", "noise_level", "channels",
+                 "seed"):  # --gamma and --noise-level set the noise channels
+        field = mc.FIELDS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=field.parse,
+                       required=field.default is None,
+                       default=None if field.readers else field.default,
+                       help=f"default {field.default}; needs --channels"
+                       if field.readers else None)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -443,12 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run estimators over coefficient files")
     p.add_argument("--kind", default=None,
                    help="comma list of " + ",".join(estimators.KNOWN_KINDS)
-                        + " (default masked)")
+                        + f" (default {mc.FIELDS['kind'].default})")
     p.add_argument("--coeffs", nargs="*", default=None,
                    help="SNBC files (one per channel for ap/cp/hausman)")
-    for flag, default in ESTIMATE_DEFAULTS.items():
-        p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
-                       help=f"default {default}; not with --demo")
+    for name in ("alpha", "gamma", "noise_level", "epsilon"):
+        field = mc.FIELDS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=field.parse, default=None,
+                       help=f"default {field.default}; not with --demo")
     p.add_argument("--mask", default=None,
                    help="required with coefficients computed with a mask")
     p.add_argument("--demo", action="store_true",

@@ -22,20 +22,118 @@ import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import estimators
 from .errors import (BandLimitExceededError, InvalidConfigError,
-                     ReplicateFailuresError, TooFewLevelsError,
-                     TooFewSamplesError)
+                     ReplicateFailuresError, ResourceLimitError,
+                     TooFewLevelsError, TooFewSamplesError)
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, spin_power_law
-from .grid import build_cubature, hemispheres, polar_cap_mask
+from .grid import build_cubature, grid_size, hemispheres, polar_cap_mask
 from .transform import (level_support, masked_analyze, needlet_analyze,
                         support_top, synthesize_on_grid)
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
+
+
+def levels_rule(value, B: float) -> tuple:
+    """The levels of plan key j_list or `transform --levels`: a sequence, or
+    text "lo..hi" or "a,b,c" of integers.  Every level j >= 0, none twice,
+    none past the pixel cap of its grid at B; a range is bounded before it
+    is expanded."""
+    span = isinstance(value, str) and ".." in value
+    if isinstance(value, str):
+        text, value = value.strip(), []
+        for t in text.split("..", 1) if span else filter(str.strip, text.split(",")):
+            try:
+                value.append(int(t))
+            except ValueError:
+                raise ValueError(
+                    f"level {t.strip()!r} in {text!r} is not an integer") from None
+        if not value:
+            raise ValueError("no levels given")
+    if not value or min(value) < 0:
+        raise ValueError("needs levels j >= 0")
+    if span and value[1] < value[0]:
+        raise ValueError(f"range {text!r} is empty")
+    if len(set(value)) != len(value):
+        raise ValueError("duplicate levels")
+    grid_size(max(value), B)  # the deepest level's grid is the largest
+    return tuple(range(value[0], value[1] + 1)) if span else tuple(value)
+
+
+def kinds_rule(value, B=None) -> tuple:
+    """The estimator kinds of plan key kinds or `estimate --kind`: a sequence
+    or a comma list; at least one, each a KINDS entry."""
+    if isinstance(value, str):
+        value = [t.strip() for t in value.split(",") if t.strip()]
+    if not value:
+        raise ValueError("needs at least one estimator kind")
+    for kind in value:
+        if kind not in KNOWN_KINDS:
+            raise ValueError(f"unknown estimator {kind!r}")
+    return tuple(value)
+
+
+class Field(NamedTuple):
+    """An entry of FIELDS."""
+
+    parse: type = str
+    rule: object = ()
+    default: object = None
+    readers: frozenset = frozenset()
+
+    def check(self, value, label: str, B: float = 2.0):
+        """`value` as the rule keeps it (levels at bandwidth B); a refused one
+        raises InvalidConfigError naming `label`."""
+        try:
+            if callable(self.rule):
+                return self.rule(value, B)
+            for accepts, message in self.rule:
+                if not accepts(value):
+                    raise ValueError(message.format(value))
+            return value
+        except (ValueError, ResourceLimitError) as exc:
+            raise InvalidConfigError(f"{label}: {exc}") from None
+
+
+_FINITE = (math.isfinite, "{} is not a finite number")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
+# Every ExperimentPlan key, in field order, then every value flag of
+# `spinlets simulate` and `estimate` that is no plan key: how its text
+# parses; its rule, (accepts, message) tests tried in order or a function
+# (value, B) -> the value kept, raising ValueError(message); the flag's
+# default; and the KINDS inputs without which a given flag has no effect
+# (none: it always has one).  A flag that may be refused defaults to None in
+# argparse, so that a given one can be told from a missing one.
+FIELDS = {
+    "B": Field(float, (_FINITE, (lambda v: v > 1.0, "bandwidth must be > 1"))),
+    "s": Field(int),
+    "j_list": Field(str, levels_rule),
+    "alpha": Field(float, (_FINITE,), 3.0),
+    "gamma": Field(float, (_FINITE,), 2.5, {"noise"}),
+    "noise_level": Field(float, (_FINITE, _NONNEGATIVE), 1.0, {"noise"}),
+    "channels": Field(int, default=0),
+    "replicates": Field(int, ((lambda v: v >= 1, "must be >= 1"),)),
+    "base_seed": Field(int),
+    "kinds": Field(str, kinds_rule),
+    "mask_fraction": Field(float, (_FINITE, (lambda v: 0.0 <= v < 1.0,
+                                             "must be in [0, 1)"))),
+    "epsilon_scale": Field(float, (_FINITE, _NONNEGATIVE)),
+    "noise_bias_factor": Field(float, (_FINITE,)),
+    "spin": Field(int, default=2),
+    "lmax": Field(int),
+    "seed": Field(int),
+    "kind": Field(str, kinds_rule, "masked"),
+    "coeffs": Field(str, ((bool, "need at least one SNBC file (or --demo)"),), ()),
+    "epsilon": Field(float, ((lambda v: 0.0 <= v < math.inf,
+                              "--epsilon={} must be >= 0 and finite"),),
+                     0.0, {"mask", "regions"}),
+    "mask": Field(readers={"mask"}),
+}
 
 
 @dataclass(frozen=True)
@@ -60,32 +158,11 @@ class ExperimentPlan:
         self.validate()
 
     def validate(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidConfigError(f"{name}: {value} is not a finite number")
-        if not self.B > 1.0:
-            raise InvalidConfigError("B: bandwidth must be > 1")
-        if self.replicates < 1:
-            raise InvalidConfigError("replicates: must be >= 1")
-        if not self.j_list or any(j < 0 for j in self.j_list):
-            raise InvalidConfigError("j_list: needs levels j >= 0")
-        if len(set(self.j_list)) != len(self.j_list):
-            raise InvalidConfigError("j_list: duplicate levels")
-        if not self.kinds:
-            raise InvalidConfigError("kinds: needs at least one estimator kind")
-        for kind in self.kinds:
-            if kind not in KNOWN_KINDS:
-                raise InvalidConfigError(f"kinds: unknown estimator kind {kind!r}")
-        if "channels" in inputs_read(self.kinds):
-            if self.channels < 2:
-                raise InvalidConfigError(
-                    "channels: ap/cp/hausman need at least 2 channels")
-            if self.noise_level < 0:
-                raise InvalidConfigError("noise_level: must be >= 0")
-        if not 0.0 <= self.mask_fraction < 1.0:
-            raise InvalidConfigError("mask_fraction: must be in [0, 1)")
-        if self.epsilon_scale < 0.0:
-            raise InvalidConfigError("epsilon_scale: must be >= 0")
+        for name, value in vars(self).items():  # B, and so the level cap, first
+            FIELDS[name].check(value, name, self.B)
+        if "channels" in inputs_read(self.kinds) and self.channels < 2:
+            raise InvalidConfigError(
+                "channels: ap/cp/hausman need at least 2 channels")
 
 
 class _PlanContext:

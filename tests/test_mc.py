@@ -80,7 +80,7 @@ def test_plan_validation_messages():
             ({"replicates": 0}, "replicates: must be >= 1"),
             ({"j_list": ()}, "j_list: needs levels j >= 0"),
             ({"j_list": (3, 4, 3)}, "j_list: duplicate levels"),
-            ({"kinds": ("nope",)}, "kinds: unknown estimator kind 'nope'"),
+            ({"kinds": ("nope",)}, "kinds: unknown estimator 'nope'"),
             ({"kinds": ()}, "kinds: needs at least one estimator kind"),
             ({"kinds": ("cp",), "channels": 1}, "channels: ap/cp/hausman need"),
             ({"kinds": ("cp",), "channels": 2, "noise_level": -1.0},
