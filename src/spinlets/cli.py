@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, mc
-from .errors import InvalidConfigError, ResourceLimitError, SpinletsError
+from .errors import InvalidConfigError, SpinletsError
 from .fields import (draw_alm, observe_channels, read_alm, seed_key,
                      spin_power_law, write_alm)
-from .grid import build_cubature, empty_mask, grid_size, hemispheres, read_mask
+from .grid import build_cubature, empty_mask, hemispheres, read_mask
 from .transform import (level_support, masked_analyze, needlet_analyze,
                         needlet_synthesize, read_coefficients,
                         synthesize_on_grid, write_coefficients)
@@ -77,7 +77,7 @@ def plan_from_config(path) -> mc.ExperimentPlan:
         raise InvalidConfigError(
             f"config {path}: unknown keys {sorted(unknown)}")
     values = {}
-    try:
+    try:  # every error names the file
         for key in sorted(section, key=lambda k: k != "B"):  # levels are checked at B
             field, raw = mc.FIELDS[key], section[key].strip()
             try:
@@ -86,9 +86,9 @@ def plan_from_config(path) -> mc.ExperimentPlan:
                 raise InvalidConfigError(f"{key} = {raw!r} is not "
                                          f"{field.parse.__name__}") from None
             values[key] = field.check(value, key, values.get("B", mc.ExperimentPlan.B))
+        return mc.ExperimentPlan(**values)
     except InvalidConfigError as exc:
         raise InvalidConfigError(f"config {path}: {exc}") from None
-    return mc.ExperimentPlan(**values)
 
 
 def plan_to_config_text(plan: mc.ExperimentPlan) -> str:
@@ -186,8 +186,8 @@ def cmd_estimate(args) -> int:
                 flag = name.replace("_", "-")
                 raise InvalidConfigError(f"{flag}: --demo reports the bundled "
                                          f"plan; drop --{flag}")
-        reports = mc.replicate_reports(plan_from_config(DEMO_CONFIG), 0)
-        _write_reports([rep for _, _, rep in reports], args.out, args.csv)
+        ctx = mc._PlanContext(plan_from_config(DEMO_CONFIG))
+        _write_reports([rep for _, _, rep in ctx.reports(0)], args.out, args.csv)
         return 0
     text = mc.FIELDS["kind"].default if args.kind is None else args.kind
     kinds = mc.FIELDS["kind"].check(text, "kind")

@@ -47,7 +47,9 @@ def levels_rule(value, B: float) -> tuple:
     span = isinstance(value, str) and ".." in value
     if isinstance(value, str):
         text, value = value.strip(), []
-        for t in text.split("..", 1) if span else filter(str.strip, text.split(",")):
+        parts = text.split("..", 1) if span else \
+            [t for t in text.split(",") if t.strip()]
+        for t in parts:
             try:
                 value.append(int(t))
             except ValueError:
@@ -67,14 +69,16 @@ def levels_rule(value, B: float) -> tuple:
 
 def kinds_rule(value, B=None) -> tuple:
     """The estimator kinds of plan key kinds or `estimate --kind`: a sequence
-    or a comma list; at least one, each a KINDS entry."""
+    or a comma list; at least one, each a KINDS entry, none twice."""
     if isinstance(value, str):
         value = [t.strip() for t in value.split(",") if t.strip()]
     if not value:
         raise ValueError("needs at least one estimator kind")
-    for kind in value:
+    for i, kind in enumerate(value):
         if kind not in KNOWN_KINDS:
             raise ValueError(f"unknown estimator {kind!r}")
+        if kind in value[:i]:
+            raise ValueError(f"duplicate estimator {kind!r}")
     return tuple(value)
 
 
@@ -128,7 +132,7 @@ FIELDS = {
     "lmax": Field(int),
     "seed": Field(int),
     "kind": Field(str, kinds_rule, "masked"),
-    "coeffs": Field(str, ((bool, "need at least one SNBC file (or --demo)"),), ()),
+    "coeffs": Field(str, ((bool, "need at least one SNBC file (or --demo)"),)),
     "epsilon": Field(float, ((lambda v: 0.0 <= v < math.inf,
                               "--epsilon={} must be >= 0 and finite"),),
                      0.0, {"mask", "regions"}),
@@ -172,10 +176,10 @@ class _PlanContext:
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
         self.reads = inputs_read(plan.kinds)
-        # refused here, not by every replicate: a level past the pixel cap
-        # before any support is computed, then level by level one its grid
-        # cannot resolve exactly or whose table passes the cap (level_support),
-        # an empty mask and an empty hemisphere interior
+        # refused here, not by every replicate (the plan has refused a level
+        # past the pixel cap): level by level one its grid cannot resolve
+        # exactly or whose table passes the cap (level_support), an empty
+        # mask and an empty hemisphere interior
         grids = {j: build_cubature(j, plan.B) for j in plan.j_list}
         try:
             supports = {j: level_support(grid, plan.s)
@@ -240,11 +244,6 @@ class _PlanContext:
                        for j, kind, rep in self.reports(r)], None
         except Exception as exc:  # counted against the failure budget
             return r, None, f"{type(exc).__name__}: {exc}"
-
-
-def replicate_reports(plan: ExperimentPlan, r: int) -> list:
-    """[(j, kind, EstimateReport)] of replicate r of the plan."""
-    return _PlanContext(plan).reports(r)
 
 
 @dataclass

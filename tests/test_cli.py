@@ -8,6 +8,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -305,7 +306,17 @@ def test_config_values_parsed_by_declared_type(tmp_path, capsys):
         ((3, 4, 5), ("masked", "unfeasible"), 0.1, 7)
     for line, named in (("replicates = ten", "replicates = 'ten' is not int"),
                         ("B = two", "B = 'two' is not float"),
-                        ("j_list = 3..x", "j_list: level 'x' in '3..x' is not an integer")):
+                        ("j_list = 3..x", "j_list: level 'x' in '3..x' is not an integer"),
+                        # B is checked before the levels that are read at it
+                        ("B = inf\nj_list = 3", "B: inf is not a finite number"),
+                        ("j_list = 3\nB = nan", "B: nan is not a finite number"),
+                        ("B = 0.5\nj_list = 3", "B: bandwidth must be > 1"),
+                        ("B = 0.5", "B: bandwidth must be > 1"),
+                        ("kinds = unfeasible, unfeasible",
+                         "kinds: duplicate estimator 'unfeasible'"),
+                        # a rule across keys, checked as the plan is built
+                        ("kinds = cp\nchannels = 1",
+                         "channels: ap/cp/hausman need at least 2 channels")):
         path.write_text(f"[plan]\n{line}\n")
         with pytest.raises(InvalidConfigError) as err:
             plan_from_config(path)
@@ -423,6 +434,8 @@ def test_config_levels_errors_name_the_key(tmp_path, text, message):
     ("abc", "levels: level 'abc' in 'abc' is not an integer"),
     ("2..y", "levels: level 'y' in '2..y' is not an integer"),
     ("6..4", "levels: range '6..4' is empty"),
+    ("3,3", "levels: duplicate levels"),
+    ("-1,2", "levels: needs levels j >= 0"),
 ])
 def test_transform_levels_errors_name_the_flag(tmp_path, capsys, levels, message):
     alm_path = tmp_path / "sig.salm"
@@ -430,7 +443,7 @@ def test_transform_levels_errors_name_the_flag(tmp_path, capsys, levels, message
          "--out", str(alm_path)])
     capsys.readouterr()
     out_dir = tmp_path / "c"
-    assert run(["transform", "--alm", str(alm_path), "--levels", levels,
+    assert run(["transform", "--alm", str(alm_path), f"--levels={levels}",
                 "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err == f"spinlets: error: {message}\n"
     assert not out_dir.exists()
@@ -568,6 +581,8 @@ def test_estimate_refuses_flags_no_requested_kind_reads(tmp_path, capsys, kinds,
     (["--kind", "masked,asymmetry", "--coeffs", "a.snbc", "b.snbc", "c.snbc"],
      "coeffs: no kind in 'masked,asymmetry' reads more than one file; "
      "drop b.snbc"),
+    (["--kind", "masked,cp,masked", "--coeffs", "a.snbc"],
+     "kind: duplicate estimator 'masked'"),
 ])
 def test_estimate_refuses_kinds_and_coeffs_before_reading_a_file(
         tmp_path, capsys, argv, message):
@@ -905,6 +920,39 @@ def test_estimate_refuses_a_mask_of_another_grid(tmp_path, capsys):
     assert f"mask {mask5} is for level j=5 at B=2, coeffs {coeffs} for " \
            f"level j=4 at B=2" in err
     assert "Traceback" not in err and not report.exists()
+
+
+def test_every_plan_key_and_value_flag_has_one_table_entry():
+    # mc.FIELDS is the one home of each plan key's and value flag's rule and
+    # default: every ExperimentPlan field and every simulate/estimate flag
+    # that takes a value has an entry and no other has one, and each default
+    # the parser, its help or README shows is the table's
+    hints = typing.get_type_hints(ExperimentPlan)
+    for key, hint in hints.items():
+        assert mc.FIELDS[key].parse is (hint if hint in (int, float) else str)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    flags = set()
+    for command in ("simulate", "estimate"):
+        for action in subparsers[command]._actions:
+            if action.nargs == 0 or action.dest in ("out", "csv"):
+                continue  # --help, --force, --demo and the output paths
+            flags.add(action.dest)
+            field = mc.FIELDS[action.dest]
+            assert action.type in (None, field.parse), action.dest
+            if action.required or field.default is None:
+                assert action.default is None, action.dest
+            elif action.default is None:  # may be refused: help shows it
+                assert f"default {field.default}" in action.help, action.dest
+            else:
+                assert action.default == field.default, action.dest
+    assert set(mc.FIELDS) == set(hints) | flags
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    alpha, gamma, noise, epsilon, kind = (mc.FIELDS[name].default for name in (
+        "alpha", "gamma", "noise_level", "epsilon", "kind"))
+    assert f"a missing `--kind` reads as `{kind}`" in readme
+    assert f"as {alpha}, {gamma}, {noise} or {epsilon}." in readme
+    assert f"a missing one reads as {gamma} or {noise}." in readme
 
 
 def test_readme_command_lines_use_accepted_flags():

@@ -81,6 +81,8 @@ def test_plan_validation_messages():
             ({"j_list": ()}, "j_list: needs levels j >= 0"),
             ({"j_list": (3, 4, 3)}, "j_list: duplicate levels"),
             ({"kinds": ("nope",)}, "kinds: unknown estimator 'nope'"),
+            ({"kinds": ("unfeasible", "unfeasible")},
+             "kinds: duplicate estimator 'unfeasible'"),
             ({"kinds": ()}, "kinds: needs at least one estimator kind"),
             ({"kinds": ("cp",), "channels": 1}, "channels: ap/cp/hausman need"),
             ({"kinds": ("cp",), "channels": 2, "noise_level": -1.0},
