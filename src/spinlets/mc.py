@@ -163,7 +163,7 @@ class ExperimentPlan:
 
     def validate(self) -> None:
         for name, value in vars(self).items():  # B, and so the level cap, first
-            FIELDS[name].check(value, name, self.B)
+            object.__setattr__(self, name, FIELDS[name].check(value, name, self.B))
         if "channels" in inputs_read(self.kinds) and self.channels < 2:
             raise InvalidConfigError(
                 "channels: ap/cp/hausman need at least 2 channels")

@@ -100,6 +100,15 @@ def test_plan_validation_messages():
                 ExperimentPlan(**{name: value})
 
 
+def test_plan_holds_what_its_rules_keep():
+    # j_list and kinds are kept as the tuples their rules return, whether
+    # given as tuples, a list or the text a config line holds
+    plan = ExperimentPlan(j_list=[4, 3], kinds="masked, unfeasible")
+    assert (plan.j_list, plan.kinds) == ((4, 3), ("masked", "unfeasible"))
+    assert plan == ExperimentPlan(j_list=(4, 3), kinds=("masked", "unfeasible"))
+    assert replace(plan, j_list="3..5").j_list == (3, 4, 5)
+
+
 def test_band_limit_reads_an_empty_support_as_its_spin():
     # at B = 1.2 and s = 0 level 3's support is range(2, 2): its top is
     # |s| = 0, the degree level_support admits, and level 5's top (2) is
