@@ -90,7 +90,7 @@ class Field(NamedTuple):
     default: object = None
     readers: frozenset = frozenset()
 
-    def check(self, value, label: str, B: float = 2.0):
+    def check(self, value, label: str, B: float = None):
         """`value` as the rule keeps it (levels at bandwidth B); a refused one
         raises InvalidConfigError naming `label`."""
         try:
