@@ -78,14 +78,13 @@ def plan_from_config(path) -> mc.ExperimentPlan:
             f"config {path}: unknown keys {sorted(unknown)}")
     values = {}
     try:  # every error names the file
-        for key in sorted(section, key=lambda k: k != "B"):  # levels are checked at B
-            field, raw = mc.FIELDS[key], section[key].strip()
+        for key, raw in section.items():
+            parse, raw = mc.FIELDS[key].parse, raw.strip()
             try:
-                value = field.parse(raw)
+                values[key] = parse(raw)
             except ValueError:
-                raise InvalidConfigError(f"{key} = {raw!r} is not "
-                                         f"{field.parse.__name__}") from None
-            values[key] = field.check(value, key, values.get("B", mc.ExperimentPlan.B))
+                raise InvalidConfigError(
+                    f"{key} = {raw!r} is not {parse.__name__}") from None
         return mc.ExperimentPlan(**values)
     except InvalidConfigError as exc:
         raise InvalidConfigError(f"config {path}: {exc}") from None
@@ -102,11 +101,11 @@ def plan_to_config_text(plan: mc.ExperimentPlan) -> str:
     return out.getvalue()
 
 
-def _check_flags(args, reads: set, unread: str) -> None:
-    """Keep each mc.FIELDS flag of this command by its rule, and refuse a
-    given one that no input in `reads` reads (`unread`, formatted with the
-    flag, ends the error); a missing one reads as its default."""
-    for name in filter(vars(args).__contains__, mc.FIELDS):
+def _check_flags(args, reads: set, unread: str, kept=()) -> None:
+    """Keep each mc.FIELDS flag of this command but the `kept` ones by its
+    rule, and refuse a given one that no input in `reads` reads (`unread`,
+    formatted with the flag, ends the error); a missing one reads as its default."""
+    for name in (n for n in mc.FIELDS if n in vars(args) and n not in kept):
         field, value = mc.FIELDS[name], getattr(args, name)
         flag = name.replace("_", "-")
         setattr(args, name, field.check(field.default if value is None
@@ -192,7 +191,8 @@ def cmd_estimate(args) -> int:
     text = mc.FIELDS["kind"].default if args.kind is None else args.kind
     kinds = mc.FIELDS["kind"].check(text, "kind")
     needs = estimators.inputs_read(kinds)
-    _check_flags(args, needs, f"no kind in {text!r} reads --{{flag}}; drop it")
+    _check_flags(args, needs, f"no kind in {text!r} reads --{{flag}}; drop it",
+                 kept={"kind"})
     if len(args.coeffs) > 1 and "channels" not in needs:
         raise InvalidConfigError(f"coeffs: no kind in {text!r} reads more than "
                                  f"one file; drop {args.coeffs[1]}")

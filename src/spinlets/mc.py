@@ -61,7 +61,7 @@ def levels_rule(value, B: float) -> tuple:
         raise ValueError("needs levels j >= 0")
     if span and value[1] < value[0]:
         raise ValueError(f"range {text!r} is empty")
-    if len(set(value)) != len(value):
+    if not span and len(set(value)) != len(value):
         raise ValueError("duplicate levels")
     grid_size(max(value), B)  # the deepest level's grid is the largest
     return tuple(range(value[0], value[1] + 1)) if span else tuple(value)
@@ -110,9 +110,10 @@ _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 # `spinlets simulate` and `estimate` that is no plan key: how its text
 # parses; its rule, (accepts, message) tests tried in order or a function
 # (value, B) -> the value kept, raising ValueError(message); the flag's
-# default; and the KINDS inputs without which a given flag has no effect
-# (none: it always has one).  A flag that may be refused defaults to None in
-# argparse, so that a given one can be told from a missing one.
+# default, which is no plan default (those stay on ExperimentPlan: noise_level
+# is 0.0 there, 1.0 as a flag); and the KINDS inputs without which a given
+# flag has no effect (none: it always has one).  A flag that may be refused
+# defaults to None in argparse, so that a given one can be told from a missing one.
 FIELDS = {
     "B": Field(float, (_FINITE, (lambda v: v > 1.0, "bandwidth must be > 1"))),
     "s": Field(int),

@@ -72,6 +72,9 @@ def test_transform_levels_roundtrip(tmp_path, capsys):
         [f"level{j:02d}.snbc" for j in range(7)]
     line = [ln for ln in err.splitlines() if "roundtrip" in ln][0]
     assert float(line.rsplit(" ", 1)[-1]) < 1e-8
+    # a one-level range is one level
+    assert run(argv[:5] + ["--levels", "4..4", "--out-dir", str(tmp_path / "one")]) == 0
+    assert [p.name for p in (tmp_path / "one").iterdir()] == ["level04.snbc"]
 
 
 def test_masked_pipeline_end_to_end(tmp_path):
@@ -304,6 +307,8 @@ def test_config_values_parsed_by_declared_type(tmp_path, capsys):
     plan = plan_from_config(path)
     assert (plan.j_list, plan.kinds, plan.mask_fraction, plan.replicates) == \
         ((3, 4, 5), ("masked", "unfeasible"), 0.1, 7)
+    path.write_text("[plan]\nj_list = 4..4\n")  # a one-level range
+    assert plan_from_config(path).j_list == (4,)
     for line, named in (("replicates = ten", "replicates = 'ten' is not int"),
                         ("B = two", "B = 'two' is not float"),
                         ("j_list = 3..x", "j_list: level 'x' in '3..x' is not an integer"),
