@@ -142,15 +142,15 @@ def cmd_transform(args) -> int:
     if args.mask is not None and args.bandwidth is not None:
         raise InvalidConfigError(f"bandwidth: mask {args.mask} names its level "
                                  f"and B; drop --bandwidth")
-    alm = read_alm(args.alm)
-    if args.mask is not None:
-        mask = read_mask(args.mask)
-        grids = [mask.grid]
-    else:  # every level's grid, and so the pixel cap, before any transform
+    if args.mask is None:  # the levels rule and the pixel cap before any read
         mask = None
         B = 2.0 if args.bandwidth is None else args.bandwidth
         grids = [build_cubature(j, B)
                  for j in mc.FIELDS["j_list"].check(args.levels, "levels", B)]
+    alm = read_alm(args.alm)
+    if args.mask is not None:
+        mask = read_mask(args.mask)
+        grids = [mask.grid]
     for grid in grids:  # a roundtrip reads each table up to its support top
         level_support(grid, alm.s, None if args.roundtrip else alm.L)
     out_dir = Path(args.out_dir)

@@ -233,39 +233,53 @@ def observe_channels(signal: SpinAlm, noise_models, seed) -> ChannelSet:
 _SALM_MAGIC = b"SALM"
 
 
+def read_header(raw: bytes, magic: bytes, fields: str, name: str, error: type,
+                path) -> tuple:
+    """The struct `fields` of a binary header after its `magic`, and the
+    payload after the header; `error` names a wrong magic, then a short header."""
+    size = len(magic) + struct.calcsize(fields)
+    if raw[:len(magic)] != magic:
+        raise error(f"{path}: magic {raw[:len(magic)]!r} is not {magic!r}")
+    if len(raw) < size:
+        raise error(f"{path}: header has {len(raw)} bytes, {name} needs {size}")
+    return struct.unpack(fields, raw[len(magic):size]), raw[size:]
+
+
+def decode_pairs(payload: bytes, error: type, path) -> np.ndarray:
+    """The complex values of a little-endian float64 (re, im) payload; `error`
+    names the first double that is not finite by its index."""
+    data = np.frombuffer(payload, dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise error(f"{path}: payload value {bad[0]} is {data[bad[0]]}, "
+                    f"not a finite number")
+    return data[0::2] + 1j * data[1::2]
+
+
+def encode_pairs(values: np.ndarray) -> bytes:
+    """Complex values as little-endian float64 (re, im) pairs."""
+    flat = np.empty(2 * values.size, dtype="<f8")
+    flat[0::2], flat[1::2] = values.real, values.imag
+    return flat.tobytes()
+
+
 def write_alm(path, alm: SpinAlm) -> None:
-    """Binary SALM v1: magic, u32 version, i32 spin, u32 L, packed E then B.
+    """Binary SALM v1: magic, u32 version, i32 spin, i32 L, packed E then B.
 
-    Little-endian float64 (re, im) pairs, row-major l ascending, m = 0..l.
+    Float64 (re, im) pairs (see encode_pairs), row-major l ascending, m = 0..l.
     """
-    idx_l, idx_m = _packed_indices(alm.L)
-    with open(path, "wb") as fh:
-        fh.write(_SALM_MAGIC)
-        fh.write(struct.pack("<Iii", 1, alm.s, alm.L))
-        for arr in (alm.alm_e, alm.alm_b):
-            packed = arr[idx_l, idx_m]
-            flat = np.empty(2 * packed.size, dtype="<f8")
-            flat[0::2], flat[1::2] = packed.real, packed.imag
-            fh.write(flat.tobytes())
-
-
-def _packed_indices(L):
-    idx_l = np.concatenate([np.full(l + 1, l) for l in range(L + 1)])
-    idx_m = np.concatenate([np.arange(l + 1) for l in range(L + 1)])
-    return idx_l, idx_m
+    idx = np.tril_indices(alm.L + 1)
+    Path(path).write_bytes(_SALM_MAGIC + struct.pack("<Iii", 1, alm.s, alm.L)
+                           + encode_pairs(np.concatenate([alm.alm_e[idx],
+                                                          alm.alm_b[idx]])))
 
 
 def read_alm(path) -> SpinAlm:
     """Read a SALM v1 file (see write_alm); a malformed one raises
     InvalidAlmFileError naming the file and the field."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _SALM_MAGIC:
-        raise InvalidAlmFileError(
-            f"{path}: magic {raw[:4]!r} is not {_SALM_MAGIC!r}")
-    if len(raw) < 16:
-        raise InvalidAlmFileError(
-            f"{path}: header has {len(raw)} bytes, SALM v1 needs 16")
-    version, s, L = struct.unpack("<Iii", raw[4:16])
+    (version, s, L), payload = read_header(Path(path).read_bytes(), _SALM_MAGIC,
+                                           "<Iii", "SALM v1",
+                                           InvalidAlmFileError, path)
     if version != 1:
         raise InvalidAlmFileError(f"{path}: version {version} is not 1")
     if L < 0:
@@ -273,17 +287,11 @@ def read_alm(path) -> SpinAlm:
     if L < abs(s):
         raise InvalidAlmFileError(f"{path}: band limit L={L} < |s|={abs(s)}")
     n = (L + 1) * (L + 2) // 2
-    if len(raw) - 16 != 4 * n * 8:
+    if len(payload) != 4 * n * 8:
         raise InvalidAlmFileError(
-            f"{path}: payload has {len(raw) - 16} bytes, L={L} needs {4 * n * 8}")
-    data = np.frombuffer(raw[16:], dtype="<f8")
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise InvalidAlmFileError(f"{path}: payload value {bad[0]} is "
-                                  f"{data[bad[0]]}, not a finite number")
-    idx_l, idx_m = _packed_indices(L)
+            f"{path}: payload has {len(payload)} bytes, L={L} needs {4 * n * 8}")
+    values = decode_pairs(payload, InvalidAlmFileError, path)
+    idx = np.tril_indices(L + 1)
     alm = SpinAlm.zeros(s, L)
-    for offset, arr in ((0, alm.alm_e), (2 * n, alm.alm_b)):
-        block = data[offset:offset + 2 * n]
-        arr[idx_l, idx_m] = block[0::2] + 1j * block[1::2]
+    alm.alm_e[idx], alm.alm_b[idx] = values[:n], values[n:]
     return alm

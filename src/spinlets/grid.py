@@ -150,6 +150,20 @@ def build_cubature(j: int, B: float) -> CubatureGrid:
     return _GRIDS[key]
 
 
+def header_grid(j: int, B: float, npix: int, error: type, where: str) -> CubatureGrid:
+    """The grid a file header's (j, B, npix) names, or `error` naming the
+    header field after `where` (the file, and its line in a text format)."""
+    try:
+        grid = build_cubature(j, B)
+    except (InvalidBandwidthError, ResourceLimitError) as exc:
+        name = f"B={B}" if isinstance(exc, InvalidBandwidthError) else f"j={j}"
+        raise error(f"{where}: header field {name}: {exc}") from None
+    if grid.n_pixels != npix:
+        raise error(f"{where}: header field npix={npix} does not match the "
+                    f"{grid.n_pixels} pixels of the level-{j} grid at B={B:g}")
+    return grid
+
+
 def geodesic_distance(p: SphPoint, q: SphPoint) -> float:
     """Great-circle distance: arccos of the clamped inner product."""
     dot = (math.sin(p.theta) * math.sin(q.theta) * math.cos(p.phi - q.phi)
@@ -312,16 +326,7 @@ def read_mask(path, epsilon: float = 0.0) -> SkyMask:
             raise InvalidMaskFileError(f"{path}:{lineno}: header field "
                                        f"{name}={value!r} is not a number") from None
     j, B, npix = values
-    try:
-        grid = build_cubature(j, B)
-    except (InvalidBandwidthError, ResourceLimitError) as exc:
-        name = f"B={B}" if isinstance(exc, InvalidBandwidthError) else f"j={j}"
-        raise InvalidMaskFileError(
-            f"{path}:{lineno}: header field {name}: {exc}") from None
-    if grid.n_pixels != npix:
-        raise InvalidMaskFileError(
-            f"{path}:{lineno}: header field npix={npix} does not match the "
-            f"{grid.n_pixels} pixels of the level-{grid.j} grid")
+    grid = header_grid(j, B, npix, InvalidMaskFileError, f"{path}:{lineno}")
     excluded = np.zeros(npix, dtype=bool)
     for lineno, line in lines[1:]:
         try:

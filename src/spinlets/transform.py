@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BandLimitExceededError, CoverageGapError,
-                     InvalidBandwidthError, InvalidCoefficientFileError,
-                     ResourceLimitError)
-from .fields import SpinAlm, cl_profile
-from .grid import CubatureGrid, SkyMask, build_cubature
+                     InvalidCoefficientFileError, ResourceLimitError)
+from .fields import SpinAlm, cl_profile, decode_pairs, encode_pairs, read_header
+from .grid import CubatureGrid, SkyMask, header_grid
 from .wigner import SphPoint, d_table, kernel_sum
 from .window import band_profile, window_support
 
@@ -335,34 +334,23 @@ def theoretical_corr(grid: CubatureGrid, model, k: int, k2: int, s: int) -> comp
 
 _SNBC_MAGIC = b"SNBC"
 _SNBC_FIELDS = "<IIiIBd"  # version, j, spin, npix, masked, B
-_SNBC_HEADER = 4 + struct.calcsize(_SNBC_FIELDS)  # 29 bytes
 
 
 def write_coefficients(path, coeffs: NeedletCoefficients) -> None:
     """Binary SNBC v2: magic, u32 version, u32 j, i32 spin, u32 npix, u8 masked,
-    float64 B, then float64 (re, im) per pixel, little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(_SNBC_MAGIC)
-        fh.write(struct.pack(_SNBC_FIELDS, 2, coeffs.grid.j, coeffs.s,
-                             coeffs.values.size, 1 if coeffs.masked else 0,
-                             coeffs.grid.B))
-        flat = np.empty(2 * coeffs.values.size, dtype="<f8")
-        flat[0::2], flat[1::2] = coeffs.values.real, coeffs.values.imag
-        fh.write(flat.tobytes())
+    float64 B, then float64 (re, im) per pixel (see encode_pairs)."""
+    Path(path).write_bytes(
+        _SNBC_MAGIC + struct.pack(_SNBC_FIELDS, 2, coeffs.grid.j, coeffs.s,
+                                  coeffs.values.size, 1 if coeffs.masked else 0,
+                                  coeffs.grid.B) + encode_pairs(coeffs.values))
 
 
 def read_coefficients(path) -> NeedletCoefficients:
     """Read an SNBC v2 file on the grid its header names, level j at bandwidth
     B; errors name the file and the field."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _SNBC_HEADER:
-        raise InvalidCoefficientFileError(
-            f"{path}: header has {len(raw)} bytes, SNBC v2 needs {_SNBC_HEADER}")
-    if raw[:4] != _SNBC_MAGIC:
-        raise InvalidCoefficientFileError(
-            f"{path}: magic {raw[:4]!r} is not {_SNBC_MAGIC!r}")
-    version, j, s, npix, masked, B = struct.unpack(_SNBC_FIELDS,
-                                                   raw[4:_SNBC_HEADER])
+    (version, j, s, npix, masked, B), payload = read_header(
+        Path(path).read_bytes(), _SNBC_MAGIC, _SNBC_FIELDS, "SNBC v2",
+        InvalidCoefficientFileError, path)
     if version != 2:
         raise InvalidCoefficientFileError(
             f"{path}: version {version} is not 2; write the file again with "
@@ -373,25 +361,11 @@ def read_coefficients(path) -> NeedletCoefficients:
     if not B > 1.0:
         raise InvalidCoefficientFileError(
             f"{path}: header field B={B} must be > 1")
-    try:
-        grid = build_cubature(j, B)
-    except (InvalidBandwidthError, ResourceLimitError) as exc:
-        name = f"B={B}" if isinstance(exc, InvalidBandwidthError) else f"j={j}"
+    grid = header_grid(j, B, npix, InvalidCoefficientFileError, path)
+    if len(payload) != 16 * npix:
         raise InvalidCoefficientFileError(
-            f"{path}: header field {name}: {exc}") from None
-    if npix != grid.n_pixels:
-        raise InvalidCoefficientFileError(
-            f"{path}: header field npix={npix} does not match the "
-            f"{grid.n_pixels} pixels of the level-{j} grid at B={B:g}")
-    if len(raw) - _SNBC_HEADER != 16 * npix:
-        raise InvalidCoefficientFileError(
-            f"{path}: payload has {len(raw) - _SNBC_HEADER} bytes, "
+            f"{path}: payload has {len(payload)} bytes, "
             f"npix={npix} needs {16 * npix}")
-    data = np.frombuffer(raw[_SNBC_HEADER:], dtype="<f8")
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise InvalidCoefficientFileError(f"{path}: payload value {bad[0]} is "
-                                          f"{data[bad[0]]}, not a finite number")
-    values = data[0::2] + 1j * data[1::2]
-    return NeedletCoefficients(s=s, values=values, masked=bool(masked),
-                               grid=grid)
+    return NeedletCoefficients(
+        s=s, values=decode_pairs(payload, InvalidCoefficientFileError, path),
+        masked=bool(masked), grid=grid)

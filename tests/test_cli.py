@@ -441,15 +441,14 @@ def test_config_levels_errors_name_the_key(tmp_path, text, message):
     ("6..4", "levels: range '6..4' is empty"),
     ("3,3", "levels: duplicate levels"),
     ("-1,2", "levels: needs levels j >= 0"),
+    ("40", "levels: level j=40 needs > 8000000 pixels (cap)"),
 ])
 def test_transform_levels_errors_name_the_flag(tmp_path, capsys, levels, message):
-    alm_path = tmp_path / "sig.salm"
-    run(["simulate", "--spin", "2", "--lmax", "16", "--seed", "8",
-         "--out", str(alm_path)])
-    capsys.readouterr()
+    # the levels rule and the pixel cap run before --alm is read, as estimate
+    # checks --kind before any file: the file here does not exist
     out_dir = tmp_path / "c"
-    assert run(["transform", "--alm", str(alm_path), f"--levels={levels}",
-                "--out-dir", str(out_dir)]) == 1
+    assert run(["transform", "--alm", str(tmp_path / "missing.salm"),
+                f"--levels={levels}", "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err == f"spinlets: error: {message}\n"
     assert not out_dir.exists()
 

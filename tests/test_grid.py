@@ -305,6 +305,14 @@ def test_read_mask_rejects_bad_pixel_index(tmp_path, entry, reason):
     ("4\nmask v1 j=2 B=2.0 npix=153\n", ":1: header '4'"),
     ("\nmask v1 j=2 B=2.0.1 npix=153\n", ":2: header field B='2.0.1'"),
     ("mask v1 j=2 B=2.0 npix=154\n4\n", ":1: header field npix=154"),
+    ("mask v1 j=3 B=1.7 npix=99\n4\n", ":1: header field npix=99 does not "
+     "match the 190 pixels of the level-3 grid at B=1.7"),
+    ("mask v1 j=5000 B=2.0 npix=153\n4\n", ":1: header field j=5000: level "
+     "j=5000 needs > 8000000 pixels (cap)"),
+    ("mask v1 j=2 B=1.0 npix=153\n4\n", ":1: header field B=1.0: bandwidth "
+     "B=1.0 must be > 1"),
+    ("mask v1 j=2 B=1e400 npix=153\n4\n", ":1: header field B=inf: bandwidth "
+     "B=inf must be finite"),
 ])
 def test_read_mask_rejects_bad_header(tmp_path, text, reason):
     path = tmp_path / "bad.mask"

@@ -344,12 +344,15 @@ def test_snbc_roundtrip(tmp_path, half_model):
     coeffs = needlet_analyze(alm, grid)
     path = tmp_path / "lev3.snbc"
     write_coefficients(path, coeffs)
-    assert path.read_bytes()[:4] == b"SNBC"
+    raw = path.read_bytes()
+    assert raw[:4] == b"SNBC"
     back = read_coefficients(path)
     assert (back.grid.j, back.grid.B, back.s) == (3, B, 2)
     assert back.grid.fingerprint == grid.fingerprint
     assert np.array_equal(back.values, coeffs.values)
     assert back.masked == coeffs.masked
+    write_coefficients(path, back)  # write -> read -> write: the same bytes
+    assert path.read_bytes() == raw
 
 
 def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
@@ -371,6 +374,8 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
         (good[:21] + struct.pack("<d", math.inf) + good[29:],
          "header field B=inf: bandwidth B=inf must be finite"),
         (good[:20] + bytes([7]) + good[21:], "header field masked=7 must be 0 or 1"),
+        (good[:8] + struct.pack("<I", 40) + good[12:],
+         "header field j=40: level j=40 needs > 8000000 pixels (cap)"),
         (good[:-16], f"payload has {16 * grid.n_pixels - 16} bytes, "
                      f"npix={grid.n_pixels} needs {16 * grid.n_pixels}"),
         (good + b"\0", f"payload has {16 * grid.n_pixels + 1} bytes"),
@@ -384,7 +389,7 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
     path.write_bytes(good[:16] + npix.to_bytes(4, "little") + good[20:])
     with pytest.raises(InvalidCoefficientFileError,
                        match=rf"header field npix={npix} does not match the "
-                             rf"{grid.n_pixels} pixels of the level-3 grid"):
+                             rf"{grid.n_pixels} pixels of the level-3 grid at B=2$"):
         read_coefficients(path)
 
 
@@ -422,7 +427,6 @@ def test_an_equal_grid_built_anew_hits_the_harmonic_tables(monkeypatch):
     _harmonic_tables.cache_clear()
     try:
         first = _harmonic_tables(build_cubature(3, B), S, 12)
-        monkeypatch.setattr(transform, "build_cubature", no_grid)
         monkeypatch.setattr(grid_module, "build_cubature", no_grid)
         again = _harmonic_tables(CubatureGrid(3, B), S, 12)
         info = _harmonic_tables.cache_info()
