@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, mc
-from .errors import InvalidConfigError, SpinletsError
+from .errors import (BandLimitExceededError, InvalidConfigError,
+                     ResourceLimitError, SpinletsError)
 from .fields import (draw_alm, observe_channels, read_alm, seed_key,
                      spin_power_law, write_alm)
 from .grid import build_cubature, empty_mask, hemispheres, read_mask
@@ -142,17 +143,21 @@ def cmd_transform(args) -> int:
     if args.mask is not None and args.bandwidth is not None:
         raise InvalidConfigError(f"bandwidth: mask {args.mask} names its level "
                                  f"and B; drop --bandwidth")
-    if args.mask is None:  # the levels rule and the pixel cap before any read
-        mask = None
-        B = 2.0 if args.bandwidth is None else args.bandwidth
+    if args.mask is None:  # B, the levels rule and the pixel cap before any read
+        B = mc.FIELDS["B"].check(2.0 if args.bandwidth is None
+                                 else args.bandwidth, "bandwidth")
         grids = [build_cubature(j, B)
                  for j in mc.FIELDS["j_list"].check(args.levels, "levels", B)]
     alm = read_alm(args.alm)
-    if args.mask is not None:
-        mask = read_mask(args.mask)
+    mask = None if args.mask is None else read_mask(args.mask)
+    if mask is not None:
         grids = [mask.grid]
-    for grid in grids:  # a roundtrip reads each table up to its support top
-        level_support(grid, alm.s, None if args.roundtrip else alm.L)
+    try:  # a roundtrip reads each table up to its support top
+        for grid in grids:
+            level_support(grid, alm.s, None if args.roundtrip else alm.L)
+    except (BandLimitExceededError, ResourceLimitError) as exc:
+        source = "levels" if mask is None else f"mask {args.mask}"
+        raise InvalidConfigError(f"{source}: {exc}") from None
     out_dir = Path(args.out_dir)
     paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
     _check_outputs(args.force, *paths)

@@ -13,8 +13,8 @@ class InvalidDegreeError(SpinletsError):
     """Degree l is below the minimum admissible for the given spin/model."""
 
 
-class InvalidBandwidthError(SpinletsError):
-    """Needlet bandwidth B must be > 1."""
+class InvalidBandwidthError(SpinletsError, ValueError):
+    """Needlet bandwidth B must be > 1 and finite (window.check_bandwidth)."""
 
 
 class ResourceLimitError(SpinletsError):

@@ -246,21 +246,20 @@ def read_header(raw: bytes, magic: bytes, fields: str, name: str, error: type,
 
 
 def decode_pairs(payload: bytes, error: type, path) -> np.ndarray:
-    """The complex values of a little-endian float64 (re, im) payload; `error`
-    names the first double that is not finite by its index."""
+    """The complex values of a little-endian float64 (re, im) payload, bit for
+    bit (signed zeros too) in a writable array; `error` names the first
+    double that is not finite by its index."""
     data = np.frombuffer(payload, dtype="<f8")
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         raise error(f"{path}: payload value {bad[0]} is {data[bad[0]]}, "
                     f"not a finite number")
-    return data[0::2] + 1j * data[1::2]
+    return np.frombuffer(payload, dtype="<c16").astype(np.complex128)
 
 
 def encode_pairs(values: np.ndarray) -> bytes:
     """Complex values as little-endian float64 (re, im) pairs."""
-    flat = np.empty(2 * values.size, dtype="<f8")
-    flat[0::2], flat[1::2] = values.real, values.imag
-    return flat.tobytes()
+    return np.asarray(values, dtype="<c16").tobytes()
 
 
 def write_alm(path, alm: SpinAlm) -> None:

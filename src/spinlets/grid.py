@@ -22,7 +22,7 @@ from .errors import (EmptyObservedRegionError, EmptyRegionError,
                      InvalidBandwidthError, InvalidMaskFileError,
                      ResourceLimitError)
 from .wigner import SphPoint
-from .window import NeedletWindow, build_window
+from .window import NeedletWindow, build_window, check_bandwidth
 
 MAX_PIXELS = 8_000_000  # largest grid any level may build
 
@@ -115,12 +115,8 @@ class CubatureGrid:
 
 def grid_size(j: int, B: float) -> int:
     """n = ceil(B^(j+1)) of the level-j grid (n + 1 rings of 2n + 1 pixels);
-    raises InvalidBandwidthError unless 1 < B < inf, ResourceLimitError past
-    the pixel cap."""
-    if not B > 1.0:
-        raise InvalidBandwidthError(f"bandwidth B={B} must be > 1")
-    if B == math.inf:
-        raise InvalidBandwidthError(f"bandwidth B={B} must be finite")
+    refuses B by check_bandwidth, then ResourceLimitError past the pixel cap."""
+    check_bandwidth(B)
     if (j + 1) * math.log(B) > math.log(MAX_PIXELS):  # before B^(j+1) overflows
         raise ResourceLimitError(f"level j={j} needs > {MAX_PIXELS} pixels (cap)")
     n = math.ceil(B ** (j + 1))
@@ -160,7 +156,7 @@ def header_grid(j: int, B: float, npix: int, error: type, where: str) -> Cubatur
         raise error(f"{where}: header field {name}: {exc}") from None
     if grid.n_pixels != npix:
         raise error(f"{where}: header field npix={npix} does not match the "
-                    f"{grid.n_pixels} pixels of the level-{j} grid at B={B:g}")
+                    f"{grid.n_pixels} pixels of the level-{j} grid at B={B!r}")
     return grid
 
 
@@ -318,14 +314,12 @@ def read_mask(path, epsilon: float = 0.0) -> SkyMask:
         raise InvalidMaskFileError(
             f"{path}:{lineno}: header {header!r} is not "
             f"'mask v1 j=<level> B=<bandwidth> npix=<pixels>'")
-    values = []
-    for name, parse, value in zip(("j", "B", "npix"), (int, float, int), m.groups()):
-        try:
-            values.append(parse(value))
-        except ValueError:
-            raise InvalidMaskFileError(f"{path}:{lineno}: header field "
-                                       f"{name}={value!r} is not a number") from None
-    j, B, npix = values
+    j, npix = int(m[1]), int(m[3])  # digits only; B may still not parse
+    try:
+        B = float(m[2])
+    except ValueError:
+        raise InvalidMaskFileError(f"{path}:{lineno}: header field "
+                                   f"B={m[2]!r} is not a number") from None
     grid = header_grid(j, B, npix, InvalidMaskFileError, f"{path}:{lineno}")
     excluded = np.zeros(npix, dtype=bool)
     for lineno, line in lines[1:]:

@@ -35,6 +35,7 @@ from .fields import draw_alm, observe_channels, spin_power_law
 from .grid import build_cubature, grid_size, hemispheres, polar_cap_mask
 from .transform import (level_support, masked_analyze, needlet_analyze,
                         support_top, synthesize_on_grid)
+from .window import check_bandwidth
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
 
@@ -115,7 +116,7 @@ _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 # flag has no effect (none: it always has one).  A flag that may be refused
 # defaults to None in argparse, so that a given one can be told from a missing one.
 FIELDS = {
-    "B": Field(float, (_FINITE, (lambda v: v > 1.0, "bandwidth must be > 1"))),
+    "B": Field(float, lambda value, B: check_bandwidth(value)),
     "s": Field(int),
     "j_list": Field(str, levels_rule),
     "alpha": Field(float, (_FINITE,), 3.0),
@@ -178,14 +179,13 @@ class _PlanContext:
         self.plan = plan
         self.reads = inputs_read(plan.kinds)
         # refused here, not by every replicate (the plan has refused a level
-        # past the pixel cap): level by level one its grid cannot resolve
-        # exactly or whose table passes the cap (level_support), an empty
-        # mask and an empty hemisphere interior
-        grids = {j: build_cubature(j, plan.B) for j in plan.j_list}
-        try:
-            supports = {j: level_support(grid, plan.s)
-                        for j, grid in grids.items()}
-        except BandLimitExceededError as exc:
+        # past the pixel cap): first every level its grid cannot resolve
+        # exactly or whose table passes the cap (level_support), then an
+        # empty mask and an empty hemisphere interior
+        try:  # (grid, support top) per level
+            admitted = [(grid, support_top(level_support(grid, plan.s), plan.s))
+                        for grid in (build_cubature(j, plan.B) for j in plan.j_list)]
+        except (BandLimitExceededError, ResourceLimitError) as exc:
             raise InvalidConfigError(
                 f"j_list: {exc} (B={plan.B}, s={plan.s})") from None
         self.signal_model = spin_power_law(plan.alpha, plan.s)
@@ -193,12 +193,10 @@ class _PlanContext:
                                             plan.noise_level)] * plan.channels
         self.adopted_noise = [m.scaled(plan.noise_bias_factor)
                               for m in self.noise_models]
-        tops = {j: support_top(support, plan.s)
-                for j, support in supports.items()}
-        self.L = max(tops.values())  # band limit: the deepest level's top
+        self.L = max(top for _, top in admitted)  # the deepest level's top
         self.levels = {}
-        for j, grid in grids.items():
-            eps = plan.epsilon_scale * plan.B ** (-j)
+        for grid, top in admitted:
+            eps = plan.epsilon_scale * plan.B ** (-grid.j)
             mask = polar_cap_mask(grid, plan.mask_fraction, epsilon=eps) \
                 if "mask" in self.reads else None
             regions = hemispheres(grid, epsilon=eps) \
@@ -206,7 +204,7 @@ class _PlanContext:
             if regions is not None:  # pickled warm to the pool workers
                 for which in (1, 2):
                     regions.interior(which)
-            self.levels[j] = (grid, mask, regions, tops[j])
+            self.levels[grid.j] = (grid, mask, regions, top)
 
     def reports(self, r: int) -> list:
         """[(j, kind, EstimateReport)] of replicate r, in plan order."""

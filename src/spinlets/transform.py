@@ -358,9 +358,6 @@ def read_coefficients(path) -> NeedletCoefficients:
     if masked not in (0, 1):
         raise InvalidCoefficientFileError(
             f"{path}: header field masked={masked} must be 0 or 1")
-    if not B > 1.0:
-        raise InvalidCoefficientFileError(
-            f"{path}: header field B={B} must be > 1")
     grid = header_grid(j, B, npix, InvalidCoefficientFileError, path)
     if len(payload) != 16 * npix:
         raise InvalidCoefficientFileError(

@@ -145,11 +145,16 @@ class NeedletWindow:
         return np.sqrt(self.b_squared(x))
 
 
+def check_bandwidth(B: float) -> float:
+    """B, if 1 < B < inf (the rule of every grid, window, plan and header)."""
+    if not 1.0 < B < math.inf:
+        raise InvalidBandwidthError(f"bandwidth B={B} must be > 1 and finite")
+    return B
+
+
 def build_window(B: float) -> NeedletWindow:
-    """Construct the needlet window for bandwidth B > 1."""
-    if not B > 1.0:
-        raise InvalidBandwidthError(f"bandwidth B={B} must be > 1")
-    return NeedletWindow(B=float(B))
+    """Construct the needlet window for bandwidth B (see check_bandwidth)."""
+    return NeedletWindow(B=float(check_bandwidth(B)))
 
 
 def eval_e_ls(l: int, s: int) -> int:

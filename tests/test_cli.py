@@ -16,7 +16,8 @@ import pytest
 from spinlets import build_window, estimators, gamma_theoretical, mc, power_law
 from spinlets.cli import (DEMO_CONFIG, build_parser, main, plan_from_config,
                           plan_to_config_text)
-from spinlets.errors import EmptyRegionError, InvalidConfigError
+from spinlets.errors import (EmptyRegionError, InvalidBandwidthError,
+                             InvalidConfigError)
 from spinlets.fields import read_alm
 from spinlets.grid import build_cubature, polar_cap_mask, write_mask
 from spinlets.mc import ExperimentPlan, rows_to_csv, run_experiment
@@ -180,9 +181,9 @@ def test_transform_bad_alm_and_mask_header_clean_error(tmp_path, capsys):
     for header, field in (("mask v1 j=2 B=2.0 npix=99", "npix=99"),
                           ("mask j=2", "header 'mask j=2'"),
                           ("mask v1 j=2 B=1.0 npix=153",
-                           "header field B=1.0: bandwidth B=1.0 must be > 1"),
+                           "header field B=1.0: bandwidth B=1.0 must be > 1 and finite"),
                           ("mask v1 j=2 B=1e400 npix=153",
-                           "header field B=inf: bandwidth B=inf must be finite")):
+                           "header field B=inf: bandwidth B=inf must be > 1 and finite")):
         mask_path.write_text(f"{header}\n4\n")
         code = run(["transform", "--alm", str(alm_path),
                     "--mask", str(mask_path), "--out-dir", str(tmp_path / "c")])
@@ -313,10 +314,10 @@ def test_config_values_parsed_by_declared_type(tmp_path, capsys):
                         ("B = two", "B = 'two' is not float"),
                         ("j_list = 3..x", "j_list: level 'x' in '3..x' is not an integer"),
                         # B is checked before the levels that are read at it
-                        ("B = inf\nj_list = 3", "B: inf is not a finite number"),
-                        ("j_list = 3\nB = nan", "B: nan is not a finite number"),
-                        ("B = 0.5\nj_list = 3", "B: bandwidth must be > 1"),
-                        ("B = 0.5", "B: bandwidth must be > 1"),
+                        ("B = inf\nj_list = 3", "B: bandwidth B=inf must be > 1 and finite"),
+                        ("j_list = 3\nB = nan", "B: bandwidth B=nan must be > 1 and finite"),
+                        ("B = 0.5\nj_list = 3", "B: bandwidth B=0.5 must be > 1 and finite"),
+                        ("B = 0.5", "B: bandwidth B=0.5 must be > 1 and finite"),
                         ("kinds = unfeasible, unfeasible",
                          "kinds: duplicate estimator 'unfeasible'"),
                         # a rule across keys, checked as the plan is built
@@ -503,7 +504,7 @@ def test_transform_checks_every_level_before_the_first_file(tmp_path, capsys):
     _refused_before_any_write(tmp_path, capsys, [
         "transform", "--alm", str(alm_path), "--levels", "0..3",
         "--out-dir", str(tmp_path / "c")],
-        "level j=1 needs exactness degree 12, grid provides 8")
+        "levels: level j=1 needs exactness degree 12, grid provides 8")
 
 
 def test_transform_refuses_a_roundtrip_gap_before_the_first_file(tmp_path,
@@ -603,7 +604,7 @@ def test_transform_refuses_a_nonfinite_bandwidth_as_a_bandwidth(tmp_path,
     _refused_before_any_write(tmp_path, capsys, [
         "transform", "--alm", str(alm_path), "--bandwidth", "inf",
         "--levels", "3", "--out-dir", str(tmp_path / "c")],
-        "bandwidth B=inf must be finite")
+        "bandwidth: bandwidth B=inf must be > 1 and finite")
 
 
 def test_estimate_reads_missing_spectrum_flags_as_their_defaults(tmp_path):
@@ -623,6 +624,21 @@ def test_estimate_reads_missing_spectrum_flags_as_their_defaults(tmp_path):
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
     assert run(base + ["--alpha", "4.0", "--out", str(tmp_path / "c.json")]) == 0
     assert (tmp_path / "a.json").read_text() != (tmp_path / "c.json").read_text()
+
+
+def test_estimate_without_out_prints_the_report_to_stdout(tmp_path, capsys):
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "31", "--seed", "2",
+         "--out", str(alm_path)])
+    run(["transform", "--alm", str(alm_path), "--levels", "4",
+         "--out-dir", str(tmp_path / "c")])
+    argv = ["estimate", "--kind", "unfeasible,asymmetry", "--coeffs",
+            str(tmp_path / "c" / "level04.snbc")]
+    report = tmp_path / "r.json"
+    assert run(argv + ["--out", str(report)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == report.read_text()
 
 
 def test_field_below_its_spin_refused(tmp_path, capsys):
@@ -668,6 +684,34 @@ def test_mc_refused_at_set_up_creates_no_directory(tmp_path, capsys):
     assert "exactness degree" in err
 
 
+def test_mc_missing_config_names_the_path(tmp_path, capsys):
+    path = tmp_path / "absent.cfg"
+    _refused_before_any_write(tmp_path, capsys, [
+        "mc", "--config", str(path), "--out-dir", str(tmp_path / "mc")],
+        f"config: cannot read {path}")
+
+
+def test_mc_prints_the_ks_and_slope_lines_of_its_diagnostics(tmp_path, capsys):
+    # the smallest plan with >= 100 replicates (a KS line per level) and
+    # 4 levels (a slope line): every level splits into >= 8 blocks at B = 1.5
+    plan_path = tmp_path / "plan.cfg"
+    plan_path.write_text("[plan]\nB = 1.5\nj_list = 4..7\nkinds = unfeasible\n"
+                         "replicates = 100\n")
+    out = tmp_path / "mc"
+    capsys.readouterr()
+    assert run(["mc", "--config", str(plan_path), "--out-dir", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    fit = diag["variance_slopes"]["unfeasible"]
+    expected = [f"spinlets: j={j} kind=unfeasible: mean={st['mean']:+.4f} "
+                f"var={st['variance']:.4f} KS={st['ks_distance']:.4f}"
+                for j, st in ((j, diag["statistics"][f"j={j},kind=unfeasible"])
+                              for j in range(4, 8))]
+    expected.append(f"spinlets: kind=unfeasible: log-variance slope "
+                    f"{fit['slope']:+.4f} +- {fit['stderr']:.4f} over levels "
+                    f"[4, 5, 6, 7]")
+    assert capsys.readouterr().err.splitlines()[:5] == expected
+
+
 def test_mc_failure_budget_abort_creates_no_directory(tmp_path, capsys,
                                                       monkeypatch):
     def failing_draw(*args):
@@ -689,8 +733,9 @@ def test_mc_refuses_an_oversized_table_before_building_it(tmp_path, capsys,
     monkeypatch.setattr(transform, "d_table", _no_table)
     err = _mc_refused(tmp_path, capsys, "[plan]\nj_list = 9\nkinds = masked\n"
                       "replicates = 2\n")
-    assert err == ("spinlets: error: level j=9: harmonic table at s=2, "
-                   "L=1023 needs 8598290400 bytes > cap 2147483648\n")
+    assert err == ("spinlets: error: j_list: level j=9: harmonic table at "
+                   "s=2, L=1023 needs 8598290400 bytes > cap 2147483648 "
+                   "(B=2.0, s=2)\n")
 
 
 def test_transform_refuses_an_oversized_table_before_building_it(
@@ -704,8 +749,8 @@ def test_transform_refuses_an_oversized_table_before_building_it(
     _refused_before_any_write(tmp_path, capsys, [
         "transform", "--alm", str(alm_path), "--levels", "0..9", "--roundtrip",
         "--out-dir", str(tmp_path / "c")],
-        "level j=9: harmonic table at s=2, L=1023 needs 8598290400 bytes > "
-        "cap 2147483648")
+        "levels: level j=9: harmonic table at s=2, L=1023 needs 8598290400 "
+        "bytes > cap 2147483648")
 
 
 def test_level_beyond_its_grid_exactness_refused_at_set_up(tmp_path, capsys):
@@ -721,6 +766,69 @@ def test_level_beyond_its_grid_exactness_refused_at_set_up(tmp_path, capsys):
     assert err == ("spinlets: error: j_list: level j=0 needs exactness degree "
                    "8, grid provides 6 (B=2.9, s=3)\n")
     assert not (out / "raw.csv").exists()
+
+
+def test_transform_mask_admission_refusals_name_the_mask(tmp_path, capsys,
+                                                         monkeypatch):
+    # both refusals of a level taken from --mask start with the mask file:
+    # at B = 2.9 and s = 3 level 0 is not exact; under a 1000-byte cap the
+    # level-3 table at s = 2, L = 15 (its support top) is too large
+    from spinlets import transform
+    monkeypatch.setattr(transform, "MAX_TABLE_BYTES", 1000)
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    cases = [(3, 0, 2.9, "level j=0 needs exactness degree 8, grid provides 6"),
+             (2, 3, 2.0, "level j=3: harmonic table at s=2, L=15 needs 34272 "
+                         "bytes > cap 1000")]
+    for spin, j, B, message in cases:
+        alm_path = tmp_path / f"sig{spin}.salm"
+        run(["simulate", "--spin", str(spin), "--lmax", "24", "--seed", "1",
+             "--out", str(alm_path)])
+        mask_path = tmp_path / f"level{j}.mask"
+        write_mask(mask_path, polar_cap_mask(build_cubature(j, B), 0.1))
+        _refused_before_any_write(tmp_path, capsys, [
+            "transform", "--alm", str(alm_path), "--mask", str(mask_path),
+            "--out-dir", str(tmp_path / "c")], f"mask {mask_path}: {message}")
+
+
+@pytest.mark.parametrize("text", ["0.5", "1.0", "inf", "nan"])
+def test_every_bandwidth_source_refuses_with_one_message(tmp_path, capsys,
+                                                         text):
+    # one rule, 1 < B < inf, and one message body after each source's prefix
+    body = f"bandwidth B={float(text)} must be > 1 and finite"
+    for build in (build_window, lambda B: build_cubature(2, B)):
+        with pytest.raises(InvalidBandwidthError) as err:
+            build(float(text))
+        assert str(err.value) == body
+    plan_path = tmp_path / "plan.cfg"
+    plan_path.write_text(f"[plan]\nB = {text}\nj_list = 3\n")
+    _refused_before_any_write(tmp_path, capsys, [
+        "mc", "--config", str(plan_path), "--out-dir", str(tmp_path / "mc")],
+        f"config {plan_path}: B: {body}")
+    # --bandwidth is checked before --levels and before --alm is read
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(tmp_path / "absent.salm"), "--bandwidth",
+        text, "--levels=-1", "--out-dir", str(tmp_path / "c")],
+        f"bandwidth: {body}")
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "1",
+         "--out", str(alm_path)])
+    run(["transform", "--alm", str(alm_path), "--levels", "2",
+         "--out-dir", str(tmp_path / "c")])
+    coeffs = tmp_path / "c" / "level02.snbc"
+    data = coeffs.read_bytes()
+    coeffs.write_bytes(data[:21] + struct.pack("<d", float(text)) + data[29:])
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--coeffs", str(coeffs), "--out", str(tmp_path / "r.json")],
+        f"{coeffs}: header field B={float(text)}: {body}")
+    if text == "nan":  # a mask header's B matches [0-9.eE+-]+: no nan
+        return
+    mask_path = tmp_path / "bad.mask"
+    mask_path.write_text(f"mask v1 j=2 B={'1e400' if text == 'inf' else text}"
+                         f" npix=153\n")
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--mask", str(mask_path),
+        "--out-dir", str(tmp_path / "c2")],
+        f"{mask_path}:1: header field B={float(text)}: {body}")
 
 
 def test_no_scipy_module_is_loaded(tmp_path):
@@ -820,6 +928,20 @@ def test_config_roundtrip_idempotent(tmp_path):
 
 def test_selftest_fast():
     assert run(["selftest"]) == 0
+
+
+def test_selftest_failure_exits_one_and_names_the_check(capsys, monkeypatch):
+    from spinlets import cli
+
+    def broken(B):
+        raise ValueError("no window")
+
+    monkeypatch.setattr(cli, "build_window", broken)
+    assert run(["selftest"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "spinlets: selftest FAIL window-partition: no window" in err
+    assert err[-1] == "spinlets: selftest: 1 failure(s): ['window-partition']"
+    assert sum("selftest PASS" in line for line in err) == 4
 
 
 @pytest.mark.parametrize("command", ["simulate", "transform", "estimate", "mc"])

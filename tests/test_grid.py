@@ -310,9 +310,12 @@ def test_read_mask_rejects_bad_pixel_index(tmp_path, entry, reason):
     ("mask v1 j=5000 B=2.0 npix=153\n4\n", ":1: header field j=5000: level "
      "j=5000 needs > 8000000 pixels (cap)"),
     ("mask v1 j=2 B=1.0 npix=153\n4\n", ":1: header field B=1.0: bandwidth "
-     "B=1.0 must be > 1"),
+     "B=1.0 must be > 1 and finite"),
     ("mask v1 j=2 B=1e400 npix=153\n4\n", ":1: header field B=inf: bandwidth "
-     "B=inf must be finite"),
+     "B=inf must be > 1 and finite"),
+    # the header's B in full: not "at B=1", which reads as the refused B = 1
+    ("mask v1 j=2 B=1.0000001 npix=9\n", ":1: header field npix=9 does not "
+     "match the 15 pixels of the level-2 grid at B=1.0000001"),
 ])
 def test_read_mask_rejects_bad_header(tmp_path, text, reason):
     path = tmp_path / "bad.mask"

@@ -76,7 +76,7 @@ def test_slope_needs_levels():
 def test_plan_validation_messages():
     # a plan is checked when it is built, and again by dataclasses.replace
     for fields, message in (
-            ({"B": 1.0}, "B: bandwidth must be > 1"),
+            ({"B": 1.0}, "B: bandwidth B=1.0 must be > 1 and finite"),
             ({"replicates": 0}, "replicates: must be >= 1"),
             ({"j_list": ()}, "j_list: needs levels j >= 0"),
             ({"j_list": (3, 4, 3)}, "j_list: duplicate levels"),
@@ -92,7 +92,7 @@ def test_plan_validation_messages():
             ExperimentPlan(**fields)
         with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}"):
             replace(ExperimentPlan(), **fields)
-    for name in ("B", "alpha", "gamma", "noise_level", "mask_fraction",
+    for name in ("alpha", "gamma", "noise_level", "mask_fraction",
                  "epsilon_scale", "noise_bias_factor"):
         for value in (math.nan, math.inf):
             with pytest.raises(InvalidConfigError,

@@ -368,11 +368,11 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
         (good[:4] + struct.pack("<IIiIB", 1, 3, S, grid.n_pixels, 0) + good[29:],
          "version 1 is not 2; write the file again with `spinlets transform`"),
         (good[:21] + struct.pack("<d", 1.0) + good[29:],
-         "header field B=1.0 must be > 1"),
+         "header field B=1.0: bandwidth B=1.0 must be > 1 and finite"),
         (good[:21] + struct.pack("<d", math.nan) + good[29:],
-         "header field B=nan must be > 1"),
+         "header field B=nan: bandwidth B=nan must be > 1 and finite"),
         (good[:21] + struct.pack("<d", math.inf) + good[29:],
-         "header field B=inf: bandwidth B=inf must be finite"),
+         "header field B=inf: bandwidth B=inf must be > 1 and finite"),
         (good[:20] + bytes([7]) + good[21:], "header field masked=7 must be 0 or 1"),
         (good[:8] + struct.pack("<I", 40) + good[12:],
          "header field j=40: level j=40 needs > 8000000 pixels (cap)"),
@@ -389,7 +389,7 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
     path.write_bytes(good[:16] + npix.to_bytes(4, "little") + good[20:])
     with pytest.raises(InvalidCoefficientFileError,
                        match=rf"header field npix={npix} does not match the "
-                             rf"{grid.n_pixels} pixels of the level-3 grid at B=2$"):
+                             rf"{grid.n_pixels} pixels of the level-3 grid at B=2\.0$"):
         read_coefficients(path)
 
 
