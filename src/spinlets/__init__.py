@@ -21,8 +21,8 @@ from .grid import (CubatureGrid, SkyMask, RegionPair, build_cubature,
 from .fields import (PowerSpectrumModel, SpinAlm, ChannelSet, power_law,
                      eval_cl, draw_alm, synthesize, rotate_stokes, observe_channels)
 from .transform import (NeedletCoefficients, needlet_analyze, masked_analyze,
-                        needlet_kernel, needlet_synthesize, theoretical_cov,
-                        theoretical_corr)
+                        needlet_kernel, needlet_synthesize, roundtrip_error,
+                        theoretical_cov, theoretical_corr)
 from .estimators import (EstimateReport, gamma_theoretical, estimate,
                          estimate_masked, estimate_asymmetry, estimate_ap,
                          estimate_cp, hausman_statistic, subsampling_variance)
@@ -37,7 +37,7 @@ __all__ = [
     "SpinAlm", "ChannelSet", "power_law", "eval_cl", "draw_alm", "synthesize",
     "rotate_stokes", "observe_channels", "NeedletCoefficients",
     "needlet_analyze", "masked_analyze", "needlet_kernel", "needlet_synthesize",
-    "theoretical_cov", "theoretical_corr", "EstimateReport",
+    "roundtrip_error", "theoretical_cov", "theoretical_corr", "EstimateReport",
     "gamma_theoretical", "estimate", "estimate_masked", "estimate_asymmetry",
     "estimate_ap", "estimate_cp", "hausman_statistic", "subsampling_variance",
     "ExperimentPlan", "DiagnosticsReport", "run_experiment",

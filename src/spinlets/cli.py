@@ -31,8 +31,9 @@ from .fields import (draw_alm, observe_channels, read_alm, seed_key,
                      spin_power_law, write_alm)
 from .grid import build_cubature, empty_mask, hemispheres, read_mask
 from .transform import (level_support, masked_analyze, needlet_analyze,
-                        needlet_synthesize, read_coefficients,
+                        needlet_synthesize, read_coefficients, roundtrip_error,
                         synthesize_on_grid, write_coefficients)
+from .wigner import SphPoint, spin_sph_harm, wigner_d, wigner_d_slice
 from .window import build_window
 
 DEMO_CONFIG = Path(__file__).parent / "configs" / "demo_estimate.cfg"
@@ -118,8 +119,6 @@ def _check_flags(args, reads: set, unread: str, kept=()) -> None:
 def cmd_simulate(args) -> int:
     _check_flags(args, {"noise"} if args.channels else set(),
                  "--{flag} sets the noise channels; pass --channels or drop it")
-    if args.channels < 0 or args.channels == 1:
-        raise InvalidConfigError("channels: must be 0 or >= 2")
     out = Path(args.out)
     noise_paths = [out.with_name(f"{out.stem}.noise{r}{out.suffix}")
                    for r in range(args.channels)]
@@ -174,11 +173,8 @@ def cmd_transform(args) -> int:
         _err(f"wrote {path} ({coeffs.values.size} coefficients, "
              f"masked={coeffs.masked})")
     if args.roundtrip:
-        top, lo = min(recon.L, alm.L) + 1, abs(alm.s) + 1
-        err = max((float(np.max(np.abs(a[lo:top, :top] - r[lo:top, :top])))
-                   for a, r in ((recon.alm_e, alm.alm_e), (recon.alm_b, alm.alm_b))
-                   if lo < top), default=0.0)
-        _err(f"roundtrip max alm error over covered degrees: {err:.3e}")
+        _err(f"roundtrip max alm error over covered degrees: "
+             f"{roundtrip_error(alm, recon):.3e}")
     return 0
 
 
@@ -217,8 +213,8 @@ def cmd_estimate(args) -> int:
         if mask.grid != first.grid:
             raise InvalidConfigError(
                 f"mask {args.mask} is for level j={mask.grid.j} at "
-                f"B={mask.grid.B:g}, coeffs {args.coeffs[0]} for level "
-                f"j={first.grid.j} at B={first.grid.B:g}")
+                f"B={mask.grid.B!r}, coeffs {args.coeffs[0]} for level "
+                f"j={first.grid.j} at B={first.grid.B!r}")
         inputs["mask"] = mask
     if "regions" in needs:
         inputs["regions"] = hemispheres(first.grid, epsilon=args.epsilon)
@@ -274,60 +270,44 @@ def cmd_mc(args) -> int:
     return 0
 
 
+def _frame_roundtrip_error() -> float:
+    half = spin_power_law(3.0, 2).scaled(0.5)
+    alm = draw_alm(half, half, 2, 14, 42)
+    levels = [needlet_analyze(alm, build_cubature(j, 2.0)) for j in range(5)]
+    return roundtrip_error(alm, needlet_synthesize(levels, L=alm.L))
+
+
+# the fast invariant checks of `spinlets selftest`: (name, error, tolerance);
+# a check passes when its error is below its tolerance
+SELFTEST = (
+    ("wigner-recursion", lambda: max(
+        abs(wigner_d(1, 0, 0, math.pi / 3) - 0.5),
+        abs(np.sum(wigner_d_slice(128, 2, 1.1) ** 2) - 1.0)), 1e-12),
+    ("addition-theorem", lambda: max(
+        abs(sum(abs(spin_sph_harm(16, m, s, SphPoint(1.1, 0.3))) ** 2
+                for m in range(-16, 17)) - 33 / (4 * math.pi)) for s in (0, 2)), 1e-10),
+    ("window-partition", lambda: abs(sum(map(build_window(2.0).b_squared,
+                                             (7.3 / 2.0 ** j for j in range(12))))
+                                     - 1.0), 1e-12),
+    ("grid-weights", lambda: abs(build_cubature(3, 2.0).weights.sum() - 4 * math.pi),
+     1e-10),
+    ("frame-roundtrip", _frame_roundtrip_error, 1e-8),
+)
+
+
 def cmd_selftest(args) -> int:
-    """Run the fast invariant suites; prints one line per check."""
-    checks = []
-
-    def check(name, fn):
+    """Run SELFTEST; prints one line per check."""
+    failures = []
+    for name, error, tol in SELFTEST:
         try:
-            fn()
-            checks.append((name, None))
-            _err(f"selftest PASS {name}")
+            err = float(error())
+            passed = err < tol
+            detail = f"error {err:.3e} {'<' if passed else '>='} {tol:g}"
         except Exception as exc:
-            checks.append((name, exc))
-            _err(f"selftest FAIL {name}: {exc}")
-
-    from .wigner import SphPoint, spin_sph_harm, wigner_d, wigner_d_slice
-
-    def _wigner():
-        assert abs(wigner_d(1, 0, 0, math.pi / 3) - 0.5) < 1e-12
-        sl = wigner_d_slice(128, 2, 1.1)
-        assert abs(np.sum(sl ** 2) - 1.0) < 1e-12
-
-    def _addition():
-        p = SphPoint(1.1, 0.3)
-        for s in (0, 2):
-            total = sum(abs(spin_sph_harm(16, m, s, p)) ** 2
-                        for m in range(-16, 17))
-            assert abs(total - 33 / (4 * math.pi)) < 1e-10
-
-    def _window():
-        w = build_window(2.0)
-        x = 7.3
-        total = sum(w.b_squared(x / 2.0 ** j) for j in range(12))
-        assert abs(total - 1.0) < 1e-12
-
-    def _grid():
-        g = build_cubature(3, 2.0)
-        assert abs(g.weights.sum() - 4 * math.pi) < 1e-10
-
-    def _roundtrip():
-        s, L, B = 2, 14, 2.0
-        half = spin_power_law(3.0, s).scaled(0.5)
-        alm = draw_alm(half, half, s, L, 42)
-        alm.alm_e[s, :] = 0.0
-        alm.alm_b[s, :] = 0.0
-        levels = [needlet_analyze(alm, build_cubature(j, B)) for j in range(0, 5)]
-        recon = needlet_synthesize(levels, L=L)
-        assert np.max(np.abs(recon.alm_e - alm.alm_e)) < 1e-8
-        assert np.max(np.abs(recon.alm_b - alm.alm_b)) < 1e-8
-
-    check("wigner-recursion", _wigner)
-    check("addition-theorem", _addition)
-    check("window-partition", _window)
-    check("grid-weights", _grid)
-    check("frame-roundtrip", _roundtrip)
-    failures = [name for name, exc in checks if exc is not None]
+            passed, detail = False, str(exc)
+        if not passed:
+            failures.append(name)
+        _err(f"selftest {'PASS' if passed else 'FAIL'} {name}: {detail}")
     if failures:
         _err(f"selftest: {len(failures)} failure(s): {failures}")
         return 1

@@ -139,6 +139,22 @@ class SpinAlm:
         out[:, :L] = neg[:, ::-1]
         return out
 
+    @classmethod
+    def from_full(cls, s: int, full: np.ndarray) -> "SpinAlm":
+        """The inverse of full_coeffs: a_{lm;E} = (a_{l;ms} + conj a_{l,-m;s})/2,
+        a_{lm;B} = -i (a_{l;ms} - conj a_{l,-m;s})/2, zero where m > l."""
+        L = full.shape[0] - 1
+        alm = cls.zeros(s, L)
+        ms = np.arange(L + 1)
+        pos = full[:, L:]
+        neg = np.concatenate([full[:, L:L + 1], full[:, :L][:, ::-1]], axis=1)
+        alm.alm_e[:, :] = 0.5 * (pos + np.conj(neg))
+        alm.alm_b[:, :] = -0.5j * (pos - np.conj(neg))
+        valid = ms[None, :] <= np.arange(L + 1)[:, None]
+        alm.alm_e[~valid] = 0.0
+        alm.alm_b[~valid] = 0.0
+        return alm
+
     def norm_squared(self) -> float:
         """sum over all (l, m) of |a_{l;ms}|^2, negative orders included."""
         full = self.full_coeffs()

@@ -122,7 +122,7 @@ FIELDS = {
     "alpha": Field(float, (_FINITE,), 3.0),
     "gamma": Field(float, (_FINITE,), 2.5, {"noise"}),
     "noise_level": Field(float, (_FINITE, _NONNEGATIVE), 1.0, {"noise"}),
-    "channels": Field(int, default=0),
+    "channels": Field(int, ((lambda v: v == 0 or v >= 2, "must be 0 or >= 2"),), 0),
     "replicates": Field(int, ((lambda v: v >= 1, "must be >= 1"),)),
     "base_seed": Field(int),
     "kinds": Field(str, kinds_rule),

@@ -291,17 +291,17 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
                               ring_weights=np.sqrt(c.grid.ring_weights))
         b = band_profile(c.grid.window, c.grid.j, s, np.arange(L_j + 1))
         acc[:L_j + 1, L - L_j:L + L_j + 1] += adj * b[:, None]
+    return SpinAlm.from_full(s, acc)
 
-    alm = SpinAlm.zeros(s, L)
-    ms = np.arange(L + 1)
-    pos = acc[:, L:]
-    neg = np.concatenate([acc[:, L:L + 1], acc[:, :L][:, ::-1]], axis=1)
-    alm.alm_e[:, :] = 0.5 * (pos + np.conj(neg))
-    alm.alm_b[:, :] = -0.5j * (pos - np.conj(neg))
-    valid = ms[None, :] <= np.arange(L + 1)[:, None]
-    alm.alm_e[~valid] = 0.0
-    alm.alm_b[~valid] = 0.0
-    return alm
+
+def roundtrip_error(alm: SpinAlm, recon: SpinAlm) -> float:
+    """max |a - a_hat| over E and B at the degrees a frame round trip covers,
+    |s| < l <= min(L, L_hat) (l = |s| is invisible to every level); 0.0 when
+    no degree is covered."""
+    top, lo = min(recon.L, alm.L) + 1, abs(alm.s) + 1
+    return max((float(np.max(np.abs(a[lo:top, :top] - r[lo:top, :top])))
+                for a, r in ((recon.alm_e, alm.alm_e), (recon.alm_b, alm.alm_b))
+                if lo < top), default=0.0)
 
 
 def theoretical_cov(grid: CubatureGrid, model, k: int, k2: int, s: int) -> complex:

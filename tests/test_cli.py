@@ -8,6 +8,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import types
 import typing
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from spinlets.cli import (DEMO_CONFIG, build_parser, main, plan_from_config,
 from spinlets.errors import (EmptyRegionError, InvalidBandwidthError,
                              InvalidConfigError)
 from spinlets.fields import read_alm
-from spinlets.grid import build_cubature, polar_cap_mask, write_mask
+from spinlets.grid import build_cubature, empty_mask, polar_cap_mask, write_mask
 from spinlets.mc import ExperimentPlan, rows_to_csv, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -320,8 +321,10 @@ def test_config_values_parsed_by_declared_type(tmp_path, capsys):
                         ("B = 0.5", "B: bandwidth B=0.5 must be > 1 and finite"),
                         ("kinds = unfeasible, unfeasible",
                          "kinds: duplicate estimator 'unfeasible'"),
+                        ("channels = 1", "channels: must be 0 or >= 2"),
+                        ("channels = -1", "channels: must be 0 or >= 2"),
                         # a rule across keys, checked as the plan is built
-                        ("kinds = cp\nchannels = 1",
+                        ("kinds = cp\nchannels = 0",
                          "channels: ap/cp/hausman need at least 2 channels")):
         path.write_text(f"[plan]\n{line}\n")
         with pytest.raises(InvalidConfigError) as err:
@@ -944,6 +947,25 @@ def test_selftest_failure_exits_one_and_names_the_check(capsys, monkeypatch):
     assert sum("selftest PASS" in line for line in err) == 4
 
 
+def test_selftest_lines_name_the_error_and_its_tolerance(capsys, monkeypatch):
+    from spinlets import cli
+
+    assert run(["selftest"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    for line, (name, _, tol) in zip(err, cli.SELFTEST):
+        assert re.fullmatch(rf"spinlets: selftest PASS {name}: error "
+                            rf"\d\.\d{{3}}e[+-]\d\d < {tol:g}", line), line
+    assert len(err) == len(cli.SELFTEST) + 1
+    # a window whose squares sum to 2: the partition misses 1 by 1
+    window = build_window(2.0)
+    monkeypatch.setattr(cli, "build_window", lambda B: types.SimpleNamespace(
+        b_squared=lambda x: 2 * window.b_squared(x)))
+    assert run(["selftest"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "spinlets: selftest FAIL window-partition: error 1.000e+00 >= 1e-12" in err
+    assert err[-1] == "spinlets: selftest: 1 failure(s): ['window-partition']"
+
+
 @pytest.mark.parametrize("command", ["simulate", "transform", "estimate", "mc"])
 def test_outputs_checked_before_the_first_write(tmp_path, capsys, command):
     # the last output exists: the run is refused before it writes any other
@@ -1043,9 +1065,25 @@ def test_estimate_refuses_a_mask_of_another_grid(tmp_path, capsys):
     assert run(["estimate", "--kind", "masked", "--coeffs", str(coeffs),
                 "--mask", str(mask5), "--out", str(report)]) == 1
     err = capsys.readouterr().err
-    assert f"mask {mask5} is for level j=5 at B=2, coeffs {coeffs} for " \
-           f"level j=4 at B=2" in err
+    assert f"mask {mask5} is for level j=5 at B=2.0, coeffs {coeffs} for " \
+           f"level j=4 at B=2.0" in err
     assert "Traceback" not in err and not report.exists()
+
+
+def test_estimate_grid_mismatch_names_each_bandwidth_unrounded(tmp_path, capsys):
+    # two bandwidths that agree to six digits still read as two grids
+    alm_path, mask_path = tmp_path / "sig.salm", tmp_path / "m.mask"
+    write_mask(mask_path, empty_mask(build_cubature(2, 1.0000001)))
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "1",
+         "--out", str(alm_path)])
+    assert run(["transform", "--alm", str(alm_path), "--levels", "2",
+                "--bandwidth", "1.0000002", "--out-dir", str(tmp_path / "c")]) == 0
+    coeffs = tmp_path / "c" / "level02.snbc"
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--kind", "unfeasible", "--coeffs", str(coeffs),
+        "--mask", str(mask_path), "--out", str(tmp_path / "r.json")],
+        f"mask {mask_path} is for level j=2 at B=1.0000001, coeffs {coeffs} "
+        f"for level j=2 at B=1.0000002")
 
 
 def test_every_plan_key_and_value_flag_has_one_table_entry():

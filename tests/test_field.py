@@ -253,6 +253,20 @@ def test_salm_roundtrip(tmp_path):
     assert path.read_bytes() == raw
 
 
+@pytest.mark.parametrize("s", [2, -1, 0])
+def test_from_full_inverts_full_coeffs(s):
+    half = power_law(3.0, l_min=max(1, abs(s))).scaled(0.5)
+    alm = draw_alm(half, half, s, 12, 5)
+    back = SpinAlm.from_full(s, alm.full_coeffs())
+    assert (back.s, back.L) == (s, 12)
+    # E and B come back from sums and differences of orders +m and -m, so
+    # to rounding, not bit for bit; the orders m > l stay exactly zero
+    assert np.max(np.abs(back.alm_e - alm.alm_e)) <= 1e-15
+    assert np.max(np.abs(back.alm_b - alm.alm_b)) <= 1e-15
+    above = np.triu_indices(13, 1)
+    assert not np.any(back.alm_e[above]) and not np.any(back.alm_b[above])
+
+
 def _salm_bytes(version=1, s=2, L=3, magic=b"SALM", n_doubles=None):
     if n_doubles is None:
         n_doubles = 4 * (L + 1) * (L + 2) // 2

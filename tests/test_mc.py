@@ -84,7 +84,9 @@ def test_plan_validation_messages():
             ({"kinds": ("unfeasible", "unfeasible")},
              "kinds: duplicate estimator 'unfeasible'"),
             ({"kinds": ()}, "kinds: needs at least one estimator kind"),
-            ({"kinds": ("cp",), "channels": 1}, "channels: ap/cp/hausman need"),
+            ({"channels": 1}, "channels: must be 0 or >= 2"),
+            ({"channels": -1}, "channels: must be 0 or >= 2"),
+            ({"kinds": ("cp",), "channels": 0}, "channels: ap/cp/hausman need"),
             ({"kinds": ("cp",), "channels": 2, "noise_level": -1.0},
              "noise_level: must be >= 0"),
             ({"epsilon_scale": -1.0}, "epsilon_scale: must be >= 0")):

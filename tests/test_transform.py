@@ -24,7 +24,8 @@ from spinlets.grid import CubatureGrid, empty_mask, polar_cap_mask
 from spinlets.transform import (MAX_TABLE_BYTES, _check_table_size,
                                 _harmonic_tables, analyze_on_grid,
                                 level_support, read_coefficients,
-                                synthesize_on_grid, write_coefficients)
+                                roundtrip_error, synthesize_on_grid,
+                                write_coefficients)
 from spinlets.wigner import d_table
 from spinlets.window import band_profile, window_support
 
@@ -146,6 +147,21 @@ def test_roundtrip_and_parseval(half_model):
     total_beta = sum(float(np.sum(np.abs(c.values) ** 2)) for c in levels)
     norm = alm.norm_squared()
     assert abs(total_beta - norm) / norm < 1e-8
+
+
+def test_roundtrip_error_reads_only_the_covered_degrees():
+    # rows l <= |s| and degrees above the smaller band limit do not count
+    alm, recon = SpinAlm.zeros(S, 10), SpinAlm.zeros(S, 8)
+    alm.alm_e[S, 0] = alm.alm_b[1, 1] = 5.0
+    alm.alm_e[9, 3] = alm.alm_b[10, 10] = 7.0
+    assert roundtrip_error(alm, recon) == 0.0
+    recon.alm_b[S + 1, 2] = 0.25j
+    recon.alm_e[8, 8] = -0.5
+    assert roundtrip_error(alm, recon) == roundtrip_error(recon, alm) == 0.5
+    # at L = |s| no degree is covered
+    lone = SpinAlm.zeros(-S, S)
+    lone.alm_e[S, 1] = 3.0
+    assert roundtrip_error(lone, SpinAlm.zeros(-S, S)) == 0.0
 
 
 def test_synthesize_zero_levels():
