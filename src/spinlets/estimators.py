@@ -148,8 +148,8 @@ def gamma_theoretical(window: NeedletWindow, model: PowerSpectrumModel,
 
 
 def _grid_meta(grid: CubatureGrid) -> dict:
-    return {"grid": f"j={grid.j} B={grid.B:g} npix={grid.n_pixels}",
-            "window": f"B={grid.B:g}"}
+    return {"grid": f"j={grid.j} B={grid.B!r} npix={grid.n_pixels}",
+            "window": f"B={grid.B!r}"}
 
 
 def block_labels(grid: CubatureGrid, observed: np.ndarray,

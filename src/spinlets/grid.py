@@ -127,7 +127,7 @@ def grid_size(j: int, B: float) -> int:
 
 
 # (j, B) -> the one grid of that level this process builds; grids are small
-# (rings and longitudes only), and the harmonic tables are cached elsewhere.
+# (rings and longitudes only), and transform holds the one harmonic table.
 # A grid owns its selection memo (_selections, keyed by the packed bits of a
 # pixel selection and the block count asked for): the estimators' block
 # partition of each selection, stored as runs of labels, with its block

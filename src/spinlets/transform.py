@@ -11,13 +11,14 @@ pseudo-coefficients of the gap-filled map, and evaluating the same spectral
 expression.  Exchanging the two finite sums makes the two forms identical,
 so the code runs in O(N L^2) instead of O(N^2 L).
 
-All per-grid harmonic tables are cached on (grid, spin, degree) keys; a
-grid is the value (j, B), so an equal grid built anew hits the cache.
+A process holds one harmonic table at a time, keyed (grid, spin, degree); a
+grid is the value (j, B), so an equal grid built anew hits it.  A miss frees
+the held table before it builds the next, so MAX_TABLE_BYTES bounds all the
+table memory a process holds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -51,10 +52,10 @@ class NeedletCoefficients:
             raise ValueError("coefficient array length != grid pixel count")
 
 
-# maxsize=3 thrashes on plans of more than three levels.  A memo on the grid,
-# keyed (s, L), would keep every level's tables, but it moves the benchmark's
-# pinned wigner.d_table count, so it waits for a change that re-pins it.
-@functools.lru_cache(maxsize=3)
+# the one holder of harmonic tables: at most one (grid, s, L) -> tables entry
+_table_slot: dict = {}
+
+
 def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     """Per-(grid, spin, degree) tables for the factorized grid transforms.
 
@@ -70,20 +71,26 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
 
     The one gate before any table: refuses an L the grid's longitudes cannot
     resolve (2L+1 > n_phi), then a table over MAX_TABLE_BYTES.  The key
-    fixes n_phi, so a cache hit skips no check.
+    fixes n_phi, so a hit skips no check.  A miss empties _table_slot before
+    it builds, so the old and the new table are never resident together.
     """
+    key = (grid, s, L)
+    if key in _table_slot:
+        return _table_slot[key]
     if grid.n_phi < 2 * L + 1:
         raise BandLimitExceededError(
             f"grid at level {grid.j} resolves orders |m| <= {(grid.n_phi - 1) // 2},"
             f" need {L}")
     _check_table_size(grid, s, L)
+    _table_slot.clear()
     D = d_table(L, s, grid.theta)
     ells = np.arange(L + 1)
     norms = np.sqrt((2 * ells + 1) / (4.0 * math.pi))
     mu = np.arange(-L, L + 1)
     signs = np.where(mu % 2 == 0, 1.0, -1.0)
     bins = np.mod(-mu, grid.n_phi)
-    return D, norms, signs, bins
+    _table_slot[key] = D, norms, signs, bins
+    return _table_slot[key]
 
 
 def _check_table_size(grid: CubatureGrid, s: int, L: int) -> None:

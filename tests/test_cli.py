@@ -256,7 +256,7 @@ def test_estimate_demo_reports_replicate_zero_of_its_plan(tmp_path):
     assert values["masked"] == 0.09459863713897398
     assert values["unfeasible"] == 0.09205971461705569
     assert values["asymmetry"] == 0.0037833395856900764
-    assert all(rep["meta"]["window"] == "B=2" for rep in reports)
+    assert all(rep["meta"]["window"] == "B=2.0" for rep in reports)
     cfg = tmp_path / "mc"
     assert run(["mc", "--config", str(DEMO_CONFIG), "--out-dir", str(cfg)]) == 0
     assert (cfg / "raw.csv").read_text() == rows_to_csv(rows)
@@ -1008,7 +1008,7 @@ def test_estimate_reads_the_grid_its_file_names(tmp_path, capsys, B, j, target):
                 "--out", str(report)]) == 0
     rep = json.loads(report.read_text())[0]
     npix = build_cubature(j, B).n_pixels
-    assert rep["meta"]["grid"] == f"j={j} B={B:g} npix={npix}"
+    assert rep["meta"]["grid"] == f"j={j} B={B!r} npix={npix}"
     assert rep["theoretical_target"] == gamma_theoretical(
         build_window(B), power_law(3.0, l_min=2), j, 2)
     assert rep["theoretical_target"] == pytest.approx(target, rel=1e-5)
@@ -1084,6 +1084,26 @@ def test_estimate_grid_mismatch_names_each_bandwidth_unrounded(tmp_path, capsys)
         "--mask", str(mask_path), "--out", str(tmp_path / "r.json")],
         f"mask {mask_path} is for level j=2 at B=1.0000001, coeffs {coeffs} "
         f"for level j=2 at B=1.0000002")
+
+
+@pytest.mark.filterwarnings("ignore:empty window support")
+def test_estimate_reports_name_each_bandwidth_unrounded(tmp_path):
+    # reports on grids whose bandwidths agree to six digits read as two grids
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "8", "--seed", "1",
+         "--out", str(alm_path)])
+    metas = []
+    for B in ("1.0000001", "1.0000002"):
+        out_dir, report = tmp_path / B, tmp_path / f"{B}.json"
+        assert run(["transform", "--alm", str(alm_path), "--levels", "2",
+                    "--bandwidth", B, "--out-dir", str(out_dir)]) == 0
+        assert run(["estimate", "--kind", "unfeasible", "--coeffs",
+                    str(out_dir / "level02.snbc"), "--out", str(report)]) == 0
+        metas.append(json.loads(report.read_text())[0]["meta"])
+    npix = build_cubature(2, 1.0000001).n_pixels
+    assert [(m["grid"], m["window"]) for m in metas] == [
+        (f"j=2 B=1.0000001 npix={npix}", "B=1.0000001"),
+        (f"j=2 B=1.0000002 npix={npix}", "B=1.0000002")]
 
 
 def test_every_plan_key_and_value_flag_has_one_table_entry():

@@ -1,12 +1,14 @@
 """Tests for needlet analysis/synthesis, kernels, and theoretical covariances."""
 
 import ast
+import gc
 import inspect
 import math
 import struct
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from weakref import ref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from spinlets.errors import (BandLimitExceededError, CoverageGapError,
 from spinlets.fields import SpinAlm
 from spinlets.grid import CubatureGrid, empty_mask, polar_cap_mask
 from spinlets.transform import (MAX_TABLE_BYTES, _check_table_size,
-                                _harmonic_tables, analyze_on_grid,
+                                _harmonic_tables, _table_slot, analyze_on_grid,
                                 level_support, read_coefficients,
                                 roundtrip_error, synthesize_on_grid,
                                 write_coefficients)
@@ -76,14 +78,14 @@ def test_analysis_stops_at_the_field_band_limit(half_model):
     # the synthesis reads a table up to l = 20, not up to the support top
     grid = build_cubature(7, B)
     alm = draw_alm(half_model, half_model, S, 20, 12)
-    _harmonic_tables.cache_clear()
+    _table_slot.clear()
     tracemalloc.start()
     try:
         coeffs = needlet_analyze(alm, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _harmonic_tables.cache_clear()
+        _table_slot.clear()
     assert peak < 32 * 2 ** 20, peak
     assert np.all(coeffs.values == 0.0)
 
@@ -419,11 +421,11 @@ def test_harmonic_tables_read_d_table_in_place(monkeypatch):
     d_table = transform.d_table
     monkeypatch.setattr(transform, "d_table", recording_d_table)
     grid = build_cubature(4, B)
-    _harmonic_tables.cache_clear()
+    _table_slot.clear()
     try:
         D = _harmonic_tables(grid, S, 24)[0]
     finally:
-        _harmonic_tables.cache_clear()
+        _table_slot.clear()
     assert len(built) == 1
     assert np.shares_memory(D, built[0])
     assert D.shape == (49, 25, grid.n_theta)
@@ -440,16 +442,49 @@ def test_an_equal_grid_built_anew_hits_the_harmonic_tables(monkeypatch):
     def no_grid(*args):
         raise AssertionError("a table build must not build a grid")
 
-    _harmonic_tables.cache_clear()
+    calls, build = [], transform.d_table
+
+    def counting_d_table(L, s, theta):
+        calls.append(L)
+        return build(L, s, theta)
+
+    monkeypatch.setattr(transform, "d_table", counting_d_table)
+    _table_slot.clear()
     try:
         first = _harmonic_tables(build_cubature(3, B), S, 12)
         monkeypatch.setattr(grid_module, "build_cubature", no_grid)
-        again = _harmonic_tables(CubatureGrid(3, B), S, 12)
-        info = _harmonic_tables.cache_info()
+        grid = CubatureGrid(3, B)
+        again = _harmonic_tables(grid, S, 12)
+        # the gate runs before the slot empties: a refusal keeps the table
+        with pytest.raises(BandLimitExceededError):
+            _harmonic_tables(grid, S, 17)
+        assert _harmonic_tables(grid, S, 12) is first
     finally:
-        _harmonic_tables.cache_clear()
+        _table_slot.clear()
     assert again is first
-    assert (info.hits, info.misses) == (1, 1)
+    assert calls == [12]
+
+
+def test_a_miss_frees_the_held_table_before_it_builds(monkeypatch):
+    # one table per process: the previous D is gone when d_table runs, so a
+    # level sweep never holds two tables at once
+    held, alive = [], []
+    build = transform.d_table
+
+    def recording_d_table(L, s, theta):
+        gc.collect()
+        alive.append(bool(held) and held[-1]() is not None)
+        return build(L, s, theta)
+
+    monkeypatch.setattr(transform, "d_table", recording_d_table)
+    _table_slot.clear()
+    try:
+        for j, L in ((3, 12), (4, 24), (4, 20), (3, 12)):
+            held.append(ref(_harmonic_tables(build_cubature(j, B), S, L)[0]))
+            assert len(_table_slot) == 1
+    finally:
+        _table_slot.clear()
+    assert alive == [False] * 4
 
 
 def test_level6_harmonic_tables_peak_memory(win):
@@ -461,14 +496,14 @@ def test_level6_harmonic_tables_peak_memory(win):
     j = 6
     L = window_support(win, j, S).stop - 1
     grid = build_cubature(j, B)
-    _harmonic_tables.cache_clear()
+    _table_slot.clear()
     tracemalloc.start()
     try:
         D = _harmonic_tables(grid, S, L)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _harmonic_tables.cache_clear()
+        _table_slot.clear()
     assert peak <= 1.25 * D.nbytes, (peak, D.nbytes)
 
 
@@ -602,7 +637,7 @@ def test_grid_transforms_equal_the_two_pass_products(j, s):
                     analyze_on_grid(values, grid, s, L, ring_weights=w),
                     analyze_on_grid_two_pass(values, grid, s, L, w)), (L, w)
     finally:
-        _harmonic_tables.cache_clear()
+        _table_slot.clear()
 
 
 def test_level6_transforms_do_not_copy_the_table(win):
@@ -614,7 +649,7 @@ def test_level6_transforms_do_not_copy_the_table(win):
     rng = np.random.default_rng(6)
     coeffs = rng.standard_normal((L + 1, 2 * L + 1)) + 0.5j
     values = rng.standard_normal(grid.n_pixels) + 0.5j
-    _harmonic_tables.cache_clear()
+    _table_slot.clear()
     try:
         D = _harmonic_tables(grid, S, L)[0]
         for transform_once in (lambda: synthesize_on_grid(coeffs, grid, S),
@@ -628,7 +663,7 @@ def test_level6_transforms_do_not_copy_the_table(win):
                 tracemalloc.stop()
             assert peak < 0.05 * D.nbytes, (peak, D.nbytes)
     finally:
-        _harmonic_tables.cache_clear()
+        _table_slot.clear()
 
 
 def test_needlet_kernel_and_cov_equal_per_degree_kernel_sums(win):
