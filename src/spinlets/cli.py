@@ -380,9 +380,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv) -> list:
+    """argv with `--levels -1,2` as `--levels=-1,2`, and so for --kind:
+    argparse would take a value that starts with one '-' for an option."""
+    out = []
+    for arg in argv:
+        if out[-1:] in (["--levels"], ["--kind"]) and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (SpinletsError, OSError, ValueError) as exc:

@@ -27,13 +27,12 @@ Final scalar reductions are exact sums, correctly rounded: `_exact_sum`
 gives math.fsum's bits in numpy, so estimator values do not depend on pixel
 ordering or parallel scheduling.
 
-What depends only on the grid and a pixel selection is computed once: the
-grid owns a memo (`CubatureGrid._selections`, keyed by the selection's
-packed bits and block count) holding the block partition as runs of labels,
-the block weights and sum lambda.  `block_labels` expands the runs into a
-fresh array on each call.  Gamma_{j;s} is memoized per (j, s, model) on the
-window.  Per call only the replicate's work remains: |beta|^2, the block
-sums and the variance.
+What depends only on the grid and a pixel selection is computed once per
+process by `_selection_of`, cached by the grid's value (j, B), the
+selection's packed bits and the block count: the block partition as runs of
+labels, the block weights and sum lambda.  `block_labels` expands the runs
+into a fresh array on each call, and `_band_power` caches Gamma_{j;s}.  Per
+call only the replicate's work remains: |beta|^2, block sums, the variance.
 
 KINDS gives each estimator kind's inputs, function and paper name; `estimate`
 dispatches on it for the Monte Carlo harness and the CLI alike.
@@ -41,8 +40,8 @@ dispatches on it for the Monte Carlo harness and the CLI alike.
 
 from __future__ import annotations
 
+import functools
 import math
-import mmap
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,6 +55,7 @@ from .errors import (EmptyObservedRegionError, InvalidChannelCountError,
 from .fields import PowerSpectrumModel, cl_profile
 from .grid import CubatureGrid, RegionPair, SkyMask
 from .transform import NeedletCoefficients
+from .wigner import demand_zero
 from .window import NeedletWindow, band_profile, window_support
 
 FOUR_PI = 4.0 * math.pi
@@ -127,24 +127,23 @@ class EstimateReport:
 
 def gamma_theoretical(window: NeedletWindow, model: PowerSpectrumModel,
                       j: int, s: int) -> float:
-    """Band power Gamma_{j;s} = sum_l b^2 C_l (2l+1) over the window support.
-
-    Computed once per (j, s, model) and kept by the window; an empty support
-    warns on every call.
-    """
-    support = window_support(window, j, s)
-    if len(support) == 0:
+    """Band power Gamma_{j;s} = sum_l b^2 C_l (2l+1) over the window support,
+    cached by _band_power; an empty support warns on every call."""
+    if len(window_support(window, j, s)) == 0:
         warnings.warn(f"empty window support at level j={j}, spin s={s}",
                       RuntimeWarning, stacklevel=2)
         return 0.0
-    key = (j, s, model)
-    gamma = window._band_powers.get(key)
-    if gamma is None:
-        ells = np.asarray(support)
-        b2 = band_profile(window, j, s, ells) ** 2
-        cl = cl_profile(model, ells)
-        gamma = window._band_powers[key] = float(np.sum(b2 * cl * (2 * ells + 1)))
-    return gamma
+    return _band_power(window, model, j, s)
+
+
+@functools.cache
+def _band_power(window: NeedletWindow, model: PowerSpectrumModel,
+                j: int, s: int) -> float:
+    """Gamma_{j;s} over a non-empty window support (see gamma_theoretical)."""
+    ells = np.asarray(window_support(window, j, s))
+    b2 = band_profile(window, j, s, ells) ** 2
+    cl = cl_profile(model, ells)
+    return float(np.sum(b2 * cl * (2 * ells + 1)))
 
 
 def _grid_meta(grid: CubatureGrid) -> dict:
@@ -181,35 +180,37 @@ class _Selection(NamedTuple):
 
 def _selection(grid: CubatureGrid, selection: np.ndarray,
                n_blocks: int | None = None) -> _Selection:
-    """The selection's entry in the grid's memo, computed on first use."""
+    """The selection's entry, computed on first use (see _selection_of)."""
     selection = np.asarray(selection, dtype=bool)
-    key = (np.packbits(selection).tobytes(), n_blocks)
-    sel = grid._selections.get(key)
-    if sel is None:
-        labels = _partition(grid, selection, n_blocks)
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
-        n_b = int(labels.max()) + 1  # 0 when no block is admissible
-        w_b = np.bincount(labels + 1, weights=grid.weights,
-                          minlength=n_b + 1)[1:]
-        W = w_b.sum()
-        shares2 = (w_b / W) ** 2
-        sel = grid._selections[key] = _Selection(
-            values=_mapped_copy(labels[starts]),
-            lengths=_mapped_copy(np.diff(starts, append=labels.size)),
-            n_b=n_b, w_b=w_b, W=W, shares2=shares2,
-            denom=1.0 - float(np.sum(shares2)),
-            weight_sum=_exact_sum(grid.weights[selection]))
-    return sel
+    return _selection_of(grid, np.packbits(selection).tobytes(), n_blocks)
+
+
+@functools.cache
+def _selection_of(grid: CubatureGrid, packed: bytes,
+                  n_blocks: int | None) -> _Selection:
+    """The _Selection of the grid's pixels whose bits `packed` holds."""
+    selection = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                              count=grid.n_pixels).view(bool)
+    labels = _partition(grid, selection, n_blocks)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1))
+    n_b = int(labels.max()) + 1  # 0 when no block is admissible
+    w_b = np.bincount(labels + 1, weights=grid.weights, minlength=n_b + 1)[1:]
+    W = w_b.sum()
+    shares2 = (w_b / W) ** 2
+    return _Selection(
+        values=_mapped_copy(labels[starts]),
+        lengths=_mapped_copy(np.diff(starts, append=labels.size)),
+        n_b=n_b, w_b=w_b, W=W, shares2=shares2,
+        denom=1.0 - float(np.sum(shares2)),
+        weight_sum=_exact_sum(grid.weights[selection]))
 
 
 def _mapped_copy(a: np.ndarray) -> np.ndarray:
-    """`a` copied into an anonymous memory map of its own, off the malloc heap.
-
-    Memo entries are made mid-replicate, above that replicate's temporaries;
-    kept on the heap, the runs of a j = 7 selection would stop the freed
-    temporaries below them from going back to the system (3 MB of heap).
-    """
-    out = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype)
+    """`a` copied into anonymous memory, off the malloc heap: cache entries
+    are made mid-replicate, above that replicate's temporaries, and kept on
+    the heap the runs of a j = 7 selection would stop the freed temporaries
+    below them from going back to the system (3 MB of heap)."""
+    out = demand_zero(a.shape, a.dtype)
     out[:] = a
     return out
 

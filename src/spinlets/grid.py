@@ -11,6 +11,7 @@ ring-local: a pixel on ring i is >= |theta_i - theta_k| from all of ring k.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -45,10 +46,6 @@ class CubatureGrid:
     phi: np.ndarray = field(init=False, repr=False, compare=False)
     ring_weights: np.ndarray = field(init=False, repr=False, compare=False)
     window: NeedletWindow = field(init=False, repr=False, compare=False)
-    # (packed selection, block count) -> its estimator state, filled by
-    # estimators._selection (see _GRIDS below)
-    _selections: dict = field(default_factory=dict, init=False,
-                              compare=False, repr=False)
 
     def __post_init__(self):
         if self.j < 0:
@@ -126,24 +123,16 @@ def grid_size(j: int, B: float) -> int:
     return n
 
 
-# (j, B) -> the one grid of that level this process builds; grids are small
-# (rings and longitudes only), and transform holds the one harmonic table.
-# A grid owns its selection memo (_selections, keyed by the packed bits of a
-# pixel selection and the block count asked for): the estimators' block
-# partition of each selection, stored as runs of labels, with its block
-# weights and sum lambda
-_GRIDS: dict = {}
-
-
+# One grid per (j, B) in a process; grids are small (rings and longitudes).
+# Functions that cache what a grid fixes key on its value, so an equal grid
+# built anew hits their entries; transform holds the one harmonic table.
+@functools.cache
 def build_cubature(j: int, B: float) -> CubatureGrid:
     """The level-j grid; exact for harmonic products up to 2*ceil(B^(j+1)).
 
     Built once per (j, B) in a process: later calls return the same grid.
     """
-    key = (j, float(B))
-    if key not in _GRIDS:
-        _GRIDS[key] = CubatureGrid(j=j, B=float(B))
-    return _GRIDS[key]
+    return CubatureGrid(j=j, B=float(B))
 
 
 def header_grid(j: int, B: float, npix: int, error: type, where: str) -> CubatureGrid:

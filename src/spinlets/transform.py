@@ -52,7 +52,7 @@ class NeedletCoefficients:
             raise ValueError("coefficient array length != grid pixel count")
 
 
-# the one holder of harmonic tables: at most one (grid, s, L) -> tables entry
+# the one bounded store: at most one (grid, s, L) -> harmonic tables entry
 _table_slot: dict = {}
 
 
@@ -258,8 +258,9 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
     a_{l;ms} = sum_j b(sqrt(e_ls)/B^j) sum_k sqrt(lambda_jk) beta_{jk;s}
                conj(Y_lms(xi_jk)), valid by cubature exactness.  Degrees with
     e_ls = 0 (l = |s|) are invisible to every level and come back as zero.
-    Raises when the provided levels leave a coverage gap below the target
-    band limit.
+    L = None takes the top degree where the levels' sum of b^2 is 1 to
+    rounding.  Raises when the provided levels leave a coverage gap below
+    the target band limit.
     """
     levels = list(coeff_levels)
     if not levels:
@@ -277,7 +278,7 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
     for c in levels:
         coverage += band_profile(c.grid.window, c.grid.j, s, ells) ** 2
     if L is None:
-        covered = np.flatnonzero(coverage >= 1.0 - 1e-6)
+        covered = np.flatnonzero(coverage >= 1.0 - 1e-14)
         L = int(covered.max()) if covered.size else abs(s)
     gaps = [int(l) for l in range(abs(s) + 1, L + 1)
             if l > l_cap or coverage[l] < 1.0 - 1e-6]

@@ -200,30 +200,30 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     (L+1, ntheta) block t[mu + L] has unit stride along theta and evenly
     strided rows, a matrix BLAS reads in place.  Entries with l < |n| or
     l < |mu| are zero and are never written: the store is demand-zero
-    memory (see _demand_zero), so they cost no RAM.
+    memory (see demand_zero), so they cost no RAM.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    store = _demand_zero((L + 1, 2 * L + 1, theta.size))
+    store = demand_zero((L + 1, 2 * L + 1, theta.size))
     for _ in iter_d_slices(L, n, theta, out=store):
         pass
     return store.transpose(1, 0, 2)
 
 
-def _demand_zero(shape) -> np.ndarray:
-    """Zeroed float64 array of private anonymous memory on 4 KB pages.
+def demand_zero(shape, dtype=np.float64) -> np.ndarray:
+    """Zeroed array of private anonymous memory on 4 KB pages.
 
     A page takes RAM when it is first written; one that is only read maps
     the kernel's shared zero page.  np.zeros asks for transparent huge
     pages from 4 MB up, so there one write makes a whole 2 MB page resident,
     zeros included.
     """
-    size = math.prod(shape)
-    buf = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE)
+    size, dtype = math.prod(shape), np.dtype(dtype)
+    buf = mmap.mmap(-1, max(dtype.itemsize * size, 1), flags=mmap.MAP_PRIVATE)
     try:
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     except (AttributeError, OSError):  # no huge pages to refuse here
         pass
-    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
 
 
 def spin_sph_harm(l: int, m: int, s: int, p: SphPoint) -> complex:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,17 +108,13 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 @dataclass(frozen=True)
 class NeedletWindow:
-    """Compactly supported needlet window on [1/B, B]."""
+    """Compactly supported needlet window on [1/B, B].
+
+    Windows are equal, and hash alike, iff their B are, so what is cached per
+    window (_level, estimators._band_power) is shared by equal windows.
+    """
 
     B: float
-    # (j, s) -> (support range, b over the support); filled by _level.  Both
-    # depend only on (B, j, s), so a window owns them for its lifetime.
-    _levels: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
-    # (j, s, spectrum model) -> band power Gamma_{j;s}; filled by
-    # estimators.gamma_theoretical
-    _band_powers: dict = field(default_factory=dict, init=False,
-                               compare=False, repr=False)
 
     def _phi(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -170,15 +166,16 @@ def window_support(window: NeedletWindow, j: int, s: int) -> range:
     The analytic support is trimmed of edge degrees whose window value falls
     below double-precision resolution of the plateau (b there is ~e^-200);
     every downstream sum weights by b, so those degrees contribute exactly 0.
-    Computed once per (j, s) and kept by the window.
+    Computed once per (window, j, s) in a process (see _level).
     """
     if j < 0:
         raise ValueError("level j must be >= 0")
     return _level(window, j, s)[0]
 
 
+@functools.cache
 def _level(window: NeedletWindow, j: int, s: int) -> tuple:
-    """(support, b(sqrt(e_ls)/B^j) over the support), memoized on the window.
+    """(support, b(sqrt(e_ls)/B^j) over the support), cached per (window, j, s).
 
     b is evaluated once over the analytic support t_lo < l(l+1) < t_hi,
     with t_lo = B^(2(j-1)) + s(s+1) and t_hi = B^(2(j+1)) + s(s+1), and the
@@ -186,22 +183,18 @@ def _level(window: NeedletWindow, j: int, s: int) -> tuple:
     one past the top of the analytic one.
     """
     j, s = int(j), int(s)
-    level = window._levels.get((j, s))
-    if level is None:
-        B, ss = window.B, s * (s + 1)
-        t_lo, t_hi = B ** (2 * (j - 1)) + ss, B ** (2 * (j + 1)) + ss
-        ells = np.arange(abs(s), int(math.sqrt(t_hi)) + 2, dtype=np.int64)
-        lo = abs(s) + int(np.count_nonzero(ells * (ells + 1) <= t_lo))
-        hi = abs(s) + int(np.count_nonzero(ells * (ells + 1) < t_hi))
-        ells = ells[lo - abs(s):hi - abs(s)]
-        e = (ells - s) * (ells + s + 1)  # > 0 on the analytic support
-        profile = window.b(np.sqrt(e.astype(np.float64)) / B ** j)
-        nz = np.flatnonzero(profile)
-        first, stop = (lo + int(nz[0]), lo + int(nz[-1]) + 1) if nz.size \
-            else (hi, hi)
-        level = window._levels[(j, s)] = (range(first, stop),
-                                          profile[first - lo:stop - lo])
-    return level
+    B, ss = window.B, s * (s + 1)
+    t_lo, t_hi = B ** (2 * (j - 1)) + ss, B ** (2 * (j + 1)) + ss
+    ells = np.arange(abs(s), int(math.sqrt(t_hi)) + 2, dtype=np.int64)
+    lo = abs(s) + int(np.count_nonzero(ells * (ells + 1) <= t_lo))
+    hi = abs(s) + int(np.count_nonzero(ells * (ells + 1) < t_hi))
+    ells = ells[lo - abs(s):hi - abs(s)]
+    e = (ells - s) * (ells + s + 1)  # > 0 on the analytic support
+    profile = window.b(np.sqrt(e.astype(np.float64)) / B ** j)
+    nz = np.flatnonzero(profile)
+    first, stop = (lo + int(nz[0]), lo + int(nz[-1]) + 1) if nz.size \
+        else (hi, hi)
+    return range(first, stop), profile[first - lo:stop - lo]
 
 
 def band_profile(window: NeedletWindow, j: int, s: int, ells) -> np.ndarray:

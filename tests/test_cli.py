@@ -79,6 +79,21 @@ def test_transform_levels_roundtrip(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "one").iterdir()] == ["level04.snbc"]
 
 
+def test_transform_roundtrip_reports_only_fully_covered_degrees(tmp_path, capsys):
+    # levels 0..7 at B = 2 cover l <= 128 to rounding and l = 129..131 only
+    # in part (1 - sum b^2 = 6.5e-13 .. 8.6e-7): the printed error is the
+    # frame's at the degrees they cover, a rounding-level number
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "255", "--seed", "3",
+         "--out", str(alm_path)])
+    capsys.readouterr()
+    assert run(["transform", "--alm", str(alm_path), "--levels", "0..7",
+                "--out-dir", str(tmp_path / "c"), "--roundtrip"]) == 0
+    line = [ln for ln in capsys.readouterr().err.splitlines()
+            if ln.startswith("spinlets: roundtrip")][0]
+    assert float(line.rsplit(" ", 1)[-1]) < 1e-12
+
+
 def test_masked_pipeline_end_to_end(tmp_path):
     from spinlets.grid import build_cubature, polar_cap_mask, write_mask
     alm_path = tmp_path / "sig.salm"
@@ -449,12 +464,14 @@ def test_config_levels_errors_name_the_key(tmp_path, text, message):
 ])
 def test_transform_levels_errors_name_the_flag(tmp_path, capsys, levels, message):
     # the levels rule and the pixel cap run before --alm is read, as estimate
-    # checks --kind before any file: the file here does not exist
+    # checks --kind before any file: the file here does not exist.  A value
+    # after a space reaches the rule too, "-1,2" included
     out_dir = tmp_path / "c"
-    assert run(["transform", "--alm", str(tmp_path / "missing.salm"),
-                f"--levels={levels}", "--out-dir", str(out_dir)]) == 1
-    assert capsys.readouterr().err == f"spinlets: error: {message}\n"
-    assert not out_dir.exists()
+    for flag in ([f"--levels={levels}"], ["--levels", levels]):
+        assert run(["transform", "--alm", str(tmp_path / "missing.salm")]
+                   + flag + ["--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"spinlets: error: {message}\n"
+        assert not out_dir.exists()
 
 
 def _refused_before_any_write(tmp_path, capsys, argv, message):
@@ -591,6 +608,7 @@ def test_estimate_refuses_flags_no_requested_kind_reads(tmp_path, capsys, kinds,
      "drop b.snbc"),
     (["--kind", "masked,cp,masked", "--coeffs", "a.snbc"],
      "kind: duplicate estimator 'masked'"),
+    (["--kind", "-x", "--coeffs", "a.snbc"], "kind: unknown estimator '-x'"),
 ])
 def test_estimate_refuses_kinds_and_coeffs_before_reading_a_file(
         tmp_path, capsys, argv, message):

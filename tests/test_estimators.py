@@ -85,14 +85,25 @@ def test_gamma_empty_support_warns(win):
 
 
 def test_gamma_is_kept_per_level_spin_and_model():
+    cached = estimators._band_power
+    cached.cache_clear()
     window, model = build_window(B), power_law(3.0, l_min=2)
     first = gamma_theoretical(window, model, 5, S)
     assert gamma_theoretical(window, model, 5, S) == first
-    assert gamma_theoretical(build_window(B), model, 5, S) == first
+    # a window and a model built anew, equal to the first, hit
+    assert gamma_theoretical(build_window(B), power_law(3.0, l_min=2), 5,
+                             S) == first
+    assert cached.cache_info()[:2] == (2, 1)  # hits, misses
+    # another amplitude, B, level or spin misses
     other = power_law(3.0, l_min=2, amplitude=2.0)
     assert gamma_theoretical(window, other, 5, S) == pytest.approx(2 * first,
                                                                    rel=1e-15)
-    assert len(window._band_powers) == 2
+    assert gamma_theoretical(build_window(1.9), model, 5, S) != first
+    for j, s in ((6, S), (5, S + 1)):
+        gamma_theoretical(window, model, j, s)
+    assert cached.cache_info()[:2] == (2, 5)
+    cached.cache_clear()  # computed again, the same bits
+    assert gamma_theoretical(window, model, 5, S) == first
 
 
 def test_gamma_of_silent_noise_model_is_zero(win):
@@ -343,19 +354,31 @@ def _level4_selections(grid):
 
 
 def test_block_labels_hit_equals_the_loop_and_a_fresh_grid():
+    cached = estimators._selection_of
+    cached.cache_clear()
     grid = CubatureGrid(j=4, B=B)
-    for n, observed in enumerate(_level4_selections(grid), start=1):
+    selections = _level4_selections(grid)
+    hits = []
+    for n, observed in enumerate(selections, start=1):
         block_labels(grid, observed)
-        assert len(grid._selections) == n
-        hit = block_labels(grid, observed)
-        assert len(grid._selections) == n
-        assert np.array_equal(hit, block_labels_loop(grid, observed))
-        assert np.array_equal(hit, block_labels(CubatureGrid(j=4, B=B),
-                                                observed))
-    # the memo keeps runs of labels, not an array over the pixels
-    for entry in grid._selections.values():
-        sizes = [a.size for a in entry if isinstance(a, np.ndarray)]
+        assert cached.cache_info()[:2] == (n - 1, n)  # hits, misses
+        # an equal grid built anew hits
+        hits.append(block_labels(CubatureGrid(j=4, B=B), observed))
+        assert cached.cache_info()[:2] == (n, n)
+        assert np.array_equal(hits[-1], block_labels_loop(grid, observed))
+    # another B misses, even where its rings and pixels are those of B = 2
+    other = CubatureGrid(j=4, B=1.999)
+    assert other.n_pixels == grid.n_pixels
+    block_labels(other, selections[0])
+    assert cached.cache_info()[:2] == (3, 4)
+    # the cache keeps runs of labels, not an array over the pixels
+    for observed in selections:
+        sizes = [a.size for a in estimators._selection(grid, observed)
+                 if isinstance(a, np.ndarray)]
         assert max(sizes) < grid.n_pixels // 4
+    cached.cache_clear()  # computed again, the same labels
+    for observed, hit in zip(selections, hits):
+        assert np.array_equal(block_labels(grid, observed), hit)
 
 
 def test_block_labels_returns_a_fresh_array():
@@ -368,6 +391,7 @@ def test_block_labels_returns_a_fresh_array():
 
 
 def test_selections_of_equal_size_get_distinct_entries():
+    estimators._selection_of.cache_clear()
     grid = CubatureGrid(j=4, B=B)
     first, second = np.zeros((2, grid.n_pixels), dtype=bool)
     first[:1000], second[1000:2000] = True, True
@@ -377,7 +401,7 @@ def test_selections_of_equal_size_get_distinct_entries():
                               block_labels_loop(grid, observed))
         assert estimators._weighted_estimate(weights, grid, observed) == \
             4.0 * math.pi * 1000 / fsum_reference(grid.weights[observed])
-    assert len(grid._selections) == 2
+    assert estimators._selection_of.cache_info().currsize == 2
 
 
 def _subsampling_reference(values, grid, observed):
@@ -401,16 +425,17 @@ def test_variance_and_estimate_on_a_hit_equal_a_fresh_grid():
     grid = CubatureGrid(j=4, B=B)
     rng = np.random.default_rng(11)
     for observed in _level4_selections(grid):
-        for _ in range(3):  # the first fills the memo, the others hit it
+        for _ in range(3):  # the first fills the cache, the others hit it
             x = rng.standard_normal(grid.n_pixels) ** 2
-            fresh = CubatureGrid(j=4, B=B)
             variance = subsampling_variance(x, grid, observed)
-            assert variance == subsampling_variance(x, fresh, observed)
             assert variance == _subsampling_reference(x, grid, observed)
             value = estimators._weighted_estimate(x, grid, observed)
-            assert value == estimators._weighted_estimate(x, fresh, observed)
             assert value == 4.0 * math.pi * fsum_reference(x[observed]) \
                 / fsum_reference(grid.weights[observed])
+        estimators._selection_of.cache_clear()  # computed again, on a new grid
+        fresh = CubatureGrid(j=4, B=B)
+        assert variance == subsampling_variance(x, fresh, observed)
+        assert value == estimators._weighted_estimate(x, fresh, observed)
 
 
 def test_asymmetry_regions_and_errors(win, grid4):

@@ -1,9 +1,12 @@
 """Tests for needlet analysis/synthesis, kernels, and theoretical covariances."""
 
 import ast
+import dataclasses
 import gc
+import importlib
 import inspect
 import math
+import pkgutil
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +32,7 @@ from spinlets.transform import (MAX_TABLE_BYTES, _check_table_size,
                                 roundtrip_error, synthesize_on_grid,
                                 write_coefficients)
 from spinlets.wigner import d_table
-from spinlets.window import band_profile, window_support
+from spinlets.window import _level, band_profile, window_support
 
 from oracles import (analyze_on_grid_two_pass, kernel_sum_per_degree,
                      synthesize_on_grid_two_pass)
@@ -67,10 +70,16 @@ def test_grid_carries_its_level_window():
     grid = build_cubature(4, 1.7)
     assert grid.window.B == grid.B == 1.7
     assert "window" not in inspect.signature(CubatureGrid).parameters
+    _level.cache_clear()
     coeffs = needlet_analyze(SpinAlm.zeros(S, 20), grid)
     assert coeffs.grid is grid
     assert not hasattr(coeffs, "j") and not hasattr(coeffs, "window")
-    assert (4, S) in grid.window._levels  # the grid owns the level's memo
+    # the analysis cached the level of the grid's window, which an equal
+    # window built anew hits
+    assert _level.cache_info().currsize == 1
+    hits = _level.cache_info().hits
+    window_support(build_window(1.7), 4, S)
+    assert _level.cache_info()[:2] == (hits + 1, 1)  # hits, misses
 
 
 def test_analysis_stops_at_the_field_band_limit(half_model):
@@ -605,6 +614,38 @@ def test_no_module_imports_a_private_name_of_another():
                if isinstance(node, ast.ImportFrom) and node.level
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_process_state_is_the_listed_stores():
+    # what a process keeps between calls: unbounded functools.cache functions
+    # of values, the one harmonic table slot, and constant tables; a
+    # hand-rolled memo (a module dict, or a dict field no caller passes)
+    # fails here
+    src = Path(transform.__file__).parent
+    modules = [importlib.import_module(name) for name in ["spinlets"] + [
+        f"spinlets.{m.name}" for m in pkgutil.iter_modules([str(src)])]]
+    cached, stores, memo_fields = set(), set(), set()
+    for module in modules:
+        home = module.__name__.split(".")[-1]
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) == module.__name__ \
+                    and hasattr(obj, "cache_info"):
+                assert obj.cache_parameters()["maxsize"] is None, name
+                cached.add(f"{home}.{name}")
+            if not name.startswith("__") and isinstance(
+                    obj, (dict, list, set, bytearray, np.ndarray)):
+                stores.add(f"{home}.{name}")
+            if isinstance(obj, type) and obj.__module__ == module.__name__ \
+                    and dataclasses.is_dataclass(obj):
+                memo_fields |= {f"{home}.{name}.{f.name}"
+                                for f in dataclasses.fields(obj)
+                                if not f.init and f.default_factory is dict}
+    assert cached == {"grid.build_cubature", "window._level",
+                      "window._psi_interpolator", "estimators._band_power",
+                      "estimators._selection_of"}
+    assert stores == {"transform._table_slot", "cli._SYNTAX",
+                      "estimators.KINDS", "estimators.PAPER_KIND", "mc.FIELDS"}
+    assert memo_fields == {"grid.RegionPair._interior_cache"}
 
 
 def _no_table(*args):

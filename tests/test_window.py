@@ -8,7 +8,7 @@ from scipy.interpolate import PchipInterpolator
 
 from spinlets import build_window, eval_e_ls, window_support
 from spinlets.errors import InvalidBandwidthError, InvalidDegreeError
-from spinlets.window import _Pchip, _psi_nodes, band_profile
+from spinlets.window import _level, _Pchip, _psi_nodes, band_profile
 
 from oracles import window_derivative_bound, window_support_scalar
 
@@ -114,8 +114,9 @@ def test_memoized_support_and_profile_match_fresh_evaluation():
                 nonzero = np.flatnonzero(want)
                 want_sup = range(ells[nonzero[0]], ells[nonzero[-1]] + 1) \
                     if nonzero.size else range(0)
-                # fill the memo from either entry point; later calls read it
+                # fill the cache from either entry point; later calls read it
                 for profile_first in (False, True):
+                    _level.cache_clear()
                     win = build_window(B)
                     if profile_first:
                         band_profile(win, j, s, ells)
@@ -128,16 +129,20 @@ def test_memoized_support_and_profile_match_fresh_evaluation():
 
 
 def test_windows_do_not_share_a_memo():
+    # the level cache keys on the window's B: an equal window built anew
+    # hits, one at another B misses
+    _level.cache_clear()
     wide, narrow = build_window(3.0), build_window(1.5)
     ells = np.arange(40)
     for win in (wide, narrow):
         window_support(win, 3, 2)
-    assert wide._levels is not narrow._levels
+    assert _level.cache_info()[:2] == (0, 2)  # hits, misses
     assert window_support(narrow, 3, 2) != window_support(wide, 3, 2)
     for win in (wide, narrow):
-        assert band_profile(win, 3, 2, ells).tobytes() == \
-            _fresh_profile(build_window(win.B), 3, 2, ells).tobytes()
-    assert "_levels" not in repr(wide)
+        assert band_profile(build_window(win.B), 3, 2, ells).tobytes() == \
+            _fresh_profile(win, 3, 2, ells).tobytes()
+    assert _level.cache_info()[:2] == (4, 2)
+    assert repr(wide) == "NeedletWindow(B=3.0)"
 
 
 def test_support_empty_for_large_spin_small_level(win):
