@@ -127,10 +127,11 @@ def grid_size(j: int, B: float) -> int:
 # Functions that cache what a grid fixes key on its value, so an equal grid
 # built anew hits their entries; transform holds the one harmonic table.
 @functools.cache
-def build_cubature(j: int, B: float) -> CubatureGrid:
+def build_cubature(j: int, B: float, /) -> CubatureGrid:
     """The level-j grid; exact for harmonic products up to 2*ceil(B^(j+1)).
 
-    Built once per (j, B) in a process: later calls return the same grid.
+    Built once per (j, B) in a process: later calls return the same grid
+    (both parameters are positional-only, so every call form is one key).
     """
     return CubatureGrid(j=j, B=float(B))
 

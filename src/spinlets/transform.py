@@ -36,6 +36,9 @@ from .window import band_profile, window_support
 # largest harmonic table a level may build, counted in its written bytes
 # (rows l >= max(|mu|, |s|)): j = 8 at B = 2 writes about 1.07 GB, j = 9 8.6 GB
 MAX_TABLE_BYTES = 2 ** 31
+# orders per product of the grid transforms (see _order_chunks); 16 and 32
+# time alike at j = 5..7, and 16 reads fewer zero rows
+ORDER_CHUNK = 16
 
 
 @dataclass(eq=False)
@@ -67,7 +70,9 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     D[mu + L] has unit stride along theta, and the transforms read it in
     place, once per transform.  Only their small coefficient arrays are
     reversed between m and mu.  The zero rows l < max(|mu|, |s|), about
-    half of D, are never written, so they take no RAM (see d_table).
+    half of D, are never written, so they take no RAM (see d_table), and
+    the transforms read only the few inside a chunk of orders (see the note
+    above synthesize_on_grid).
 
     The one gate before any table: refuses an L the grid's longitudes cannot
     resolve (2L+1 > n_phi), then a table over MAX_TABLE_BYTES.  The key
@@ -104,48 +109,53 @@ def _check_table_size(grid: CubatureGrid, s: int, L: int) -> None:
             f"bytes > cap {MAX_TABLE_BYTES}")
 
 
-def _re_im(z: np.ndarray) -> np.ndarray:
-    """Float [a, 2, b] of a complex [a, b]: real part, then imaginary part.
-
-    A view of z when z is C-ordered, as both transforms make it.
-    """
-    return np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2) \
-        .swapaxes(1, 2)
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """Float [..., 2] view of a C-ordered complex array: (real, imaginary)."""
+    return z.view(np.float64).reshape(*z.shape, 2)
 
 
-# Both transforms run one batched product against D[:, None], a view.  numpy
-# calls the same BLAS gemv per order as it would with one product per part,
-# first on the real and then on the imaginary part while D[mu + L] is still
-# in cache, so the table is read from memory once per transform, not twice;
-# the outputs are bit for bit those of a product per part.  BLAS still sums
-# over the zero rows of D[mu + L], which keeps those bits; the rows were
-# never written, so they read as the kernel's one shared zero page and cost
-# no memory bandwidth.  Warm, at s = 2 and L the support top (BLAS on one
-# thread, 2-core x86 guest), a j = 7 synthesis takes about 29 ms and an
-# analysis about 25 ms, where they took 49 and 47 ms with the table in huge
-# pages; the first transform after a build pays about 45 ms of zero-page
-# faults.  Temporaries are scaled in place and dropped early, so a
-# transform peaks at about two coefficient-sized arrays.
+def _order_chunks(L: int, s: int):
+    """(orders, lo) per run of ORDER_CHUNK orders mu + L: the slice of the
+    orders and their first nonzero row lo = max(smallest |mu|, |s|)."""
+    for a in range(0, 2 * L + 1, ORDER_CHUNK):
+        b = min(a + ORDER_CHUNK, 2 * L + 1)
+        near = 0 if a <= L < b else min(abs(a - L), abs(b - 1 - L))
+        yield slice(a, b), max(near, abs(s))
+
+
+# Both transforms run one np.matmul per chunk of ORDER_CHUNK orders, over
+# the chunk's rows l >= lo of D (see _order_chunks), with the real and
+# imaginary parts as the product's two columns; each chunk writes its slice
+# of one preallocated output.  Rows below lo are zero for every order of the
+# chunk: they are neither written (see d_table) nor read, so they cost no
+# RAM, no page faults and no flops.  Inside a chunk, an order |mu| > lo
+# still reads its zero rows lo <= l < |mu| (at most ORDER_CHUNK - 1 of them).
+# Warm, at s = 2 and L the support top (BLAS on one thread, 2-core x86
+# guest), a j = 7 synthesis takes about 23 ms and an analysis about 20 ms,
+# where products over every row took 29 and 27 ms; the first synthesis
+# after a build takes about 30 ms and 4,400 page faults, where it took 63
+# ms and 35,500.  Temporaries are coefficient-sized, so a transform peaks
+# at about two of them.
 
 
 def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> np.ndarray:
     """Evaluate sum_{lm} c_{lm} Y_{lms} at every grid pixel (ring-major order).
 
     coeffs_full is indexed [l, m + L] over the full order range.  Reads the
-    harmonic table once (see the note above).
+    nonzero rows of the harmonic table once (see the note above).
     """
     L = coeffs_full.shape[0] - 1
     D, norms, signs, bins = _harmonic_tables(grid, s, L)
     A = np.multiply(coeffs_full.T[::-1], signs[:, None], order="C")  # [mu + L, l]
     A *= norms
-    g = np.matmul(_re_im(A)[:, :, None, :], D[:, None])  # [mu + L, part, 0, i]
-    del A
-    g_mu = 1j * g[:, 1, 0]
-    g_mu += g[:, 0, 0]
-    del g
+    g_mu = np.empty((2 * L + 1, grid.n_theta), dtype=np.complex128)  # [mu + L, i]
+    a, g = _pairs(A), _pairs(g_mu)
+    for orders, lo in _order_chunks(L, s):
+        np.matmul(D[orders, lo:].swapaxes(1, 2), a[orders, lo:], out=g[orders])
+    del A, a
     buf = np.zeros((grid.n_phi, grid.n_theta), dtype=np.complex128)
     buf[bins] = g_mu
-    del g_mu
+    del g_mu, g
     f = np.fft.ifft(buf, axis=0)
     del buf
     f *= grid.n_phi
@@ -158,18 +168,19 @@ def analyze_on_grid(map_values: np.ndarray, grid: CubatureGrid, s: int, L: int,
 
     Default weights are the cubature lambda; pass sqrt-lambda rings for the
     frame adjoint.  Returns the full-order array [l, m + L].  Reads the
-    harmonic table once (see the note above synthesize_on_grid).
+    nonzero rows of the harmonic table once (see the note above
+    synthesize_on_grid).
     """
     D, norms, signs, bins = _harmonic_tables(grid, s, L)
     w = grid.ring_weights if ring_weights is None else ring_weights
     f = map_values.reshape(grid.n_theta, grid.n_phi)
-    Fm = np.fft.fft(f, axis=1).T[bins]  # [mu + L, i]
+    Fm = np.ascontiguousarray(np.fft.fft(f, axis=1).T[bins])  # [mu + L, i]
     Fm *= w
-    g = np.matmul(D[:, None], _re_im(Fm)[:, :, :, None])  # [mu + L, part, l, 0]
-    del Fm
-    inner = 1j * g[:, 1, :, 0]
-    inner += g[:, 0, :, 0]
-    del g
+    inner = np.zeros((2 * L + 1, L + 1), dtype=np.complex128)  # [mu + L, l]
+    F, g = _pairs(Fm), _pairs(inner)
+    for orders, lo in _order_chunks(L, s):
+        np.matmul(D[orders, lo:], F[orders], out=g[orders, lo:])
+    del Fm, F
     inner *= signs[:, None]
     inner *= norms
     return inner.T[:, ::-1]

@@ -200,7 +200,8 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     (L+1, ntheta) block t[mu + L] has unit stride along theta and evenly
     strided rows, a matrix BLAS reads in place.  Entries with l < |n| or
     l < |mu| are zero and are never written: the store is demand-zero
-    memory (see demand_zero), so they cost no RAM.
+    memory (see demand_zero), so they cost no RAM, and a reader that skips
+    them takes no page faults on them either.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     store = demand_zero((L + 1, 2 * L + 1, theta.size))
@@ -213,7 +214,8 @@ def demand_zero(shape, dtype=np.float64) -> np.ndarray:
     """Zeroed array of private anonymous memory on 4 KB pages.
 
     A page takes RAM when it is first written; one that is only read maps
-    the kernel's shared zero page.  np.zeros asks for transparent huge
+    the kernel's shared zero page, at the cost of a page fault, and one
+    never touched costs nothing.  np.zeros asks for transparent huge
     pages from 4 MB up, so there one write makes a whole 2 MB page resident,
     zeros included.
     """

@@ -72,7 +72,8 @@ def test_transform_levels_roundtrip(tmp_path, capsys):
     err = capsys.readouterr().err
     assert sorted(p.name for p in out_dir.iterdir()) == \
         [f"level{j:02d}.snbc" for j in range(7)]
-    line = [ln for ln in err.splitlines() if "roundtrip" in ln][0]
+    line = [ln for ln in err.splitlines()
+            if ln.startswith("spinlets: roundtrip")][0]
     assert float(line.rsplit(" ", 1)[-1]) < 1e-8
     # a one-level range is one level
     assert run(argv[:5] + ["--levels", "4..4", "--out-dir", str(tmp_path / "one")]) == 0

@@ -54,6 +54,12 @@ def test_build_cubature_returns_one_read_only_grid_per_level():
     assert build_cubature(3, 2.0) is grid
     assert CubatureGrid(3, 2.0) is not grid and CubatureGrid(3, 2.0) == grid
     assert build_cubature(3, 2.5) is not grid
+    # positional-only, so every call form of one (j, B) is one cache key
+    assert build_cubature(4, 2) is build_cubature(4, 2.0)
+    with pytest.raises(TypeError):
+        build_cubature(j=4, B=2.0)
+    with pytest.raises(TypeError):
+        build_cubature(4, B=2.0)
     for values in (grid.theta, grid.cos_theta, grid.phi, grid.ring_weights):
         assert not values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
