@@ -30,9 +30,9 @@ from .errors import (BandLimitExceededError, InvalidConfigError,
 from .fields import (draw_alm, observe_channels, read_alm, seed_key,
                      spin_power_law, write_alm)
 from .grid import build_cubature, empty_mask, hemispheres, read_mask
-from .transform import (level_support, masked_analyze, needlet_analyze,
-                        needlet_synthesize, read_coefficients, roundtrip_error,
-                        synthesize_on_grid, write_coefficients)
+from .transform import (frame_band, level_band, masked_analyze,
+                        needlet_analyze, needlet_synthesize, read_coefficients,
+                        roundtrip_error, synthesize_on_grid, write_coefficients)
 from .wigner import SphPoint, spin_sph_harm, wigner_d, wigner_d_slice
 from .window import build_window
 
@@ -142,6 +142,10 @@ def cmd_transform(args) -> int:
     if args.mask is not None and args.bandwidth is not None:
         raise InvalidConfigError(f"bandwidth: mask {args.mask} names its level "
                                  f"and B; drop --bandwidth")
+    if args.mask is not None and args.roundtrip:
+        raise InvalidConfigError("roundtrip: masked coefficients are one level "
+                                 "of the gap-filled field, not a frame of the "
+                                 "field; drop --roundtrip")
     if args.mask is None:  # B, the levels rule and the pixel cap before any read
         B = mc.FIELDS["B"].check(2.0 if args.bandwidth is None
                                  else args.bandwidth, "bandwidth")
@@ -151,12 +155,14 @@ def cmd_transform(args) -> int:
     mask = None if args.mask is None else read_mask(args.mask)
     if mask is not None:
         grids = [mask.grid]
-    try:  # a roundtrip reads each table up to its support top
+    try:  # what each analysis reads; a gap-filled map has no band limit
         for grid in grids:
-            level_support(grid, alm.s, None if args.roundtrip else alm.L)
+            level_band(grid, alm.s, alm.L if mask is None else None)
     except (BandLimitExceededError, ResourceLimitError) as exc:
         source = "levels" if mask is None else f"mask {args.mask}"
         raise InvalidConfigError(f"{source}: {exc}") from None
+    if args.roundtrip:  # its degree, and its coverage, before any transform
+        L_rt = frame_band(grids, alm.s, alm.L)
     out_dir = Path(args.out_dir)
     paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
     _check_outputs(args.force, *paths)
@@ -166,15 +172,14 @@ def cmd_transform(args) -> int:
     else:
         levels = [needlet_analyze(alm, grid) for grid in grids]
     if args.roundtrip:
-        recon = needlet_synthesize(levels)
+        error = roundtrip_error(alm, needlet_synthesize(levels, L_rt))
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, coeffs in zip(paths, levels):
         write_coefficients(path, coeffs)
         _err(f"wrote {path} ({coeffs.values.size} coefficients, "
              f"masked={coeffs.masked})")
     if args.roundtrip:
-        _err(f"roundtrip max alm error over covered degrees: "
-             f"{roundtrip_error(alm, recon):.3e}")
+        _err(f"roundtrip max alm error over covered degrees: {error:.3e}")
     return 0
 
 

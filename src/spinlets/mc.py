@@ -6,12 +6,11 @@ randomness from the seed key (base_seed, r, channel), so results are
 reproducible and independent of scheduling; the raw statistic table is
 byte-identical at any worker count.
 
-What a plan builds follows from its levels and kinds.  The band limit is the
-top degree of the deepest level's window support, and a level's coefficients
-see only its own support degrees.  A level gets a mask only when a kind reads
-"mask" and hemispheres only when a kind reads "regions".  The masked map of
-level j is synthesized from degrees up to its support top, which keeps the
-level grid's quadrature exact.
+What a plan builds follows from its levels and kinds.  A level reads, and its
+masked map is synthesized from, the degrees up to its support top
+(transform.level_band), where its grid's quadrature is exact; the band limit
+is the deepest level's.  A level gets a mask only when a kind reads "mask"
+and hemispheres only when a kind reads "regions".
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +32,8 @@ from .errors import (BandLimitExceededError, InvalidConfigError,
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, spin_power_law
 from .grid import build_cubature, grid_size, hemispheres, polar_cap_mask
-from .transform import (level_support, masked_analyze, needlet_analyze,
-                        support_top, synthesize_on_grid)
+from .transform import (level_band, masked_analyze, needlet_analyze,
+                        synthesize_on_grid)
 from .window import check_bandwidth
 
 RAW_HEADER = "replicate,j,kind,value,target,variance,standardized"
@@ -180,10 +179,10 @@ class _PlanContext:
         self.reads = inputs_read(plan.kinds)
         # refused here, not by every replicate (the plan has refused a level
         # past the pixel cap): first every level its grid cannot resolve
-        # exactly or whose table passes the cap (level_support), then an
+        # exactly or whose table passes the cap (level_band), then an
         # empty mask and an empty hemisphere interior
-        try:  # (grid, support top) per level
-            admitted = [(grid, support_top(level_support(grid, plan.s), plan.s))
+        try:  # (grid, top degree it reads of an unbounded field) per level
+            admitted = [(grid, level_band(grid, plan.s))
                         for grid in (build_cubature(j, plan.B) for j in plan.j_list)]
         except (BandLimitExceededError, ResourceLimitError) as exc:
             raise InvalidConfigError(
@@ -252,12 +251,6 @@ class NormalityStats:
     skewness: float
     excess_kurtosis: float
     ks_distance: float
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "variance": self.variance,
-                "skewness": self.skewness,
-                "excess_kurtosis": self.excess_kurtosis,
-                "ks_distance": self.ks_distance}
 
 
 def _normal_cdf(x) -> np.ndarray:
@@ -342,7 +335,7 @@ def _aggregate(plan: ExperimentPlan, rows: list) -> DiagnosticsReport:
             "value_variance": float(values.var(ddof=1)) if values.size > 1 else 0.0,
         }
         if values.size >= 100:
-            entry.update(normality_diagnostics(std).to_dict())
+            entry.update(asdict(normality_diagnostics(std)))
         else:
             report.flags.append(
                 f"j={j} kind={kind}: {values.size} replicates < 100, "

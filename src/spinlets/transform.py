@@ -11,6 +11,9 @@ pseudo-coefficients of the gap-filled map, and evaluating the same spectral
 expression.  Exchanging the two finite sums makes the two forms identical,
 so the code runs in O(N L^2) instead of O(N^2 L).
 
+level_band is the one rule for the degrees a level reads; frame_band fixes
+a frame round trip's degree, at most the field's L, before any transform.
+
 A process holds one harmonic table at a time, keyed (grid, spin, degree); a
 grid is the value (j, B), so an equal grid built anew hits it.  A miss frees
 the held table before it builds the next, so MAX_TABLE_BYTES bounds all the
@@ -195,46 +198,40 @@ def _exact_support(grid: CubatureGrid, s: int) -> range:
     return support
 
 
-def support_top(support: range, s: int) -> int:
-    """The top degree of a level's window support, or |s| if it is empty."""
-    return support.stop - 1 if len(support) else abs(s)
-
-
-def level_support(grid: CubatureGrid, s: int, L: int | None = None) -> range:
-    """The level's window support, once admitted: refuses, before any
-    transform, a grid not exact for the support (BandLimitExceededError) and
-    a table at degree min(L, top) over MAX_TABLE_BYTES (ResourceLimitError);
-    top is support_top, L the band limit (None: unbounded)."""
+def level_band(grid: CubatureGrid, s: int, L: int | None = None) -> int:
+    """The top degree level j reads of a spin-s field band-limited at L
+    (None: unbounded): min(L, support top), or |s| (no degree) when the
+    support is empty.  Refuses, before any transform, a grid not exact for
+    the support (BandLimitExceededError) and a table at that degree over
+    MAX_TABLE_BYTES (ResourceLimitError)."""
     support = _exact_support(grid, s)
-    top = support_top(support, s)
-    _check_table_size(grid, s, top if L is None else min(L, top))
-    return support
+    top = support.stop - 1 if len(support) else abs(s)
+    top = top if L is None else min(L, top)
+    _check_table_size(grid, s, top)
+    return top
 
 
-def _level_coefficients(full, grid: CubatureGrid, s: int, support: range,
+def _level_coefficients(full, grid: CubatureGrid, s: int, top: int,
                         masked: bool) -> NeedletCoefficients:
     """beta_{jk;s} = sqrt(lambda_k) sum_l b_l sum_m full_{lm} Y_lms(xi_k).
 
-    `full` is a callable returning a full-order [l, m + L] array, called
-    only when the window support is not empty.  The sum stops at the
-    lower of the field's band limit and the support top: degrees above the
-    band limit carry no power by definition of the input.
+    `full` is a callable returning a full-order [l, m + L] array, L >= top,
+    called only when the level reads a degree (top > |s|); the sum stops at top.
     """
     values = np.zeros(grid.n_pixels, dtype=np.complex128)
-    if len(support):
+    if top > abs(s):
         full = full()
         L_in = full.shape[0] - 1
-        L_use = min(L_in, support.stop - 1)
-        b = band_profile(grid.window, grid.j, s, np.arange(L_use + 1))
-        banded = full[:L_use + 1, L_in - L_use:L_in + L_use + 1] * b[:, None]
+        b = band_profile(grid.window, grid.j, s, np.arange(top + 1))
+        banded = full[:top + 1, L_in - top:L_in + top + 1] * b[:, None]
         values = synthesize_on_grid(banded, grid, s) * np.sqrt(grid.weights)
     return NeedletCoefficients(s=s, values=values, masked=masked, grid=grid)
 
 
 def needlet_analyze(alm: SpinAlm, grid: CubatureGrid) -> NeedletCoefficients:
     """Spectral needlet coefficients of a band-limited field at the grid's level."""
-    support = _exact_support(grid, alm.s)
-    return _level_coefficients(alm.full_coeffs, grid, alm.s, support, masked=False)
+    return _level_coefficients(alm.full_coeffs, grid, alm.s,
+                               level_band(grid, alm.s, alm.L), masked=False)
 
 
 def masked_analyze(map_values: np.ndarray, mask: SkyMask, s: int) -> NeedletCoefficients:
@@ -244,13 +241,13 @@ def masked_analyze(map_values: np.ndarray, mask: SkyMask, s: int) -> NeedletCoef
     is the estimator's job.
     """
     grid = mask.grid
-    support = _exact_support(grid, s)
+    top = level_band(grid, s)  # a gap-filled map has no band limit
 
     def pseudo():  # pseudo-coefficients of the gap-filled map
         gap_filled = np.where(mask.excluded, 0.0 + 0.0j, map_values)
-        return analyze_on_grid(gap_filled, grid, s, support.stop - 1)
+        return analyze_on_grid(gap_filled, grid, s, top)
 
-    return _level_coefficients(pseudo, grid, s, support, masked=True)
+    return _level_coefficients(pseudo, grid, s, top, masked=True)
 
 
 def needlet_kernel(grid: CubatureGrid, k: int, p: SphPoint, s: int) -> complex:
@@ -263,15 +260,32 @@ def needlet_kernel(grid: CubatureGrid, k: int, p: SphPoint, s: int) -> complex:
     return complex(math.sqrt(lam) * total)
 
 
-def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
-    """Reconstruct the field from coefficients at a family of levels.
+def frame_band(grids, s: int, L: int) -> int:
+    """The top degree a frame round trip over the levels of `grids` rebuilds
+    of a spin-s field band-limited at L: the highest l <= L their sum of b^2
+    covers (is 1 to 1e-14).  Refuses levels that cover no degree |s| < l <=
+    L, or leave one below it uncovered (CoverageGapError).  Reads no table."""
+    levels = sorted(grid.j for grid in grids)
+    ells = np.arange(abs(s) + 1, L + 1)
+    coverage = sum(band_profile(g.window, g.j, s, ells) ** 2 for g in grids)
+    covered = coverage >= 1.0 - 1e-14
+    if not covered.any():
+        raise CoverageGapError(f"levels {levels} fully cover no degree {abs(s)} < l <= {L}")
+    top = int(ells[covered][-1])
+    gaps = ells[(ells < top) & ~covered].tolist()
+    if gaps:
+        raise CoverageGapError(f"levels {levels} leave coverage gaps at degrees {gaps}")
+    return top
+
+
+def needlet_synthesize(coeff_levels, L: int) -> SpinAlm:
+    """Reconstruct the field up to degree L from coefficients at a family of levels.
 
     a_{l;ms} = sum_j b(sqrt(e_ls)/B^j) sum_k sqrt(lambda_jk) beta_{jk;s}
-               conj(Y_lms(xi_jk)), valid by cubature exactness.  Degrees with
-    e_ls = 0 (l = |s|) are invisible to every level and come back as zero.
-    L = None takes the top degree where the levels' sum of b^2 is 1 to
-    rounding.  Raises when the provided levels leave a coverage gap below
-    the target band limit.
+               conj(Y_lms(xi_jk)), valid by cubature exactness; level j reads
+    up to level_band at L, its analysis' degree when L <= the field's.  l = |s|
+    (e_ls = 0) is invisible to every level and comes back as zero.  Raises
+    unless the levels cover every |s| < l <= L (frame_band gives such an L).
     """
     levels = list(coeff_levels)
     if not levels:
@@ -281,30 +295,14 @@ def needlet_synthesize(coeff_levels, L: int | None = None) -> SpinAlm:
         raise ValueError("levels mix spins")
     if any(c.grid.B != B for c in levels):
         raise ValueError("levels mix bandwidths B")
-
-    l_cap = max(support_top(window_support(c.grid.window, c.grid.j, s), s)
-                for c in levels)
-    ells = np.arange(l_cap + 1)
-    coverage = np.zeros(l_cap + 1)
-    for c in levels:
-        coverage += band_profile(c.grid.window, c.grid.j, s, ells) ** 2
-    if L is None:
-        covered = np.flatnonzero(coverage >= 1.0 - 1e-14)
-        L = int(covered.max()) if covered.size else abs(s)
-    gaps = [int(l) for l in range(abs(s) + 1, L + 1)
-            if l > l_cap or coverage[l] < 1.0 - 1e-6]
-    if gaps:
-        raise CoverageGapError(
-            f"levels {sorted(c.grid.j for c in levels)} leave coverage gaps "
-            f"at degrees {gaps}")
+    if frame_band([c.grid for c in levels], s, L) < L:
+        raise CoverageGapError(f"levels {sorted(c.grid.j for c in levels)} "
+                               f"do not fully cover degree L={L}")
 
     acc = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
     for c in levels:
-        support = window_support(c.grid.window, c.grid.j, s)
-        if len(support) == 0:
-            continue
-        L_j = min(support.stop - 1, L)
-        if L_j < abs(s):
+        L_j = level_band(c.grid, s, L)
+        if L_j == abs(s):  # an empty support: the level reads no degree
             continue
         adj = analyze_on_grid(c.values, c.grid, s, L_j,
                               ring_weights=np.sqrt(c.grid.ring_weights))

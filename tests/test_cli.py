@@ -762,17 +762,89 @@ def test_mc_refuses_an_oversized_table_before_building_it(tmp_path, capsys,
 
 def test_transform_refuses_an_oversized_table_before_building_it(
         tmp_path, capsys, monkeypatch):
-    # a roundtrip reads level 9's table up to its support top, L = 1023
+    # every level, and a roundtrip's adjoint, reads an L = 24 field up to
+    # min(24, support top): under a 4 MiB cap level 8's table (2.5 MB) fits
+    # and level 9's (5.1 MB) is refused before any table is built
+    from spinlets import transform
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "1",
+         "--out", str(alm_path)])
+    monkeypatch.setattr(transform, "MAX_TABLE_BYTES", 2 ** 22)
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    _refused_before_any_write(tmp_path, capsys, [
+        "transform", "--alm", str(alm_path), "--levels", "0..9", "--roundtrip",
+        "--out-dir", str(tmp_path / "c")],
+        "levels: level j=9: harmonic table at s=2, L=24 needs 5092200 "
+        "bytes > cap 4194304")
+
+
+def test_transform_roundtrip_reads_only_the_analysis_degrees(tmp_path, capsys,
+                                                             monkeypatch):
+    # the round trip's degree is min(field L, covered top) = 24, so each
+    # adjoint reads the table its analysis read: levels 1..7 build at 4, 7,
+    # 15 and 24 (level 0's support is empty), with or without --roundtrip
+    from spinlets import transform
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "5",
+         "--out", str(alm_path)])
+    real, built = transform.d_table, []
+
+    def spy(L, s, theta):
+        built.append(L)
+        return real(L, s, theta)
+
+    monkeypatch.setattr(transform, "d_table", spy)
+    for flags, name in (([], "plain"), (["--roundtrip"], "rt")):
+        transform._table_slot.clear()
+        built.clear()
+        assert run(["transform", "--alm", str(alm_path), "--levels", "0..7",
+                    "--out-dir", str(tmp_path / name)] + flags) == 0
+        assert set(built) == {4, 7, 15, 24}, (flags, built)
+    transform._table_slot.clear()
+    for j in range(8):
+        name = f"level{j:02d}.snbc"
+        assert (tmp_path / "rt" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+    # levels 0..9 read nothing above 24 either: the run needs no large table
+    capsys.readouterr()
+    assert run(["transform", "--alm", str(alm_path), "--levels", "0..9",
+                "--out-dir", str(tmp_path / "deep"), "--roundtrip"]) == 0
+    line = [ln for ln in capsys.readouterr().err.splitlines()
+            if ln.startswith("spinlets: roundtrip")][0]
+    assert float(line.rsplit(" ", 1)[-1]) < 1e-12
+    assert max(built) == 24
+
+
+def test_transform_refuses_a_roundtrip_that_covers_no_degree(tmp_path, capsys,
+                                                             monkeypatch):
+    # level 4 alone has sum b^2 < 1 at every degree: a round trip would check
+    # none, so it is refused before any table is built or file written
     from spinlets import transform
     alm_path = tmp_path / "sig.salm"
     run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "1",
          "--out", str(alm_path)])
     monkeypatch.setattr(transform, "d_table", _no_table)
     _refused_before_any_write(tmp_path, capsys, [
-        "transform", "--alm", str(alm_path), "--levels", "0..9", "--roundtrip",
+        "transform", "--alm", str(alm_path), "--levels", "4..4", "--roundtrip",
         "--out-dir", str(tmp_path / "c")],
-        "levels: level j=9: harmonic table at s=2, L=1023 needs 8598290400 "
-        "bytes > cap 2147483648")
+        "levels [4] fully cover no degree 2 < l <= 24")
+
+
+def test_transform_refuses_a_masked_roundtrip_before_any_read(tmp_path,
+                                                              capsys):
+    # masked coefficients are one level of the gap-filled field: there is
+    # nothing to rebuild, so the flag is refused before either input is read
+    alm_path, mask_path = tmp_path / "sig.salm", tmp_path / "cap.mask"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "1",
+         "--out", str(alm_path)])
+    write_mask(mask_path, polar_cap_mask(build_cubature(4, 2.0), 0.10))
+    for alm, mask in ((alm_path, mask_path),
+                      (tmp_path / "missing.salm", tmp_path / "missing.mask")):
+        _refused_before_any_write(tmp_path, capsys, [
+            "transform", "--alm", str(alm), "--mask", str(mask),
+            "--roundtrip", "--out-dir", str(tmp_path / "c")],
+            "roundtrip: masked coefficients are one level of the gap-filled "
+            "field, not a frame of the field; drop --roundtrip")
 
 
 def test_level_beyond_its_grid_exactness_refused_at_set_up(tmp_path, capsys):

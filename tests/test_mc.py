@@ -13,12 +13,12 @@ import pytest
 from scipy.special import ndtr
 
 from spinlets import (estimators, fit_variance_slope, grid, mc,
-                      normality_diagnostics, run_experiment)
+                      normality_diagnostics, run_experiment, window_support)
 from spinlets.cli import plan_from_config
 from spinlets.errors import (InvalidConfigError, TooFewLevelsError,
                              TooFewSamplesError)
 from spinlets.mc import RAW_HEADER, ExperimentPlan, rows_to_csv
-from spinlets.transform import support_top
+from spinlets.transform import level_band
 
 
 def test_normality_on_normal_draws():
@@ -113,9 +113,11 @@ def test_plan_holds_what_its_rules_keep():
 
 def test_band_limit_reads_an_empty_support_as_its_spin():
     # at B = 1.2 and s = 0 level 3's support is range(2, 2): its top is
-    # |s| = 0, the degree level_support admits, and level 5's top (2) is
+    # |s| = 0, the degree level_band admits, and level 5's top (2) is
     # the band limit
-    assert support_top(range(2, 2), 0) == 0 and support_top(range(2, 9), 0) == 8
+    grids = [grid.build_cubature(j, 1.2) for j in (3, 5)]
+    assert window_support(grids[0].window, 3, 0) == range(2, 2)
+    assert [level_band(g, 0) for g in grids] == [0, 2]
     plan = ExperimentPlan(B=1.2, s=0, j_list=(3, 5), kinds=("unfeasible",),
                           replicates=2)
     ctx = mc._PlanContext(plan)

@@ -28,7 +28,7 @@ from spinlets.fields import SpinAlm
 from spinlets.grid import CubatureGrid, empty_mask, polar_cap_mask
 from spinlets.transform import (MAX_TABLE_BYTES, _check_table_size,
                                 _harmonic_tables, _table_slot, analyze_on_grid,
-                                level_support, read_coefficients,
+                                frame_band, level_band, read_coefficients,
                                 roundtrip_error, synthesize_on_grid,
                                 write_coefficients)
 from spinlets.wigner import d_table
@@ -103,11 +103,12 @@ def test_synthesis_refuses_mixed_bandwidths(half_model):
     alm = draw_alm(half_model, half_model, S, 12, 4)
     levels = [needlet_analyze(alm, build_cubature(j, B)) for j in range(4)]
     with pytest.raises(ValueError, match="bandwidths"):
-        needlet_synthesize(levels + [needlet_analyze(alm, build_cubature(4, 2.5))])
+        needlet_synthesize(levels + [needlet_analyze(alm, build_cubature(4, 2.5))],
+                           12)
     with pytest.raises(ValueError, match="^levels mix spins$"):
-        needlet_synthesize(levels + [replace(levels[3], s=S + 1)])
+        needlet_synthesize(levels + [replace(levels[3], s=S + 1)], 12)
     with pytest.raises(ValueError, match="^need at least one coefficient level$"):
-        needlet_synthesize([])
+        needlet_synthesize([], 12)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -189,6 +190,41 @@ def test_coverage_gap_raises(half_model):
               for j in (0, 1, 4)]  # levels 2, 3 missing
     with pytest.raises(CoverageGapError):
         needlet_synthesize(levels, L=30)
+
+
+def test_frame_band_is_the_fully_covered_top_at_most_l(monkeypatch):
+    # levels 0..7 at B = 2 cover l <= 128 to rounding: a round trip rebuilds
+    # min(L, 128), reading no table; a set with no covered degree, or with
+    # one below a gap, is refused naming the levels
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    grids = [build_cubature(j, B) for j in range(8)]
+    assert frame_band(grids, S, 255) == 128
+    assert frame_band(grids, S, 24) == 24
+    assert frame_band(grids, -S, 129) == 128
+    with pytest.raises(CoverageGapError) as err:
+        frame_band(grids[4:5], S, 24)
+    assert str(err.value) == "levels [4] fully cover no degree 2 < l <= 24"
+    with pytest.raises(CoverageGapError) as err:
+        frame_band(grids[:2], S, S)
+    assert str(err.value) == "levels [0, 1] fully cover no degree 2 < l <= 2"
+    with pytest.raises(CoverageGapError) as err:
+        frame_band(grids[3:6], S, 24)
+    assert str(err.value) == ("levels [3, 4, 5] leave coverage gaps at "
+                              "degrees [3, 4, 5, 6, 7]")
+
+
+def test_synthesis_refuses_an_l_its_levels_cover_only_in_part(half_model,
+                                                              monkeypatch):
+    # 1 - sum b^2 is 6.5e-13 .. 8.6e-7 at l = 129..131 for levels 0..7: an L
+    # there is refused before any adjoint reads a table
+    alm = draw_alm(half_model, half_model, S, 24, 3)
+    levels = [needlet_analyze(alm, build_cubature(j, B)) for j in range(8)]
+    monkeypatch.setattr(transform, "d_table", _no_table)
+    for L in (129, 131):
+        with pytest.raises(CoverageGapError) as err:
+            needlet_synthesize(levels, L)
+        assert str(err.value) == (f"levels {list(range(8))} do not fully "
+                                  f"cover degree L={L}")
 
 
 def test_masked_empty_agrees_with_spectral(half_model):
@@ -570,18 +606,21 @@ def test_table_cap_admits_level_8_and_refuses_level_9(win, monkeypatch):
 def test_level_support_keeps_the_exactness_message():
     # at B = 2.9 and s = 3 the level-0 window needs exactness degree 8
     with pytest.raises(BandLimitExceededError) as err:
-        level_support(build_cubature(0, 2.9), 3)
+        level_band(build_cubature(0, 2.9), 3)
     assert str(err.value) == "level j=0 needs exactness degree 8, grid provides 6"
 
 
 def test_level_support_sizes_the_table_the_field_reads(win, monkeypatch):
-    # level 9 passes for an L = 24 field, and is refused unbounded, before
-    # any table is built
+    # level 9 reads an L = 24 field up to 24, below its support, and is
+    # refused unbounded, before any table is built
     monkeypatch.setattr(transform, "d_table", _no_table)
     grid = build_cubature(9, B)
-    assert level_support(grid, S, 24) == window_support(win, 9, S)
+    assert window_support(win, 9, S).start > 24
+    assert level_band(grid, S, 24) == 24
+    assert level_band(build_cubature(4, B), S, 24) == 24
+    assert level_band(build_cubature(3, B), S, 24) == 15
     with pytest.raises(ResourceLimitError) as err:
-        level_support(grid, S)
+        level_band(grid, S)
     assert str(err.value) == ("level j=9: harmonic table at s=2, L=1023 needs "
                               "8598290400 bytes > cap 2147483648")
 
@@ -590,8 +629,10 @@ def test_level_support_sizes_an_empty_support_at_the_spin(monkeypatch):
     sized = []
     monkeypatch.setattr(transform, "_check_table_size",
                         lambda grid, s, L: sized.append(L))
-    assert len(level_support(build_cubature(0, B), 25)) == 0
-    assert len(level_support(build_cubature(0, B), -25, 40)) == 0
+    grid = build_cubature(0, B)
+    assert len(window_support(grid.window, 0, 25)) == 0
+    assert level_band(grid, 25) == 25
+    assert level_band(grid, -25, 40) == 25
     assert sized == [25, 25]
 
 
@@ -605,7 +646,7 @@ def test_harmonic_tables_refuse_unresolved_orders_before_the_table(monkeypatch):
 
 
 def test_no_module_imports_a_private_name_of_another():
-    # the package's modules share only public names (level_support, not
+    # the package's modules share only public names (level_band, not
     # the checks behind it)
     src = Path(transform.__file__).parent
     private = [(path.name, node.module, alias.name)
