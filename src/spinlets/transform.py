@@ -16,8 +16,10 @@ a frame round trip's degree, at most the field's L, before any transform.
 
 A process holds one harmonic table at a time, keyed (grid, spin, degree); a
 grid is the value (j, B), so an equal grid built anew hits it.  A miss frees
-the held table before it builds the next, so MAX_TABLE_BYTES bounds all the
-table memory a process holds.
+the held table before it builds the next, and the freed table's mapping is
+the one wigner.d_table builds into when it is big enough (see d_table), so
+between builds a process keeps the pages of one table the cap admitted, and
+MAX_TABLE_BYTES bounds all the table memory it holds.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     The one gate before any table: refuses an L the grid's longitudes cannot
     resolve (2L+1 > n_phi), then a table over MAX_TABLE_BYTES.  The key
     fixes n_phi, so a hit skips no check.  A miss empties _table_slot before
-    it builds, so the old and the new table are never resident together.
+    it builds, so the old and the new table are never resident together:
+    unless a caller still holds it, the old table's mapping is where d_table
+    builds the new one, or is unmapped first when it is too small.
     """
     key = (grid, s, L)
     if key in _table_slot:

@@ -16,13 +16,19 @@ closed form (both evaluated in log space, so high degrees neither overflow
 nor underflow).  Their factorials come from _lgamma, a transcription of the
 cephes log-gamma behind scipy.special.gammaln that equals it on every
 integer.  Columns at exactly 0 or pi take the exact Kronecker/parity forms.
-Everything is a pure function; there is no shared mutable state.
+
+Every function is pure in its values.  The one piece of process state is
+_spare, the mapping of the last table store no array can read any more:
+d_table builds into it, so a table build writes pages that are already
+resident instead of faulting in and zeroing fresh ones (see d_table).
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +169,9 @@ def iter_d_slices(L: int, n: int, theta, out=None):
         if l == 0:  # degenerate first step (m = n = 0): Legendre P1 = x
             np.multiply(x, cur[0], out=inner[0])
         else:
-            m = np.arange(-l, l + 1)
+            # float rows: the subtraction below then casts no int64 column
+            # (exact either way, as every product here is an integer < 2^53)
+            m = np.arange(-l, l + 1, dtype=np.float64)
             c_next = l * np.sqrt(((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - n * n))
             # inner = c_cur * cur, c_cur = (2l+1) (l(l+1) x - m n), in place
             np.subtract(l * (l + 1) * x[None, :], (m * n)[:, None], out=inner)
@@ -199,15 +207,85 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     [l, mu + L, i], which the degree recursion fills in place.  Each order's
     (L+1, ntheta) block t[mu + L] has unit stride along theta and evenly
     strided rows, a matrix BLAS reads in place.  Entries with l < |n| or
-    l < |mu| are zero and are never written: the store is demand-zero
-    memory (see demand_zero), so they cost no RAM, and a reader that skips
-    them takes no page faults on them either.
+    l < |mu| are zero and are never written by the sweep: they cost no RAM,
+    and a reader that skips them takes no page faults on them either.
+
+    The store is anonymous memory on 4 KB pages (see demand_zero), either a
+    fresh mapping or the spare: the mapping of the last table store whose
+    owning array died, so that no view of it survives.  A spare big enough
+    holds the store at its page-aligned end; one too small is unmapped
+    before the fresh mapping is made, so two tables are never resident
+    together.  In a recycled store, each gap between written degrees reads
+    as zero: its whole pages are dropped (MADV_DONTNEED) and the partial
+    pages at its ends are zeroed.  Every value is computed anew either way.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    store = demand_zero((L + 1, 2 * L + 1, theta.size))
+    shape = (L + 1, 2 * L + 1, theta.size)
+    nbytes = 8 * math.prod(shape)
+    buf = _spare.pop() if _spare else None
+    if buf is not None and len(buf) < nbytes:
+        buf.close()
+        buf = None
+    recycled = buf is not None
+    buf = buf if recycled else _mapping(nbytes)
+    offset = (len(buf) - nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    flat = np.frombuffer(buf, dtype=np.float64, count=nbytes // 8, offset=offset)
+    # numpy collapses the base of every view to this array, so it dies only
+    # when no view of the table is left
+    weakref.finalize(flat, _release, buf).atexit = False
+    store = flat.reshape(shape)
+    if recycled:
+        _zero_gaps(buf, offset, store, n)
     for _ in iter_d_slices(L, n, theta, out=store):
         pass
     return store.transpose(1, 0, 2)
+
+
+# the one spare table mapping: at most one mmap, no longer read by any array
+_spare: list = []
+
+
+def _release(buf: mmap.mmap) -> None:
+    """Make a dead table store's mapping the spare, unmapping the last one.
+
+    Only Linux is known to zero-fill a private anonymous page dropped with
+    MADV_DONTNEED; elsewhere no mapping is kept."""
+    while _spare:
+        _spare.pop().close()
+    if sys.platform.startswith("linux"):
+        _spare.append(buf)
+
+
+def _zero_gaps(buf: mmap.mmap, offset: int, store: np.ndarray, n: int) -> None:
+    """Zero every entry of a recycled store [l, mu + L, i] that the sweep of
+    d_table(L, n) does not write: the gaps around degree l's rows
+    [l, L-l:L+l+1] for l = |n|..L (the whole store when L < |n|).  The store
+    starts at byte `offset` of buf, a page boundary."""
+    L, nth = store.shape[0] - 1, store.shape[2]
+    flat = store.reshape(-1)
+    ells = np.arange(abs(n), L + 1)
+    starts = (ells * (2 * L + 1) + L - ells) * nth
+    stops = starts + (2 * ells + 1) * nth
+    gaps = zip([0, *stops.tolist()], [*starts.tolist(), flat.size])
+    page = mmap.PAGESIZE // flat.itemsize
+    for a, b in gaps:
+        pa, pb = -(-a // page) * page, b // page * page
+        if pa < pb:  # whole pages inside the gap read as fresh zero pages
+            buf.madvise(mmap.MADV_DONTNEED, offset + 8 * pa, 8 * (pb - pa))
+            flat[a:pa] = 0.0
+            flat[pb:b] = 0.0
+        else:
+            flat[a:b] = 0.0
+
+
+def _mapping(nbytes: int) -> mmap.mmap:
+    """Private anonymous mapping of nbytes (at least 1) on 4 KB pages."""
+    buf = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE)
+    try:
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    except (AttributeError, OSError):  # no huge pages to refuse here
+        pass
+    return buf
 
 
 def demand_zero(shape, dtype=np.float64) -> np.ndarray:
@@ -217,14 +295,11 @@ def demand_zero(shape, dtype=np.float64) -> np.ndarray:
     the kernel's shared zero page, at the cost of a page fault, and one
     never touched costs nothing.  np.zeros asks for transparent huge
     pages from 4 MB up, so there one write makes a whole 2 MB page resident,
-    zeros included.
+    zeros included.  Each call makes a fresh mapping, so its first writes
+    fault in zeroed pages; d_table recycles its stores' mappings instead.
     """
     size, dtype = math.prod(shape), np.dtype(dtype)
-    buf = mmap.mmap(-1, max(dtype.itemsize * size, 1), flags=mmap.MAP_PRIVATE)
-    try:
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    except (AttributeError, OSError):  # no huge pages to refuse here
-        pass
+    buf = _mapping(dtype.itemsize * size)
     return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
 
 

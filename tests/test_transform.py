@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from spinlets import (SphPoint, build_cubature, build_window, draw_alm,
                       needlet_analyze, needlet_kernel, needlet_synthesize,
                       masked_analyze, power_law, theoretical_cov,
-                      theoretical_corr, transform)
+                      theoretical_corr, transform, wigner)
 from spinlets.errors import (BandLimitExceededError, CoverageGapError,
                              InvalidCoefficientFileError, ResourceLimitError)
 from spinlets.fields import SpinAlm
@@ -512,24 +512,79 @@ def test_an_equal_grid_built_anew_hits_the_harmonic_tables(monkeypatch):
 
 def test_a_miss_frees_the_held_table_before_it_builds(monkeypatch):
     # one table per process: the previous D is gone when d_table runs, so a
-    # level sweep never holds two tables at once
-    held, alive = [], []
-    build = transform.d_table
+    # level sweep never holds two tables at once; a spare mapping too small
+    # for the next table is unmapped before the fresh one is made
+    held, alive, maps = [], [], []
+    build, fresh = transform.d_table, wigner._mapping
 
     def recording_d_table(L, s, theta):
         gc.collect()
         alive.append(bool(held) and held[-1]() is not None)
         return build(L, s, theta)
 
+    def recording_mapping(nbytes):
+        assert all(buf.closed for buf in maps)
+        maps.append(fresh(nbytes))
+        return maps[-1]
+
     monkeypatch.setattr(transform, "d_table", recording_d_table)
+    monkeypatch.setattr(wigner, "_mapping", recording_mapping)
     _table_slot.clear()
+    wigner._spare.clear()
     try:
-        for j, L in ((3, 12), (4, 24), (4, 20), (3, 12)):
+        for j, L in ((3, 12), (4, 24), (4, 20), (3, 12), (5, 40)):
             held.append(ref(_harmonic_tables(build_cubature(j, B), S, L)[0]))
             assert len(_table_slot) == 1
     finally:
         _table_slot.clear()
-    assert alive == [False] * 4
+    assert alive == [False] * 5
+    # (4, 20) and (3, 12) are built into the pages (4, 24) left behind
+    assert len(maps) == 3 and maps[:2] == [buf for buf in maps if buf.closed]
+
+
+def _mapping_of(table):
+    """The mmap under a d_table view: every view's base is the one array
+    np.frombuffer made, whose base is a memoryview of the mapping."""
+    return table.base.base.obj
+
+
+def test_a_recycled_table_equals_a_fresh_one(win):
+    # each build lands in the pages of the table before it, stale values of
+    # another degree, spin or grid included, and reads bit for bit as a
+    # table built into a fresh mapping, signed zeros included
+    keys = [(j, s, window_support(win, j, s).stop - 1)
+            for s in (0, S, -S) for j in (3, 7, 4, 7, 5)]
+    keys += [(7, s, 1) for s in (S, -S)]  # L < |s|: the sweep writes nothing
+    wigner._spare.clear()
+    recycled = []
+    for j, s, L in keys:
+        theta = build_cubature(j, B).theta
+        spare = list(wigner._spare)
+        table = d_table(L, s, theta)
+        recycled.append(spare == [_mapping_of(table)])
+        fresh = d_table(L, s, theta)  # the spare is taken: a fresh mapping
+        assert _mapping_of(fresh) not in spare + [_mapping_of(table)]
+        assert _same_bits(table, fresh), (j, s, L)
+        del fresh, table  # the recycled mapping is the spare again
+    # only the first table and the first j = 7 one take fresh pages
+    assert recycled == [False, False] + [True] * (len(keys) - 2)
+
+
+def test_a_held_table_or_view_is_never_recycled():
+    _table_slot.clear()
+    try:
+        D = _harmonic_tables(build_cubature(4, B), S, 24)[0]
+        part = _harmonic_tables(build_cubature(5, B), -S, 40)[0][30:40, 10:]
+        kept = D.copy(), part.copy()
+        for j, s, L in ((3, 0, 12), (5, S, 63), (4, 1, 31), (3, S, 16),
+                        (5, 0, 63), (4, -S, 24)):
+            _harmonic_tables(build_cubature(j, B), s, L)
+            gc.collect()
+            assert _mapping_of(D) not in wigner._spare
+            assert _mapping_of(part) not in wigner._spare
+    finally:
+        _table_slot.clear()
+    assert _same_bits(D, kept[0]) and _same_bits(part, kept[1])
 
 
 def test_level6_harmonic_tables_peak_memory(win):
@@ -572,10 +627,31 @@ def test_level6_table_keeps_its_zero_rows_out_of_ram(win):
     j = 6
     L = window_support(win, j, S).stop - 1
     grid = build_cubature(j, B)
+    wigner._spare.clear()  # a fresh mapping, not the pages of an older table
     before = _vm_rss()
     D = d_table(L, S, grid.theta)
     grown = _vm_rss() - before
     assert grown <= 0.6 * D.nbytes, (grown, D.nbytes)
+
+
+def test_a_recycled_table_drops_the_pages_of_its_gaps(win):
+    # at n = L the sweep writes degree L alone, 1/(L+1) of the store; built
+    # into the pages of a table at n = 0, the rest of them are dropped, not
+    # zeroed in place
+    if _vm_rss() is None:
+        pytest.skip("needs /proc/self/status")
+    L = window_support(win, 6, 0).stop - 1
+    theta = build_cubature(6, B).theta
+    wigner._spare.clear()
+    before = _vm_rss()
+    D = d_table(L, 0, theta)
+    full, mapping = _vm_rss() - before, _mapping_of(D)
+    del D
+    D = d_table(L, L, theta)
+    grown = _vm_rss() - before
+    assert _mapping_of(D) is mapping
+    assert full >= 0.4 * D.nbytes and grown <= 0.05 * D.nbytes, \
+        (full, grown, D.nbytes)
 
 
 def test_table_cap_admits_level_8_and_refuses_level_9(win, monkeypatch):
@@ -659,7 +735,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_process_state_is_the_listed_stores():
     # what a process keeps between calls: unbounded functools.cache functions
-    # of values, the one harmonic table slot, and constant tables; a
+    # of values, the one harmonic table slot, the one spare table mapping,
+    # and constant tables; a
     # hand-rolled memo (a module dict, or a dict field no caller passes)
     # fails here
     src = Path(transform.__file__).parent
@@ -684,7 +761,7 @@ def test_process_state_is_the_listed_stores():
     assert cached == {"grid.build_cubature", "window._level",
                       "window._psi_interpolator", "estimators._band_power",
                       "estimators._selection_of"}
-    assert stores == {"transform._table_slot", "cli._SYNTAX",
+    assert stores == {"transform._table_slot", "wigner._spare", "cli._SYNTAX",
                       "estimators.KINDS", "estimators.PAPER_KIND", "mc.FIELDS"}
     assert memo_fields == {"grid.RegionPair._interior_cache"}
 
