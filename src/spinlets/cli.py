@@ -169,8 +169,10 @@ def cmd_transform(args) -> int:
     if mask is not None:  # every transform, and the roundtrip, before any file
         pix = synthesize_on_grid(alm.full_coeffs(), mask.grid, alm.s)
         levels = [masked_analyze(pix, mask, alm.s)]
-    else:
-        levels = [needlet_analyze(alm, grid) for grid in grids]
+    else:  # largest table first, so each smaller one builds in its pages
+        analyzed = {grid: needlet_analyze(alm, grid)
+                    for grid in sorted(grids, key=lambda g: g.j, reverse=True)}
+        levels = [analyzed[grid] for grid in grids]
     if args.roundtrip:
         error = roundtrip_error(alm, needlet_synthesize(levels, L_rt))
     out_dir.mkdir(parents=True, exist_ok=True)

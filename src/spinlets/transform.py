@@ -137,12 +137,20 @@ def _order_chunks(L: int, s: int):
 # chunk: they are neither written (see d_table) nor read, so they cost no
 # RAM, no page faults and no flops.  Inside a chunk, an order |mu| > lo
 # still reads its zero rows lo <= l < |mu| (at most ORDER_CHUNK - 1 of them).
-# Warm, at s = 2 and L the support top (BLAS on one thread, 2-core x86
-# guest), a j = 7 synthesis takes about 23 ms and an analysis about 20 ms,
-# where products over every row took 29 and 27 ms; the first synthesis
-# after a build takes about 30 ms and 4,400 page faults, where it took 63
-# ms and 35,500.  Temporaries are coefficient-sized, so a transform peaks
-# at about two of them.
+# The synthesis then writes the orders into one zeroed [ring, bin] spectrum
+# with two basic slices, m = L..0 at bins L..0 and m = -1..-L at bins
+# n_phi - 1 down to n_phi - L, and inverse-transforms each ring's row in
+# place (np.fft.ifft with out=, numpy >= 2.0): the spectrum's array is the
+# ring-major pixel map.  pocketfft's arithmetic per transform depends on
+# neither the axis nor out=, so the map has the bits of an axis-0 transform
+# of a [bin, ring] buffer and its transposed copy.  At j = 7 (s = 2, L =
+# 255, BLAS on one thread, 2-core x86 guest) that tail takes 1.3 ms and 4
+# page faults per call where the [bin, ring] form took 3.3-4.2 ms and 994,
+# and a warm synthesis 24-25 ms and 1,507 faults where it took 26-28 ms and
+# 1,990; a warm analysis takes about 20 ms.  Every temporary is
+# coefficient-sized, and a transform peaks at about two of them: the
+# synthesis holds its coefficients and products, then its products and
+# spectrum; the analysis its spectrum and products.
 
 
 def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> np.ndarray:
@@ -152,7 +160,7 @@ def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> n
     nonzero rows of the harmonic table once (see the note above).
     """
     L = coeffs_full.shape[0] - 1
-    D, norms, signs, bins = _harmonic_tables(grid, s, L)
+    D, norms, signs, _ = _harmonic_tables(grid, s, L)
     A = np.multiply(coeffs_full.T[::-1], signs[:, None], order="C")  # [mu + L, l]
     A *= norms
     g_mu = np.empty((2 * L + 1, grid.n_theta), dtype=np.complex128)  # [mu + L, i]
@@ -160,13 +168,13 @@ def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> n
     for orders, lo in _order_chunks(L, s):
         np.matmul(D[orders, lo:].swapaxes(1, 2), a[orders, lo:], out=g[orders])
     del A, a
-    buf = np.zeros((grid.n_phi, grid.n_theta), dtype=np.complex128)
-    buf[bins] = g_mu
+    f = np.zeros((grid.n_theta, grid.n_phi), dtype=np.complex128)  # [i, bin]
+    f[:, L::-1] = g_mu[:L + 1].T  # m = L..0 at bins L..0
+    f[:, grid.n_phi - 1:grid.n_phi - L - 1:-1] = g_mu[L + 1:].T  # m = -1..-L
     del g_mu, g
-    f = np.fft.ifft(buf, axis=0)
-    del buf
+    np.fft.ifft(f, axis=1, out=f)
     f *= grid.n_phi
-    return np.ascontiguousarray(f.T).ravel()
+    return f.ravel()
 
 
 def analyze_on_grid(map_values: np.ndarray, grid: CubatureGrid, s: int, L: int,
@@ -205,12 +213,13 @@ def _exact_support(grid: CubatureGrid, s: int) -> range:
 def level_band(grid: CubatureGrid, s: int, L: int | None = None) -> int:
     """The top degree level j reads of a spin-s field band-limited at L
     (None: unbounded): min(L, support top), or |s| (no degree) when the
-    support is empty.  Refuses, before any transform, a grid not exact for
-    the support (BandLimitExceededError) and a table at that degree over
-    MAX_TABLE_BYTES (ResourceLimitError)."""
+    support holds no degree <= L.  Refuses, before any transform, a grid not
+    exact for the support (BandLimitExceededError) and a table at that
+    degree over MAX_TABLE_BYTES (ResourceLimitError)."""
     support = _exact_support(grid, s)
+    if L is not None:
+        support = range(support.start, min(support.stop, L + 1))
     top = support.stop - 1 if len(support) else abs(s)
-    top = top if L is None else min(L, top)
     _check_table_size(grid, s, top)
     return top
 
@@ -220,16 +229,20 @@ def _level_coefficients(full, grid: CubatureGrid, s: int, top: int,
     """beta_{jk;s} = sqrt(lambda_k) sum_l b_l sum_m full_{lm} Y_lms(xi_k).
 
     `full` is a callable returning a full-order [l, m + L] array, L >= top,
-    called only when the level reads a degree (top > |s|); the sum stops at top.
+    called only when the level reads a degree (top > |s|); the sum stops at
+    top.  The synthesized map is ring-major, so it is scaled in place by
+    each ring's sqrt(lambda); a level that reads no degree gets +0.0 values.
     """
-    values = np.zeros(grid.n_pixels, dtype=np.complex128)
-    if top > abs(s):
-        full = full()
-        L_in = full.shape[0] - 1
-        b = band_profile(grid.window, grid.j, s, np.arange(top + 1))
-        banded = full[:top + 1, L_in - top:L_in + top + 1] * b[:, None]
-        values = synthesize_on_grid(banded, grid, s) * np.sqrt(grid.weights)
-    return NeedletCoefficients(s=s, values=values, masked=masked, grid=grid)
+    if top <= abs(s):
+        values = np.zeros(grid.n_pixels, dtype=np.complex128)
+        return NeedletCoefficients(s=s, values=values, masked=masked, grid=grid)
+    full = full()
+    L_in = full.shape[0] - 1
+    b = band_profile(grid.window, grid.j, s, np.arange(top + 1))
+    banded = full[:top + 1, L_in - top:L_in + top + 1] * b[:, None]
+    rings = synthesize_on_grid(banded, grid, s).reshape(grid.n_theta, grid.n_phi)
+    rings *= np.sqrt(grid.ring_weights)[:, None]
+    return NeedletCoefficients(s=s, values=rings.ravel(), masked=masked, grid=grid)
 
 
 def needlet_analyze(alm: SpinAlm, grid: CubatureGrid) -> NeedletCoefficients:

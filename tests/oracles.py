@@ -257,6 +257,30 @@ def analyze_on_grid_two_pass(map_values, grid, s, L, ring_weights=None):
     return (inner * signs[:, None] * norms[None, :]).T[:, ::-1]
 
 
+# The grid synthesis with a [phi, ring] spectrum, as it stood before the
+# ring-major tail: the same chunked products, then the orders scattered into
+# rows of a [bin, ring] buffer, inverse-transformed along axis 0 and copied
+# to ring-major order.  Kept as the bit-for-bit reference for
+# spinlets.transform.synthesize_on_grid, which transforms each ring's row in
+# place.
+
+def synthesize_on_grid_phi_major(coeffs_full, grid, s):
+    from spinlets.transform import _harmonic_tables, _order_chunks, _pairs
+    L = coeffs_full.shape[0] - 1
+    D, norms, signs, bins = _harmonic_tables(grid, s, L)
+    A = np.multiply(coeffs_full.T[::-1], signs[:, None], order="C")  # [mu + L, l]
+    A *= norms
+    g_mu = np.empty((2 * L + 1, grid.n_theta), dtype=np.complex128)  # [mu + L, i]
+    a, g = _pairs(A), _pairs(g_mu)
+    for orders, lo in _order_chunks(L, s):
+        np.matmul(D[orders, lo:].swapaxes(1, 2), a[orders, lo:], out=g[orders])
+    buf = np.zeros((grid.n_phi, grid.n_theta), dtype=np.complex128)
+    buf[bins] = g_mu
+    f = np.fft.ifft(buf, axis=0)
+    f *= grid.n_phi
+    return np.ascontiguousarray(f.T).ravel()
+
+
 def kernel_sum_per_degree(s, p, q, degrees, weights):
     """sum_l w_l K^ls(p, q) with a fresh spinlets.wigner.kernel_K call per
     degree, the form needlet_kernel and theoretical_cov summed before

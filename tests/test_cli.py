@@ -763,19 +763,34 @@ def test_mc_refuses_an_oversized_table_before_building_it(tmp_path, capsys,
 def test_transform_refuses_an_oversized_table_before_building_it(
         tmp_path, capsys, monkeypatch):
     # every level, and a roundtrip's adjoint, reads an L = 24 field up to
-    # min(24, support top): under a 4 MiB cap level 8's table (2.5 MB) fits
-    # and level 9's (5.1 MB) is refused before any table is built
+    # min(24, support top), and levels 6..9 none: under a 256 KiB cap level
+    # 4's table (164 kB) fits and level 5's (323 kB) is refused before any
+    # table is built
     from spinlets import transform
     alm_path = tmp_path / "sig.salm"
     run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "1",
          "--out", str(alm_path)])
-    monkeypatch.setattr(transform, "MAX_TABLE_BYTES", 2 ** 22)
+    monkeypatch.setattr(transform, "MAX_TABLE_BYTES", 2 ** 18)
     monkeypatch.setattr(transform, "d_table", _no_table)
     _refused_before_any_write(tmp_path, capsys, [
         "transform", "--alm", str(alm_path), "--levels", "0..9", "--roundtrip",
         "--out-dir", str(tmp_path / "c")],
-        "levels: level j=9: harmonic table at s=2, L=24 needs 5092200 "
-        "bytes > cap 4194304")
+        "levels: level j=5: harmonic table at s=2, L=24 needs 322920 "
+        "bytes > cap 262144")
+
+
+def _table_spy(monkeypatch):
+    """Record (degree, rings) of every table transform.d_table builds."""
+    from spinlets import transform
+    real, built = transform.d_table, []
+
+    def spy(L, s, theta):
+        built.append((L, theta.size))
+        return real(L, s, theta)
+
+    monkeypatch.setattr(transform, "d_table", spy)
+    transform._table_slot.clear()
+    return built
 
 
 def test_transform_roundtrip_reads_only_the_analysis_degrees(tmp_path, capsys,
@@ -787,19 +802,13 @@ def test_transform_roundtrip_reads_only_the_analysis_degrees(tmp_path, capsys,
     alm_path = tmp_path / "sig.salm"
     run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "5",
          "--out", str(alm_path)])
-    real, built = transform.d_table, []
-
-    def spy(L, s, theta):
-        built.append(L)
-        return real(L, s, theta)
-
-    monkeypatch.setattr(transform, "d_table", spy)
+    built = _table_spy(monkeypatch)
     for flags, name in (([], "plain"), (["--roundtrip"], "rt")):
         transform._table_slot.clear()
         built.clear()
         assert run(["transform", "--alm", str(alm_path), "--levels", "0..7",
                     "--out-dir", str(tmp_path / name)] + flags) == 0
-        assert set(built) == {4, 7, 15, 24}, (flags, built)
+        assert {L for L, _ in built} == {4, 7, 15, 24}, (flags, built)
     transform._table_slot.clear()
     for j in range(8):
         name = f"level{j:02d}.snbc"
@@ -812,7 +821,47 @@ def test_transform_roundtrip_reads_only_the_analysis_degrees(tmp_path, capsys,
     line = [ln for ln in capsys.readouterr().err.splitlines()
             if ln.startswith("spinlets: roundtrip")][0]
     assert float(line.rsplit(" ", 1)[-1]) < 1e-12
-    assert max(built) == 24
+    assert max(L for L, _ in built) == 24
+
+
+def test_transform_builds_the_largest_table_first(tmp_path, monkeypatch):
+    # the levels are analyzed largest first, so each smaller table builds in
+    # the pages the one before left; the files keep the user's levels
+    from spinlets import transform
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "63", "--seed", "3",
+         "--out", str(alm_path)])
+    built = _table_spy(monkeypatch)
+    assert run(["transform", "--alm", str(alm_path), "--levels", "3..6",
+                "--out-dir", str(tmp_path / "c")]) == 0
+    assert built == [(63, 129), (63, 65), (31, 33), (15, 17)]
+    alm = read_alm(alm_path)
+    for j in range(3, 7):
+        want = tmp_path / f"want{j:02d}.snbc"
+        transform.write_coefficients(
+            want, transform.needlet_analyze(alm, build_cubature(j, 2.0)))
+        assert (tmp_path / "c" / f"level{j:02d}.snbc").read_bytes() == \
+            want.read_bytes()
+    transform._table_slot.clear()
+
+
+def test_transform_levels_above_the_field_read_nothing(tmp_path, monkeypatch):
+    # levels 6..9 start their support above an L = 24 field's top: they
+    # build no table and write +0.0 coefficients (no negative zero)
+    from spinlets import transform
+    alm_path = tmp_path / "sig.salm"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "4",
+         "--out", str(alm_path)])
+    built = _table_spy(monkeypatch)
+    assert run(["transform", "--alm", str(alm_path), "--levels", "0..9",
+                "--out-dir", str(tmp_path / "c")]) == 0
+    assert sorted(built, reverse=True) == built
+    assert {rings for _, rings in built} == {5, 9, 17, 33, 65}
+    for j in range(6, 10):
+        data = (tmp_path / "c" / f"level{j:02d}.snbc").read_bytes()
+        npix = build_cubature(j, 2.0).n_pixels
+        assert data[-16 * npix:] == bytes(16 * npix)
+    transform._table_slot.clear()
 
 
 def test_transform_refuses_a_roundtrip_that_covers_no_degree(tmp_path, capsys,

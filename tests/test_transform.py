@@ -35,7 +35,7 @@ from spinlets.wigner import d_table
 from spinlets.window import _level, band_profile, window_support
 
 from oracles import (analyze_on_grid_two_pass, kernel_sum_per_degree,
-                     synthesize_on_grid_two_pass)
+                     synthesize_on_grid_phi_major, synthesize_on_grid_two_pass)
 
 B, S = 2.0, 2
 
@@ -687,12 +687,13 @@ def test_level_support_keeps_the_exactness_message():
 
 
 def test_level_support_sizes_the_table_the_field_reads(win, monkeypatch):
-    # level 9 reads an L = 24 field up to 24, below its support, and is
-    # refused unbounded, before any table is built
+    # level 9 reads no degree of an L = 24 field, all below its support
+    # (|s|, as for an empty support), and is refused unbounded, before any
+    # table is built
     monkeypatch.setattr(transform, "d_table", _no_table)
     grid = build_cubature(9, B)
     assert window_support(win, 9, S).start > 24
-    assert level_band(grid, S, 24) == 24
+    assert level_band(grid, S, 24) == S  # no degree: its support starts at 258
     assert level_band(build_cubature(4, B), S, 24) == 24
     assert level_band(build_cubature(3, B), S, 24) == 15
     with pytest.raises(ResourceLimitError) as err:
@@ -799,6 +800,35 @@ def test_grid_transforms_equal_the_two_pass_products(j, s):
             for w in (None, np.sqrt(grid.ring_weights)):
                 assert_close(analyze_on_grid(values, grid, s, L, ring_weights=w),
                              analyze_on_grid_two_pass(values, grid, s, L, w))
+    finally:
+        _table_slot.clear()
+
+
+@pytest.mark.parametrize("B_", [2.0, 1.5])
+@pytest.mark.parametrize("s", [0, 2, -3])
+def test_ring_major_synthesis_equals_the_phi_major_tail(s, B_, half_model):
+    # the spectrum is written [ring, bin] and each ring's row is
+    # inverse-transformed in place; pocketfft's arithmetic per transform does
+    # not depend on the axis or on out=, so the map is the [phi, ring] tail's
+    # bit for bit, from L = |s| up to the largest L the grid resolves (where
+    # the runs m >= 0 and m < 0 meet), at both grids' zero gaps between them
+    rng = np.random.default_rng(30 + s)
+    try:
+        for j in (3, 4, 5):
+            grid = build_cubature(j, B_)
+            top = level_band(grid, s)
+            for L in sorted({abs(s), top, (grid.n_phi - 1) // 2}):
+                shape = (L + 1, 2 * L + 1)
+                coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                assert _same_bits(synthesize_on_grid(coeffs, grid, s),
+                                  synthesize_on_grid_phi_major(coeffs, grid, s))
+            # the analysis scales the ring-major map per ring, in place: the
+            # per-pixel sqrt(lambda) product's bits
+            alm = draw_alm(half_model, half_model, s, top, 10 * j + s)
+            b = band_profile(grid.window, j, s, np.arange(top + 1))
+            want = synthesize_on_grid(alm.full_coeffs() * b[:, None], grid, s) \
+                * np.sqrt(grid.weights)
+            assert _same_bits(needlet_analyze(alm, grid).values, want)
     finally:
         _table_slot.clear()
 
