@@ -6,9 +6,13 @@ import gc
 import importlib
 import inspect
 import math
+import multiprocessing
+import os
 import pkgutil
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from weakref import ref
@@ -886,6 +890,120 @@ def test_level6_transforms_do_not_copy_the_table(win):
             assert peak < 0.05 * D.nbytes, (peak, D.nbytes)
     finally:
         _table_slot.clear()
+
+
+def _cpus(monkeypatch, n):
+    # the CPUs the process may run on, as _run_chunks reads them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _thread_spy(monkeypatch):
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+def _level_transforms(j, s):
+    """synthesize_on_grid, then analyze_on_grid at both ring weightings, of
+    random inputs at level j's top degree."""
+    grid = build_cubature(j, B)
+    L = level_band(grid, s)
+    rng = np.random.default_rng(60 + j + s)
+    shape = (L + 1, 2 * L + 1)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pix = rng.standard_normal((2, grid.n_pixels))
+    values = pix[0] + 1j * pix[1]
+    return [synthesize_on_grid(coeffs, grid, s)] + [
+        analyze_on_grid(values, grid, s, L, ring_weights=w)
+        for w in (None, np.sqrt(grid.ring_weights))]
+
+
+@pytest.mark.parametrize("s", [0, 2, -3])
+def test_the_helper_thread_keeps_the_bits_of_one_thread(s, monkeypatch):
+    # each chunk writes its own slice through the same product, whichever
+    # thread runs it
+    started = _thread_spy(monkeypatch)
+    try:
+        _cpus(monkeypatch, 2)
+        shared = _level_transforms(6, s)
+        assert len(started) == 3
+        _cpus(monkeypatch, 1)
+        alone = _level_transforms(6, s)
+        assert len(started) == 3
+    finally:
+        _table_slot.clear()
+    assert all(_same_bits(a, b) for a, b in zip(shared, alone))
+
+
+def test_the_helper_starts_at_level_6_and_not_at_level_5(monkeypatch):
+    # level 5's table writes 2.1 MB, under THREAD_TABLE_BYTES; level 6's 16.9
+    started = _thread_spy(monkeypatch)
+    _cpus(monkeypatch, 2)
+    try:
+        for j, threads in ((5, 0), (6, 3)):
+            started.clear()
+            _level_transforms(j, S)
+            grid = build_cubature(j, B)
+            table = 8 * grid.n_theta * (level_band(grid, S) + 1) ** 2
+            assert (table >= transform.THREAD_TABLE_BYTES) == (threads > 0)
+            assert len(started) == threads, j
+            assert not any(t.is_alive() for t in started)
+    finally:
+        _table_slot.clear()
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    started = _thread_spy(monkeypatch)
+    _cpus(monkeypatch, 1)
+    try:
+        _level_transforms(6, S)
+    finally:
+        _table_slot.clear()
+    assert started == []
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_chunk_error_reaches_the_caller_and_leaves_no_thread(side,
+                                                               monkeypatch):
+    # side 1 raises in a chunk the helper runs, side 0 in one the caller runs
+    started = _thread_spy(monkeypatch)
+    _cpus(monkeypatch, 2)
+    L, s, n_theta = 127, S, 129
+    failing = list(transform._order_chunks(L, s))[2 + side][0]
+    ran = []
+
+    def product(orders, lo):
+        if orders == failing:
+            raise ArithmeticError(f"chunk {orders}")
+        ran.append(orders)
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="chunk"):
+        transform._run_chunks(product, L, s, n_theta)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+    assert failing not in ran
+
+
+def _threads_in_child(j):
+    started = _thread_spy(pytest.MonkeyPatch())
+    _level_transforms(j, S)
+    return len(started)
+
+
+def test_a_pool_worker_starts_no_thread(monkeypatch):
+    # a run_experiment worker's siblings hold the other CPUs
+    _cpus(monkeypatch, 2)
+    with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(_threads_in_child, 6).result() == 0
 
 
 def test_needlet_kernel_and_cov_equal_per_degree_kernel_sums(win):
