@@ -28,7 +28,7 @@ import math
 import multiprocessing
 import os
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,8 +47,8 @@ MAX_TABLE_BYTES = 2 ** 31
 # orders per product of the grid transforms (see _order_chunks); 16 and 32
 # time alike at j = 5..7, and 16 reads fewer zero rows
 ORDER_CHUNK = 16
-# a grid transform whose table writes at least this many bytes, 8 n_theta
-# (L+1)^2, shares its chunks of orders with one helper thread (see
+# a grid transform whose table writes at least this many bytes (see
+# _table_bytes) shares its chunks of orders with one helper thread (see
 # _run_chunks): j >= 6 at B = 2
 THREAD_TABLE_BYTES = 8 * 2 ** 20
 
@@ -112,11 +112,16 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     return _table_slot[key]
 
 
+def _table_bytes(n_theta: int, s: int, L: int) -> int:
+    """The bytes the harmonic table of n_theta rings at (s, L) writes:
+    8 n_theta per row (l, mu) with max(|mu|, |s|) <= l <= L."""
+    return 8 * n_theta * max((L + 1) ** 2 - s * s, 0)
+
+
 def _check_table_size(grid: CubatureGrid, s: int, L: int) -> None:
     """Refuse, before it is allocated, a harmonic table of the grid's rings
-    at (s, L) that writes more than MAX_TABLE_BYTES: 8 n_theta bytes per
-    row (l, mu) with max(|mu|, |s|) <= l <= L."""
-    nbytes = 8 * grid.n_theta * max((L + 1) ** 2 - s * s, 0)
+    at (s, L) that writes more than MAX_TABLE_BYTES."""
+    nbytes = _table_bytes(grid.n_theta, s, L)
     if nbytes > MAX_TABLE_BYTES:
         raise ResourceLimitError(
             f"level j={grid.j}: harmonic table at s={s}, L={L} needs {nbytes} "
@@ -140,40 +145,28 @@ def _order_chunks(L: int, s: int):
 def _run_chunks(product, L: int, s: int, n_theta: int) -> None:
     """Run product(orders, lo) over _order_chunks(L, s).
 
-    On a table of at least THREAD_TABLE_BYTES, in a process that may run on
-    2 or more CPUs (os.sched_getaffinity) and is not a multiprocessing child
-    (a pool worker's siblings hold the other CPUs), one helper thread runs
-    every other chunk while the caller runs the rest; the caller joins it
-    and re-raises what it raised, so no thread outlives the call.  product
-    must call only np.matmul (which releases the GIL) and write only its
-    chunk's slice.
+    On a table that writes at least THREAD_TABLE_BYTES, in a process that
+    may run on 2 or more CPUs (os.sched_getaffinity) and is not a
+    multiprocessing child (a pool worker's siblings hold the other CPUs),
+    the odd chunks go to a one-thread ThreadPoolExecutor while the caller
+    runs the even ones.  The helper's Future re-raises what it raised, and
+    leaving the executor joins its thread, so no thread outlives the call.
+    product must call only np.matmul (which releases the GIL) and write
+    only its chunk's slice.
     """
     chunks = list(_order_chunks(L, s))
-    if (8 * n_theta * (L + 1) ** 2 < THREAD_TABLE_BYTES
+    if (_table_bytes(n_theta, s, L) < THREAD_TABLE_BYTES
             or not hasattr(os, "sched_getaffinity")  # macOS, Windows
             or len(os.sched_getaffinity(0)) < 2
             or multiprocessing.parent_process() is not None):
         for orders, lo in chunks:
             product(orders, lo)
         return
-    raised = []
-
-    def helper():
-        try:
-            for orders, lo in chunks[1::2]:
-                product(orders, lo)
-        except BaseException as exc:  # re-raised by the caller
-            raised.append(exc)
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(lambda: [product(*c) for c in chunks[1::2]])
         for orders, lo in chunks[::2]:
             product(orders, lo)
-    finally:
-        thread.join()
-    if raised:
-        raise raised[0]
+        helper.result()
 
 
 # Both transforms run one np.matmul per chunk of ORDER_CHUNK orders, over
@@ -189,20 +182,15 @@ def _run_chunks(product, L: int, s: int, n_theta: int) -> None:
 # place (np.fft.ifft with out=, numpy >= 2.0): the spectrum's array is the
 # ring-major pixel map.  pocketfft's arithmetic per transform depends on
 # neither the axis nor out=, so the map has the bits of an axis-0 transform
-# of a [bin, ring] buffer and its transposed copy.  At j = 7 (s = 2, L =
-# 255, BLAS on one thread, 2-core x86 guest) that tail takes 1.3 ms and 4
-# page faults per call where the [bin, ring] form took 3.3-4.2 ms and 994,
-# and a warm synthesis 24-25 ms and 1,507 faults where it took 26-28 ms and
-# 1,990; a warm analysis takes about 20 ms.  Every temporary is
+# of a [bin, ring] buffer and its transposed copy.  Every temporary is
 # coefficient-sized, and a transform peaks at about two of them: the
 # synthesis holds its coefficients and products, then its products and
-# spectrum; the analysis its spectrum and products.  On a table of at least
-# THREAD_TABLE_BYTES, in a process that may run on 2 or more CPUs and is not
-# a pool worker, a helper thread runs every other chunk (see _run_chunks);
-# each chunk still writes its own slice through the same product, so the
-# bits are unchanged.  The synthesis products alone then take 15 ms at j = 7
-# where they took 29 ms, with the same CPU time, and 1.0 ms at j = 6 where
-# they took 1.5-2.5 ms; at j = 5 a helper would double their 0.2 ms.
+# spectrum; the analysis its spectrum and products.  On a table that writes
+# at least THREAD_TABLE_BYTES, in a process that may run on 2 or more CPUs
+# and is not a pool worker, a helper thread runs every other chunk (see
+# _run_chunks); each chunk still writes its own slice through the same
+# product, so the bits are unchanged.  Below that size (j = 5 at B = 2) a
+# helper's start and join would cost more than the products it shares.
 
 
 def synthesize_on_grid(coeffs_full: np.ndarray, grid: CubatureGrid, s: int) -> np.ndarray:
@@ -326,7 +314,7 @@ def needlet_kernel(grid: CubatureGrid, k: int, p: SphPoint, s: int) -> complex:
     xi = grid.point(k)
     b = band_profile(grid.window, grid.j, s, np.asarray(support))
     total = kernel_sum(s, p, xi, support, b)
-    lam = grid.weights[k]
+    lam = grid.ring_weights[k // grid.n_phi]
     return complex(math.sqrt(lam) * total)
 
 
@@ -398,7 +386,8 @@ def theoretical_cov(grid: CubatureGrid, model, k: int, k2: int, s: int) -> compl
     at k = k2 the addition theorem collapses K^ls to (2l+1)/4pi.
     """
     support = window_support(grid.window, grid.j, s)
-    lam_k, lam_k2 = grid.weights[k], grid.weights[k2]
+    rings = grid.ring_weights
+    lam_k, lam_k2 = rings[k // grid.n_phi], rings[k2 // grid.n_phi]
     if len(support) == 0:
         return 0.0 + 0.0j
     ells = np.asarray(support)

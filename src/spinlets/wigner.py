@@ -210,14 +210,14 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     l < |mu| are zero and are never written by the sweep: they cost no RAM,
     and a reader that skips them takes no page faults on them either.
 
-    The store is anonymous memory on 4 KB pages (see demand_zero), either a
-    fresh mapping or the spare: the mapping of the last table store whose
-    owning array died, so that no view of it survives.  A spare big enough
-    holds the store at its page-aligned end; one too small is unmapped
-    before the fresh mapping is made, so two tables are never resident
-    together.  In a recycled store, each gap between written degrees reads
-    as zero: its whole pages are dropped (MADV_DONTNEED) and the partial
-    pages at its ends are zeroed.  Every value is computed anew either way.
+    The store is anonymous memory on 4 KB pages (see demand_zero), in the
+    spare when it is big enough: the mapping of the last table store whose
+    owning array died, so that no view of it survives.  The store sits at
+    the mapping's page-aligned end.  A spare too small is unmapped before a
+    fresh mapping is made, so two tables are never resident together.
+    Either way each gap between written degrees is made to read as zero
+    (see _zero_gaps); on a fresh mapping, the pages that drops were never
+    touched.  Every value is computed anew.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     shape = (L + 1, 2 * L + 1, theta.size)
@@ -226,16 +226,15 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     if buf is not None and len(buf) < nbytes:
         buf.close()
         buf = None
-    recycled = buf is not None
-    buf = buf if recycled else _mapping(nbytes)
+    if buf is None:
+        buf = _mapping(nbytes)
     offset = (len(buf) - nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
     flat = np.frombuffer(buf, dtype=np.float64, count=nbytes // 8, offset=offset)
     # numpy collapses the base of every view to this array, so it dies only
     # when no view of the table is left
     weakref.finalize(flat, _release, buf).atexit = False
     store = flat.reshape(shape)
-    if recycled:
-        _zero_gaps(buf, offset, store, n)
+    _zero_gaps(buf, offset, store, n)
     for _ in iter_d_slices(L, n, theta, out=store):
         pass
     return store.transpose(1, 0, 2)
@@ -257,9 +256,11 @@ def _release(buf: mmap.mmap) -> None:
 
 
 def _zero_gaps(buf: mmap.mmap, offset: int, store: np.ndarray, n: int) -> None:
-    """Zero every entry of a recycled store [l, mu + L, i] that the sweep of
+    """Zero every entry of a store [l, mu + L, i] that the sweep of
     d_table(L, n) does not write: the gaps around degree l's rows
-    [l, L-l:L+l+1] for l = |n|..L (the whole store when L < |n|).  The store
+    [l, L-l:L+l+1] for l = |n|..L (the whole store when L < |n|).  A gap's
+    whole pages are dropped (MADV_DONTNEED), so they read as fresh zero
+    pages, and its partial pages at either end are zeroed.  The store
     starts at byte `offset` of buf, a page boundary."""
     L, nth = store.shape[0] - 1, store.shape[2]
     flat = store.reshape(-1)
@@ -268,14 +269,12 @@ def _zero_gaps(buf: mmap.mmap, offset: int, store: np.ndarray, n: int) -> None:
     stops = starts + (2 * ells + 1) * nth
     gaps = zip([0, *stops.tolist()], [*starts.tolist(), flat.size])
     page = mmap.PAGESIZE // flat.itemsize
-    for a, b in gaps:
-        pa, pb = -(-a // page) * page, b // page * page
-        if pa < pb:  # whole pages inside the gap read as fresh zero pages
+    for a, b in gaps:  # whole pages [pa, pb), none when pa >= pb
+        pa, pb = min(-(-a // page) * page, b), max(b // page * page, a)
+        if pa < pb:
             buf.madvise(mmap.MADV_DONTNEED, offset + 8 * pa, 8 * (pb - pa))
-            flat[a:pa] = 0.0
-            flat[pb:b] = 0.0
-        else:
-            flat[a:b] = 0.0
+        flat[a:pa] = 0.0
+        flat[pb:b] = 0.0
 
 
 def _mapping(nbytes: int) -> mmap.mmap:

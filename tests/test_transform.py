@@ -951,7 +951,8 @@ def test_the_helper_starts_at_level_6_and_not_at_level_5(monkeypatch):
             started.clear()
             _level_transforms(j, S)
             grid = build_cubature(j, B)
-            table = 8 * grid.n_theta * (level_band(grid, S) + 1) ** 2
+            table = transform._table_bytes(grid.n_theta, S,
+                                           level_band(grid, S))
             assert (table >= transform.THREAD_TABLE_BYTES) == (threads > 0)
             assert len(started) == threads, j
             assert not any(t.is_alive() for t in started)
@@ -969,10 +970,14 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     assert started == []
 
 
-@pytest.mark.parametrize("side", [0, 1])
-def test_a_chunk_error_reaches_the_caller_and_leaves_no_thread(side,
+@pytest.mark.parametrize("side, error", [
+    (0, ArithmeticError), (1, ArithmeticError),
+    (0, KeyboardInterrupt), (1, KeyboardInterrupt)],
+    ids=["0", "1", "0-KeyboardInterrupt", "1-KeyboardInterrupt"])
+def test_a_chunk_error_reaches_the_caller_and_leaves_no_thread(side, error,
                                                                monkeypatch):
-    # side 1 raises in a chunk the helper runs, side 0 in one the caller runs
+    # side 1 raises in a chunk the helper runs, side 0 in one the caller
+    # runs; KeyboardInterrupt is a BaseException, not an Exception
     started = _thread_spy(monkeypatch)
     _cpus(monkeypatch, 2)
     L, s, n_theta = 127, S, 129
@@ -981,11 +986,11 @@ def test_a_chunk_error_reaches_the_caller_and_leaves_no_thread(side,
 
     def product(orders, lo):
         if orders == failing:
-            raise ArithmeticError(f"chunk {orders}")
+            raise error(f"chunk {orders}")
         ran.append(orders)
 
     before = threading.active_count()
-    with pytest.raises(ArithmeticError, match="chunk"):
+    with pytest.raises(error, match="chunk"):
         transform._run_chunks(product, L, s, n_theta)
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
