@@ -155,11 +155,11 @@ def cmd_transform(args) -> int:
     mask = None if args.mask is None else read_mask(args.mask)
     if mask is not None:
         grids = [mask.grid]
+    source = "levels" if mask is None else f"mask {args.mask}"
     try:  # what each analysis reads; a gap-filled map has no band limit
         for grid in grids:
             level_band(grid, alm.s, alm.L if mask is None else None)
     except (BandLimitExceededError, ResourceLimitError) as exc:
-        source = "levels" if mask is None else f"mask {args.mask}"
         raise InvalidConfigError(f"{source}: {exc}") from None
     if args.roundtrip:  # its degree, and its coverage, before any transform
         L_rt = frame_band(grids, alm.s, alm.L)
@@ -167,7 +167,10 @@ def cmd_transform(args) -> int:
     paths = [out_dir / f"level{grid.j:02d}.snbc" for grid in grids]
     _check_outputs(args.force, *paths)
     if mask is not None:  # every transform, and the roundtrip, before any file
-        pix = synthesize_on_grid(alm.full_coeffs(), mask.grid, alm.s)
+        try:  # the whole field, at its own L, on the mask's grid
+            pix = synthesize_on_grid(alm.full_coeffs(), mask.grid, alm.s)
+        except (BandLimitExceededError, ResourceLimitError) as exc:
+            raise InvalidConfigError(f"{source}: {exc}") from None
         levels = [masked_analyze(pix, mask, alm.s)]
     else:  # largest table first, so each smaller one builds in its pages
         analyzed = {grid: needlet_analyze(alm, grid)

@@ -157,9 +157,12 @@ def block_labels(grid: CubatureGrid, observed: np.ndarray,
 
     Returns an int array over all pixels: block id for observed pixels, -1
     elsewhere.  Bands are weight-quantiles (pixel order is already
-    theta-major), sectors are equal phi intervals; undersized blocks merge
-    into their band neighbour.  The partition is computed once per grid,
-    selection and n_blocks; each call returns a fresh array.
+    theta-major), sectors are equal phi intervals.  A band's sectors, west
+    to east, fill one block at a time, which closes (taking the next id) at
+    the first sector where it holds at least 16 pixels; the sectors still
+    open at the band's east end join its last block, or stay -1 if it closed
+    none.  The partition is computed once per grid, selection and n_blocks;
+    each call returns a fresh array.
     """
     sel = _selection(grid, observed, n_blocks)
     return np.repeat(sel.values, sel.lengths)
@@ -230,36 +233,28 @@ def _partition(grid: CubatureGrid, observed: np.ndarray,
 
     w = grid.weights[obs_idx]
     cum = np.cumsum(w) - 0.5 * w
-    band = np.minimum((cum / cum[-1] * n_lat).astype(int)
-                      if cum[-1] > 0 else np.zeros(n_obs, int), n_lat - 1)
+    band = np.minimum((cum / cum[-1] * n_lat).astype(int), n_lat - 1)
     sector = np.minimum((grid.phi_pixels[obs_idx] / (2.0 * math.pi)
                          * n_lon).astype(int), n_lon - 1)
-    raw = band * n_lon + sector
+    cell = band * n_lon + sector
 
-    # Runt merges act on the n_lat*n_lon cells: dest[c] is the block that
-    # raw cell c's pixels end in, counts[c] the pixels block c holds.
-    counts = np.bincount(raw, minlength=n_lat * n_lon).tolist()
-    dest = np.arange(n_lat * n_lon)
-    for b in range(n_lat):
-        ids = range(b * n_lon, (b + 1) * n_lon)
-        carry = None
-        for i in ids:
-            if counts[i] == 0 and carry is None:
-                continue
-            if carry is not None:  # merge the runt into the next sector
-                dest[dest == carry] = i
-                counts[i] += counts[carry]
-                counts[carry] = 0
-                carry = None
-            if counts[i] < 16:
-                carry = i
-        if carry is not None:  # fold a trailing runt into the previous block
-            others = [i for i in ids if counts[i] >= 16]
-            if others:
-                dest[dest == carry] = others[-1]
-    kept = np.array(counts) >= 16
-    final = np.where(kept, np.cumsum(kept) - 1, -1)
-    labels[obs_idx] = final[dest[raw]]
+    # A band's cells (its sectors, west to east) fill the open block, which
+    # closes with the next id once it holds >= 16 pixels; the cells still
+    # open at the band's end join its last block, or stay -1 if it has none.
+    counts = np.bincount(cell, minlength=n_lat * n_lon).tolist()
+    block = np.full(n_lat * n_lon, -1, dtype=np.int64)
+    n_b = 0
+    for first in range(0, n_lat * n_lon, n_lon):
+        open_from, held = first, 0
+        for c in range(first, first + n_lon):
+            held += counts[c]
+            if held >= 16:
+                block[open_from:c + 1] = n_b
+                n_b += 1
+                open_from, held = c + 1, 0
+        if open_from > first:
+            block[open_from:first + n_lon] = n_b - 1
+    labels[obs_idx] = block[cell]
     return labels
 
 
@@ -293,9 +288,7 @@ def subsampling_variance(pixel_values: np.ndarray, grid: CubatureGrid,
     # denominator, so scale by nu/(nu-2) (t-statistic variance) to keep the
     # standardized statistic at unit variance
     nu = n_b - 1
-    if nu > 2:
-        var *= nu / (nu - 2.0)
-    return float(var)
+    return var * (nu / (nu - 2.0))
 
 
 def _exact_sum(a: np.ndarray) -> float:

@@ -95,7 +95,7 @@ def block_labels_loop(grid, observed, n_blocks=None):
 
     The per-pixel loop form of spinlets.estimators.block_labels (runt merges
     rewrite the pixel labels, a dict maps them to block ids), kept as the
-    reference for the vectorized version.
+    reference for its one pass over each band's cells.
     """
     obs_idx = np.flatnonzero(observed)
     n_obs = obs_idx.size

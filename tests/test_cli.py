@@ -543,7 +543,8 @@ def test_transform_refuses_a_roundtrip_gap_before_the_first_file(tmp_path,
 def test_transform_refuses_an_unresolved_mask_level_before_any_write(
         tmp_path, capsys):
     # the whole L = 63 field is synthesized on the level-3 grid, which
-    # resolves orders up to 16: no --out-dir is left behind
+    # resolves orders up to 16: the refusal names the mask, and no
+    # --out-dir is left behind
     alm_path, mask_path = tmp_path / "sig.salm", tmp_path / "cap.mask"
     run(["simulate", "--spin", "2", "--lmax", "63", "--seed", "1",
          "--out", str(alm_path)])
@@ -551,7 +552,7 @@ def test_transform_refuses_an_unresolved_mask_level_before_any_write(
     _refused_before_any_write(tmp_path, capsys, [
         "transform", "--alm", str(alm_path), "--mask", str(mask_path),
         "--out-dir", str(tmp_path / "c")],
-        "grid at level 3 resolves orders |m| <= 16, need 63")
+        f"mask {mask_path}: grid at level 3 resolves orders |m| <= 16, need 63")
 
 
 @pytest.mark.parametrize("flags, flag", [
@@ -913,19 +914,24 @@ def test_level_beyond_its_grid_exactness_refused_at_set_up(tmp_path, capsys):
 
 def test_transform_mask_admission_refusals_name_the_mask(tmp_path, capsys,
                                                          monkeypatch):
-    # both refusals of a level taken from --mask start with the mask file:
+    # every refusal of a level taken from --mask starts with the mask file:
     # at B = 2.9 and s = 3 level 0 is not exact; under a 1000-byte cap the
-    # level-3 table at s = 2, L = 15 (its support top) is too large
+    # level-3 table at s = 2, L = 15 (its support top) is too large; under a
+    # 36,000-byte cap that analysis table (34,272 bytes) passes, but the
+    # synthesis of an L = 16 field on the level-3 grid (38,760 bytes) does not
     from spinlets import transform
-    monkeypatch.setattr(transform, "MAX_TABLE_BYTES", 1000)
     monkeypatch.setattr(transform, "d_table", _no_table)
-    cases = [(3, 0, 2.9, "level j=0 needs exactness degree 8, grid provides 6"),
-             (2, 3, 2.0, "level j=3: harmonic table at s=2, L=15 needs 34272 "
-                         "bytes > cap 1000")]
-    for spin, j, B, message in cases:
-        alm_path = tmp_path / f"sig{spin}.salm"
-        run(["simulate", "--spin", str(spin), "--lmax", "24", "--seed", "1",
-             "--out", str(alm_path)])
+    cases = [(3, 0, 2.9, 24, 1000,
+              "level j=0 needs exactness degree 8, grid provides 6"),
+             (2, 3, 2.0, 24, 1000, "level j=3: harmonic table at s=2, L=15 "
+                                   "needs 34272 bytes > cap 1000"),
+             (2, 3, 2.0, 16, 36_000, "level j=3: harmonic table at s=2, L=16 "
+                                     "needs 38760 bytes > cap 36000")]
+    for spin, j, B, lmax, cap, message in cases:
+        monkeypatch.setattr(transform, "MAX_TABLE_BYTES", cap)
+        alm_path = tmp_path / f"sig{spin}L{lmax}.salm"
+        run(["simulate", "--spin", str(spin), "--lmax", str(lmax), "--seed",
+             "1", "--out", str(alm_path)])
         mask_path = tmp_path / f"level{j}.mask"
         write_mask(mask_path, polar_cap_mask(build_cubature(j, B), 0.1))
         _refused_before_any_write(tmp_path, capsys, [

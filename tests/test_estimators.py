@@ -290,6 +290,8 @@ def test_block_labels_match_loop_on_plan_selections():
 def _runt_branches(grid, observed, n_blocks):
     """Which merge rules block_labels applies: its cells, then its carry walk."""
     idx = np.flatnonzero(observed)
+    if n_blocks is None:
+        n_blocks = max(8, math.ceil(math.sqrt(idx.size) / 4.0))
     n_lat = max(2, int(round(math.sqrt(n_blocks / 2.0))))
     n_lon = max(2, math.ceil(n_blocks / n_lat))
     w = grid.weights[idx]
@@ -320,15 +322,20 @@ def _runt_branches(grid, observed, n_blocks):
 
 
 def test_block_labels_match_loop_on_random_holes():
-    grid = build_cubature(4, B)
-    wedge = np.minimum((grid.phi_pixels / (2.0 * math.pi) * 24).astype(int), 23)
+    # levels 2..5, each with the default n_blocks (None) twice and 46 draws
+    # from 1..120
     hit = set()
-    for seed in range(12):
+    for seed in range(192):
         rng = np.random.default_rng(seed)
-        n_blocks = int(rng.integers(16, 60))
+        grid = build_cubature(2 + seed % 4, B)
+        wedge = np.minimum((grid.phi_pixels / (2.0 * math.pi) * 24).astype(int),
+                           23)
+        n_blocks = None if seed < 8 else int(rng.integers(1, 121))
         density = rng.choice([0.0, 0.05, 0.2, 1.0], size=24,
                              p=[0.2, 0.3, 0.2, 0.3]) * rng.choice([1.0, 0.1])
         observed = rng.random(grid.n_pixels) < density[wedge]
+        if not observed.any():  # see test_block_labels_empty_selection
+            continue
         labels = _assert_labels_match_loop(grid, observed, n_blocks)
         branches = _runt_branches(grid, observed, n_blocks)
         # pixels stay unlabelled only in a runt no block of its band can take

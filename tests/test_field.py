@@ -176,6 +176,20 @@ def test_observe_channels_requires_two():
         observe_channels(signal, [power_law(2.5, kind="noise")], seed=0)
 
 
+def test_alm_shapes_and_band_limits_refused():
+    # arrays must be (L+1, L+1), sums need one (s, L), and a draw needs L >= |s|
+    good, short = np.zeros((5, 5), complex), np.zeros((4, 5), complex)
+    for alm_e, alm_b in ((good, short), (short, good)):
+        with pytest.raises(ValueError, match=r"must have shape \(5, 5\)"):
+            SpinAlm(s=2, L=4, alm_e=alm_e, alm_b=alm_b)
+    for other in (SpinAlm.zeros(2, 5), SpinAlm.zeros(-2, 4)):
+        with pytest.raises(ValueError, match=r"different \(s, L\)"):
+            SpinAlm.zeros(2, 4) + other
+    half = power_law(3.0, l_min=2).scaled(0.5)
+    with pytest.raises(InvalidDegreeError, match=r"band limit L=1 < \|s\|=2"):
+        draw_alm(half, half, -2, 1, 0)
+
+
 def test_observe_channels_zero_noise_and_independence():
     half = power_law(3.0, l_min=2).scaled(0.5)
     signal = draw_alm(half, half, 2, 8, 1)

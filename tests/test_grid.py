@@ -260,6 +260,19 @@ def test_regions_must_be_disjoint(grid5):
         RegionPair(grid=grid5, a1=a, a2=a, epsilon=0.0)
 
 
+def test_wrong_lengths_and_a_full_cap_refused(grid5):
+    full = np.zeros(grid5.n_pixels, dtype=bool)
+    short = full[:-1]
+    with pytest.raises(ValueError, match="mask length does not match"):
+        SkyMask(grid=grid5, excluded=short)
+    for a1, a2 in ((short, full), (full, short)):
+        with pytest.raises(ValueError, match="region length does not match"):
+            RegionPair(grid=grid5, a1=a1, a2=a2)
+    for fraction in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"sky_fraction must be in \[0, 1\)"):
+            polar_cap_mask(grid5, fraction)
+
+
 def test_negative_or_nan_epsilon_refused(grid5):
     for eps in (-1.0, math.nan):
         with pytest.raises(ValueError, match="epsilon="):

@@ -71,6 +71,8 @@ def test_slope_constant_table():
 def test_slope_needs_levels():
     with pytest.raises(TooFewLevelsError):
         fit_variance_slope([3, 4, 5], [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="variances must be positive"):
+        fit_variance_slope([3, 4, 5, 6], [1.0, 0.5, 0.0, 0.25])
 
 
 def test_plan_validation_messages():

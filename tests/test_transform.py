@@ -352,6 +352,13 @@ def test_empty_window_level_gives_zero_kernel():
     grid = build_cubature(0, B)
     val = needlet_kernel(grid, 0, SphPoint(1.0, 1.0), 25)
     assert val == 0.0
+    # level 0 at s = 2 reads no degree either: covariance and correlation 0
+    assert len(window_support(grid.window, 0, S)) == 0
+    model = power_law(3.0, l_min=2)
+    for k2 in (0, 1):
+        for value in (theoretical_cov(grid, model, 0, k2, S),
+                      theoretical_corr(grid, model, 0, k2, S)):
+            assert type(value) is complex and value == 0j
 
 
 def test_theoretical_cov_diagonal_and_correlation(win):
@@ -458,6 +465,10 @@ def test_snbc_malformed_files_name_the_field(tmp_path, half_model):
                        match=rf"header field npix={npix} does not match the "
                              rf"{grid.n_pixels} pixels of the level-3 grid at B=2\.0$"):
         read_coefficients(path)
+    # the same rule holds for coefficients built in memory
+    with pytest.raises(ValueError, match="coefficient array length != grid "
+                                         "pixel count"):
+        replace(coeffs, values=coeffs.values[:-1])
 
 
 def test_harmonic_tables_read_d_table_in_place(monkeypatch):

@@ -80,6 +80,11 @@ def test_index_errors():
         wigner_d(2, 0, -3, 0.5)
     with pytest.raises(InvalidDegreeError):
         spin_sph_harm(1, 0, 2, SphPoint(0.3, 0.1))
+    with pytest.raises(InvalidDegreeError, match="l=-1 must be >= 0"):
+        wigner_d(-1, 0, 0, 0.5)
+    for theta in (-0.1, math.pi + 0.1, math.nan):
+        with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+            SphPoint(theta, 0.0)
 
 
 def test_constant_mode():
@@ -263,7 +268,8 @@ def test_kernel_sum_equals_per_degree_kernel_loop(s):
 
 def test_lgamma_equals_scipy_gammaln_on_integers():
     # every branch: the exact product below 13, the 5-term Stirling series
-    # below 1000 and the 3-term one above; math.lgamma misses about half
-    n = np.arange(1, 200_001)
-    ours = np.array([_lgamma(k) for k in range(1, 200_001)])
+    # below 1000, the 3-term one up to 1e8 and none beyond; math.lgamma
+    # misses about half
+    n = np.concatenate((np.arange(1, 200_001), [10**8 + 1, 123456789, 10**9]))
+    ours = np.array([_lgamma(int(k)) for k in n])
     assert (ours == gammaln(n)).all()

@@ -151,6 +151,11 @@ def test_support_empty_for_large_spin_small_level(win):
     assert len(sup) == 0
 
 
+def test_support_refuses_a_negative_level(win):
+    with pytest.raises(ValueError, match="level j must be >= 0"):
+        window_support(win, -1, 2)
+
+
 def test_support_high_level_lower_edge(win):
     j = 9
     sup = window_support(win, j, 0)
