@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, mc
-from .errors import (BandLimitExceededError, InvalidConfigError,
-                     ResourceLimitError, SpinletsError)
+from .errors import (BandLimitExceededError, EmptyObservedRegionError, EmptyRegionError,
+                     InvalidConfigError, ResourceLimitError, SpinletsError)
 from .fields import (draw_alm, observe_channels, read_alm, seed_key,
                      spin_power_law, write_alm)
 from .grid import build_cubature, empty_mask, hemispheres, read_mask
@@ -202,8 +202,9 @@ def cmd_estimate(args) -> int:
     text = mc.FIELDS["kind"].default if args.kind is None else args.kind
     kinds = mc.FIELDS["kind"].check(text, "kind")
     needs = estimators.inputs_read(kinds)
-    _check_flags(args, needs, f"no kind in {text!r} reads --{{flag}}; drop it",
-                 kept={"kind"})
+    # without --mask a kind reads an empty mask, which --epsilon leaves empty
+    _check_flags(args, needs if args.mask is not None else needs - {"mask"},
+                 f"no kind in {text!r} reads --{{flag}}; drop it", kept={"kind"})
     if len(args.coeffs) > 1 and "channels" not in needs:
         raise InvalidConfigError(f"coeffs: no kind in {text!r} reads more than "
                                  f"one file; drop {args.coeffs[1]}")
@@ -218,8 +219,12 @@ def cmd_estimate(args) -> int:
         if args.mask is None and first.masked:
             raise InvalidConfigError(f"coeffs {args.coeffs[0]} were computed "
                                      f"with a mask; pass it as --mask")
-        mask = empty_mask(first.grid, epsilon=args.epsilon) \
-            if args.mask is None else read_mask(args.mask, epsilon=args.epsilon)
+        try:  # only a read mask can leave no pixel
+            mask = empty_mask(first.grid, epsilon=args.epsilon) if args.mask \
+                is None else read_mask(args.mask, epsilon=args.epsilon)
+        except EmptyObservedRegionError as exc:
+            raise InvalidConfigError(f"mask {args.mask}: {exc} at "
+                                     f"--epsilon={args.epsilon}") from None
         if mask.grid != first.grid:
             raise InvalidConfigError(
                 f"mask {args.mask} is for level j={mask.grid.j} at "
@@ -227,7 +232,12 @@ def cmd_estimate(args) -> int:
                 f"j={first.grid.j} at B={first.grid.B!r}")
         inputs["mask"] = mask
     if "regions" in needs:
-        inputs["regions"] = hemispheres(first.grid, epsilon=args.epsilon)
+        regions = inputs["regions"] = hemispheres(first.grid, epsilon=args.epsilon)
+        try:  # both interiors, before any estimator
+            for which in (1, 2):
+                regions.interior(which)
+        except EmptyRegionError as exc:
+            raise InvalidConfigError(f"epsilon: {exc}") from None
     if "noise" in needs:
         inputs["noise"] = [spin_power_law(args.gamma, first.s, "noise",
                                           args.noise_level)] * len(coeff_list)

@@ -48,10 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (EmptyObservedRegionError, InvalidChannelCountError,
-                     InvalidConfigError, MaskedFlagMismatchError,
-                     MissingNoiseModelError, NonpositiveVarianceError,
-                     SelfCheckError, SpinletsError, TooFewBlocksError)
+from .errors import (InvalidChannelCountError, InvalidConfigError,
+                     MaskedFlagMismatchError, MissingNoiseModelError,
+                     NonpositiveVarianceError, SelfCheckError, SpinletsError,
+                     TooFewBlocksError)
 from .fields import PowerSpectrumModel, cl_profile
 from .grid import CubatureGrid, RegionPair, SkyMask
 from .transform import NeedletCoefficients
@@ -271,8 +271,6 @@ def subsampling_variance(pixel_values: np.ndarray, grid: CubatureGrid,
     labels = block_labels(grid, observed)  # the entry benchmarks/spans.py traces
     sel = _selection(grid, observed)
     n_b = sel.n_b
-    if n_b == 0:
-        raise TooFewBlocksError("no admissible subsampling blocks")
     if n_b < 8:
         raise TooFewBlocksError(f"only {n_b} blocks of >= 16 pixels (need 8)")
     if sel.denom <= 0.0:
@@ -317,11 +315,9 @@ def _exact_sum(a: np.ndarray) -> float:
 
 def _weighted_estimate(pixel_values: np.ndarray, grid: CubatureGrid,
                        selection: np.ndarray) -> float:
-    """S = 4pi sum_sel(v) / sum_sel(lambda), exact (correctly rounded) sums."""
-    idx = np.flatnonzero(selection)
-    if idx.size == 0:
-        raise EmptyObservedRegionError("estimator selection is empty")
-    num = _exact_sum(pixel_values[idx])
+    """S = 4pi sum_sel(v) / sum_sel(lambda), exact (correctly rounded) sums,
+    over a selection that SkyMask or RegionPair.interior has kept nonempty."""
+    num = _exact_sum(pixel_values[selection])
     return FOUR_PI * num / _selection(grid, selection).weight_sum
 
 

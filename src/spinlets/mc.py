@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import estimators
-from .errors import (BandLimitExceededError, InvalidConfigError,
-                     ReplicateFailuresError, ResourceLimitError,
+from .errors import (BandLimitExceededError, EmptyObservedRegionError, EmptyRegionError,
+                     InvalidConfigError, ReplicateFailuresError, ResourceLimitError,
                      TooFewLevelsError, TooFewSamplesError)
 from .estimators import KNOWN_KINDS, inputs_read
 from .fields import draw_alm, observe_channels, spin_power_law
@@ -178,9 +178,8 @@ class _PlanContext:
         self.plan = plan
         self.reads = inputs_read(plan.kinds)
         # refused here, not by every replicate (the plan has refused a level
-        # past the pixel cap): first every level its grid cannot resolve
-        # exactly or whose table passes the cap (level_band), then an
-        # empty mask and an empty hemisphere interior
+        # past the pixel cap): a level its grid cannot resolve exactly or whose
+        # table passes the cap (level_band), then an empty mask or interior
         try:  # (grid, top degree it reads of an unbounded field) per level
             admitted = [(grid, level_band(grid, plan.s))
                         for grid in (build_cubature(j, plan.B) for j in plan.j_list)]
@@ -196,13 +195,17 @@ class _PlanContext:
         self.levels = {}
         for grid, top in admitted:
             eps = plan.epsilon_scale * plan.B ** (-grid.j)
-            mask = polar_cap_mask(grid, plan.mask_fraction, epsilon=eps) \
-                if "mask" in self.reads else None
-            regions = hemispheres(grid, epsilon=eps) \
-                if "regions" in self.reads else None
-            if regions is not None:  # pickled warm to the pool workers
-                for which in (1, 2):
+            try:  # the regions are pickled warm to the pool workers
+                mask = polar_cap_mask(grid, plan.mask_fraction, epsilon=eps) \
+                    if "mask" in self.reads else None
+                regions = hemispheres(grid, epsilon=eps) \
+                    if "regions" in self.reads else None
+                for which in (1, 2) if regions is not None else ():
                     regions.interior(which)
+            except (EmptyObservedRegionError, EmptyRegionError) as exc:
+                key = "epsilon_scale" if isinstance(exc, EmptyRegionError) \
+                    else "mask_fraction"
+                raise InvalidConfigError(f"{key}: {exc} at level j={grid.j}") from None
             self.levels[grid.j] = (grid, mask, regions, top)
 
     def reports(self, r: int) -> list:

@@ -16,8 +16,8 @@ a frame round trip's degree, at most the field's L, before any transform.
 
 A process holds one harmonic table at a time, keyed (grid, spin, degree); a
 grid is the value (j, B), so an equal grid built anew hits it.  A miss frees
-the held table before it builds the next, and the freed table's mapping is
-the one wigner.d_table builds into when it is big enough (see d_table), so
+the held table before it builds the next, so wigner.d_table finds no view of
+it left and builds into its mapping when it is big enough (see d_table):
 between builds a process keeps the pages of one table the cap admitted, and
 MAX_TABLE_BYTES bounds all the table memory it holds.
 """
@@ -89,9 +89,8 @@ def _harmonic_tables(grid: CubatureGrid, s: int, L: int):
     The one gate before any table: refuses an L the grid's longitudes cannot
     resolve (2L+1 > n_phi), then a table over MAX_TABLE_BYTES.  The key
     fixes n_phi, so a hit skips no check.  A miss empties _table_slot before
-    it builds, so the old and the new table are never resident together:
-    unless a caller still holds it, the old table's mapping is where d_table
-    builds the new one, or is unmapped first when it is too small.
+    it builds, so unless a caller still holds the old table, d_table finds
+    no view of it left and builds the new one into its mapping (see d_table).
     """
     key = (grid, s, L)
     if key in _table_slot:

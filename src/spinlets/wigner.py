@@ -18,9 +18,8 @@ cephes log-gamma behind scipy.special.gammaln that equals it on every
 integer.  Columns at exactly 0 or pi take the exact Kronecker/parity forms.
 
 Every function is pure in its values.  The one piece of process state is
-_spare, the mapping of the last table store no array can read any more:
-d_table builds into it, so a table build writes pages that are already
-resident instead of faulting in and zeroing fresh ones (see d_table).
+_last_store, the mapping of d_table's last store: once no view of that table
+is left, the next build writes resident pages instead of fresh ones.
 """
 
 from __future__ import annotations
@@ -210,29 +209,32 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     l < |mu| are zero and are never written by the sweep: they cost no RAM,
     and a reader that skips them takes no page faults on them either.
 
-    The store is anonymous memory on 4 KB pages (see demand_zero), in the
-    spare when it is big enough: the mapping of the last table store whose
-    owning array died, so that no view of it survives.  The store sits at
-    the mapping's page-aligned end.  A spare too small is unmapped before a
-    fresh mapping is made, so two tables are never resident together.
-    Either way each gap between written degrees is made to read as zero
-    (see _zero_gaps); on a fresh mapping, the pages that drops were never
-    touched.  Every value is computed anew.
+    The store is anonymous memory on 4 KB pages (see demand_zero), at the
+    page-aligned end of the last store's mapping when no view of that table
+    is left and the mapping is big enough.  Else it takes a fresh mapping; a
+    dead one too small is unmapped first, so two tables are never resident
+    together, and one still read stays with its holder.  Each gap between
+    written degrees is made to read as zero (see _zero_gaps).  Every value
+    is computed anew.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     shape = (L + 1, 2 * L + 1, theta.size)
     nbytes = 8 * math.prod(shape)
-    buf = _spare.pop() if _spare else None
-    if buf is not None and len(buf) < nbytes:
-        buf.close()
-        buf = None
+    buf = None
+    if _last_store:  # a mapping a view still reads stays with its holder
+        last, table = _last_store.pop()
+        if table() is None and len(last) >= nbytes:
+            buf = last
+        elif table() is None:
+            last.close()
     if buf is None:
         buf = _mapping(nbytes)
     offset = (len(buf) - nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
     flat = np.frombuffer(buf, dtype=np.float64, count=nbytes // 8, offset=offset)
-    # numpy collapses the base of every view to this array, so it dies only
-    # when no view of the table is left
-    weakref.finalize(flat, _release, buf).atexit = False
+    # every view's base collapses to flat, so it dies with the table's last
+    # view; only Linux is known to zero-fill a page dropped with MADV_DONTNEED
+    if sys.platform.startswith("linux"):
+        _last_store.append((buf, weakref.ref(flat)))
     store = flat.reshape(shape)
     _zero_gaps(buf, offset, store, n)
     for _ in iter_d_slices(L, n, theta, out=store):
@@ -240,19 +242,8 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     return store.transpose(1, 0, 2)
 
 
-# the one spare table mapping: at most one mmap, no longer read by any array
-_spare: list = []
-
-
-def _release(buf: mmap.mmap) -> None:
-    """Make a dead table store's mapping the spare, unmapping the last one.
-
-    Only Linux is known to zero-fill a private anonymous page dropped with
-    MADV_DONTNEED; elsewhere no mapping is kept."""
-    while _spare:
-        _spare.pop().close()
-    if sys.platform.startswith("linux"):
-        _spare.append(buf)
+# at most one (mapping, weak reference to its flat array) of d_table's last store
+_last_store: list = []
 
 
 def _zero_gaps(buf: mmap.mmap, offset: int, store: np.ndarray, n: int) -> None:

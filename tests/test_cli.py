@@ -590,6 +590,9 @@ def test_simulate_refuses_noise_flags_without_channels(tmp_path, capsys, flags,
     ("ap,cp,hausman", ["--epsilon", "0.1"], "epsilon"),
     ("asymmetry", ["--mask", "cap.mask"], "mask"),
     ("hausman", ["--mask", "cap.mask"], "mask"),
+    # without --mask a mask kind reads an empty mask, which no epsilon dilates
+    ("unfeasible", ["--epsilon", "4"], "epsilon"),
+    ("masked,unfeasible", ["--epsilon", "4"], "epsilon"),
 ])
 def test_estimate_refuses_flags_no_requested_kind_reads(tmp_path, capsys, kinds,
                                                         flags, flag):
@@ -598,6 +601,43 @@ def test_estimate_refuses_flags_no_requested_kind_reads(tmp_path, capsys, kinds,
         "estimate", "--kind", kinds, "--coeffs", str(tmp_path / "c.snbc"),
         "--out", str(tmp_path / "r.json")] + flags,
         f"{flag}: no kind in {kinds!r} reads --{flag}; drop it")
+
+
+def _no_estimator(*args):
+    raise AssertionError("a refused input must run no estimator")
+
+
+def test_estimate_names_the_mask_and_epsilon_that_leave_no_pixel(
+        tmp_path, capsys, monkeypatch):
+    # a 30% cap on the level-3 grid, dilated by 3 radians, covers the sphere
+    alm_path, mask_path = tmp_path / "f.salm", tmp_path / "m3.txt"
+    run(["simulate", "--spin", "2", "--lmax", "16", "--seed", "1",
+         "--out", str(alm_path)])
+    write_mask(mask_path, polar_cap_mask(build_cubature(3, 2.0), 0.30))
+    run(["transform", "--alm", str(alm_path), "--mask", str(mask_path),
+         "--out-dir", str(tmp_path / "tm")])
+    monkeypatch.setattr(estimators, "estimate_masked", _no_estimator)
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--kind", "masked", "--coeffs",
+        str(tmp_path / "tm" / "level03.snbc"), "--mask", str(mask_path),
+        "--epsilon", "3", "--out", str(tmp_path / "r.json")],
+        f"mask {mask_path}: no pixel survives the mask after dilation at "
+        f"--epsilon=3.0")
+
+
+def test_estimate_refuses_an_empty_hemisphere_interior_as_epsilon(
+        tmp_path, capsys, monkeypatch):
+    alm_path = tmp_path / "f.salm"
+    run(["simulate", "--spin", "2", "--lmax", "24", "--seed", "1",
+         "--out", str(alm_path)])
+    run(["transform", "--alm", str(alm_path), "--levels", "2",
+         "--out-dir", str(tmp_path / "t")])
+    monkeypatch.setattr(estimators, "estimate_asymmetry", _no_estimator)
+    _refused_before_any_write(tmp_path, capsys, [
+        "estimate", "--kind", "asymmetry", "--coeffs",
+        str(tmp_path / "t" / "level02.snbc"), "--epsilon", "5",
+        "--out", str(tmp_path / "r.json")],
+        "epsilon: region 1 has an empty eps-interior (epsilon=5.0)")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1058,8 +1098,21 @@ def test_empty_hemisphere_interior_refused_before_any_replicate(
 
     monkeypatch.setattr(estimators, "estimate_asymmetry", no_estimate)
     err = _mc_refused(tmp_path, capsys, "[plan]\nkinds = asymmetry\nj_list = 1\n")
-    assert err == ("spinlets: error: region 1 has an empty eps-interior "
-                   "(epsilon=1.5)\n")
+    assert err == ("spinlets: error: epsilon_scale: region 1 has an empty "
+                   "eps-interior (epsilon=1.5) at level j=1\n")
+
+
+def test_empty_dilated_mask_refused_before_any_replicate(tmp_path, capsys,
+                                                        monkeypatch):
+    # a 99% cap dilated by 3 B^-3 leaves no level-3 pixel observed
+    def no_estimate(*args):
+        raise AssertionError("a refused plan must run no estimator")
+
+    monkeypatch.setattr(estimators, "estimate_masked", no_estimate)
+    err = _mc_refused(tmp_path, capsys, "[plan]\nkinds = masked\nj_list = 3\n"
+                      "mask_fraction = 0.99\n")
+    assert err == ("spinlets: error: mask_fraction: no pixel survives the mask "
+                   "after dilation at level j=3\n")
 
 
 def test_config_roundtrip_idempotent(tmp_path):

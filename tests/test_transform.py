@@ -527,8 +527,9 @@ def test_an_equal_grid_built_anew_hits_the_harmonic_tables(monkeypatch):
 
 def test_a_miss_frees_the_held_table_before_it_builds(monkeypatch):
     # one table per process: the previous D is gone when d_table runs, so a
-    # level sweep never holds two tables at once; a spare mapping too small
-    # for the next table is unmapped before the fresh one is made
+    # level sweep never holds two tables at once; the last table's mapping,
+    # when too small for the next table, is unmapped before the fresh one is
+    # made
     held, alive, maps = [], [], []
     build, fresh = transform.d_table, wigner._mapping
 
@@ -545,7 +546,7 @@ def test_a_miss_frees_the_held_table_before_it_builds(monkeypatch):
     monkeypatch.setattr(transform, "d_table", recording_d_table)
     monkeypatch.setattr(wigner, "_mapping", recording_mapping)
     _table_slot.clear()
-    wigner._spare.clear()
+    wigner._last_store.clear()
     try:
         for j, L in ((3, 12), (4, 24), (4, 20), (3, 12), (5, 40)):
             held.append(ref(_harmonic_tables(build_cubature(j, B), S, L)[0]))
@@ -570,35 +571,43 @@ def test_a_recycled_table_equals_a_fresh_one(win):
     keys = [(j, s, window_support(win, j, s).stop - 1)
             for s in (0, S, -S) for j in (3, 7, 4, 7, 5)]
     keys += [(7, s, 1) for s in (S, -S)]  # L < |s|: the sweep writes nothing
-    wigner._spare.clear()
+    wigner._last_store.clear()
     recycled = []
     for j, s, L in keys:
         theta = build_cubature(j, B).theta
-        spare = list(wigner._spare)
+        last = [mapping for mapping, _ in wigner._last_store]
         table = d_table(L, s, theta)
-        recycled.append(spare == [_mapping_of(table)])
-        fresh = d_table(L, s, theta)  # the spare is taken: a fresh mapping
-        assert _mapping_of(fresh) not in spare + [_mapping_of(table)]
+        recycled.append(last == [_mapping_of(table)])
+        built = list(wigner._last_store)
+        fresh = d_table(L, s, theta)  # table is still read: a fresh mapping
+        assert _mapping_of(fresh) not in last + [_mapping_of(table)]
         assert _same_bits(table, fresh), (j, s, L)
-        del fresh, table  # the recycled mapping is the spare again
+        # the next key recycles table's pages, as if fresh was never built
+        wigner._last_store[:] = built
+        del fresh, table
     # only the first table and the first j = 7 one take fresh pages
     assert recycled == [False, False] + [True] * (len(keys) - 2)
 
 
 def test_a_held_table_or_view_is_never_recycled():
+    # no later build lands in the mapping of a table, or of a view of one,
+    # that a caller still holds, while the tables it frees are recycled
     _table_slot.clear()
+    recycled = []
     try:
         D = _harmonic_tables(build_cubature(4, B), S, 24)[0]
         part = _harmonic_tables(build_cubature(5, B), -S, 40)[0][30:40, 10:]
         kept = D.copy(), part.copy()
+        held = _mapping_of(D), _mapping_of(part)
         for j, s, L in ((3, 0, 12), (5, S, 63), (4, 1, 31), (3, S, 16),
                         (5, 0, 63), (4, -S, 24)):
-            _harmonic_tables(build_cubature(j, B), s, L)
-            gc.collect()
-            assert _mapping_of(D) not in wigner._spare
-            assert _mapping_of(part) not in wigner._spare
+            last = wigner._last_store[0][0]
+            mapping = _mapping_of(_harmonic_tables(build_cubature(j, B), s, L)[0])
+            assert mapping is not held[0] and mapping is not held[1]
+            recycled.append(mapping is last)
     finally:
         _table_slot.clear()
+    assert recycled == [False, False, True, True, True, True]
     assert _same_bits(D, kept[0]) and _same_bits(part, kept[1])
 
 
@@ -642,7 +651,7 @@ def test_level6_table_keeps_its_zero_rows_out_of_ram(win):
     j = 6
     L = window_support(win, j, S).stop - 1
     grid = build_cubature(j, B)
-    wigner._spare.clear()  # a fresh mapping, not the pages of an older table
+    wigner._last_store.clear()  # a fresh mapping, not an older table's pages
     before = _vm_rss()
     D = d_table(L, S, grid.theta)
     grown = _vm_rss() - before
@@ -657,7 +666,7 @@ def test_a_recycled_table_drops_the_pages_of_its_gaps(win):
         pytest.skip("needs /proc/self/status")
     L = window_support(win, 6, 0).stop - 1
     theta = build_cubature(6, B).theta
-    wigner._spare.clear()
+    wigner._last_store.clear()
     before = _vm_rss()
     D = d_table(L, 0, theta)
     full, mapping = _vm_rss() - before, _mapping_of(D)
@@ -751,7 +760,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_process_state_is_the_listed_stores():
     # what a process keeps between calls: unbounded functools.cache functions
-    # of values, the one harmonic table slot, the one spare table mapping,
+    # of values, the one harmonic table slot, the last table store's mapping,
     # and constant tables; a
     # hand-rolled memo (a module dict, or a dict field no caller passes)
     # fails here
@@ -777,7 +786,7 @@ def test_process_state_is_the_listed_stores():
     assert cached == {"grid.build_cubature", "window._level",
                       "window._psi_interpolator", "estimators._band_power",
                       "estimators._selection_of"}
-    assert stores == {"transform._table_slot", "wigner._spare", "cli._SYNTAX",
+    assert stores == {"transform._table_slot", "wigner._last_store", "cli._SYNTAX",
                       "estimators.KINDS", "estimators.PAPER_KIND", "mc.FIELDS"}
     assert memo_fields == {"grid.RegionPair._interior_cache"}
 
