@@ -25,8 +25,6 @@ MAX_TABLE_BYTES bounds all the table memory it holds.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +36,7 @@ from .errors import (BandLimitExceededError, CoverageGapError,
                      InvalidCoefficientFileError, ResourceLimitError)
 from .fields import SpinAlm, cl_profile, decode_pairs, encode_pairs, read_header
 from .grid import CubatureGrid, SkyMask, header_grid
-from .wigner import SphPoint, d_table, kernel_sum
+from .wigner import SphPoint, d_table, has_spare_cpu, kernel_sum
 from .window import band_profile, window_support
 
 # largest harmonic table a level may build, counted in its written bytes
@@ -144,20 +142,17 @@ def _order_chunks(L: int, s: int):
 def _run_chunks(product, L: int, s: int, n_theta: int) -> None:
     """Run product(orders, lo) over _order_chunks(L, s).
 
-    On a table that writes at least THREAD_TABLE_BYTES, in a process that
-    may run on 2 or more CPUs (os.sched_getaffinity) and is not a
-    multiprocessing child (a pool worker's siblings hold the other CPUs),
-    the odd chunks go to a one-thread ThreadPoolExecutor while the caller
-    runs the even ones.  The helper's Future re-raises what it raised, and
-    leaving the executor joins its thread, so no thread outlives the call.
+    On a table that writes at least THREAD_TABLE_BYTES, in a process with
+    a spare CPU (wigner.has_spare_cpu: 2 or more usable CPUs and not a
+    pool worker), the odd chunks go to a one-thread ThreadPoolExecutor
+    while the caller runs the even ones.  The helper's Future re-raises
+    what it raised, and leaving the executor joins its thread, so no thread
+    outlives the call.
     product must call only np.matmul (which releases the GIL) and write
     only its chunk's slice.
     """
     chunks = list(_order_chunks(L, s))
-    if (_table_bytes(n_theta, s, L) < THREAD_TABLE_BYTES
-            or not hasattr(os, "sched_getaffinity")  # macOS, Windows
-            or len(os.sched_getaffinity(0)) < 2
-            or multiprocessing.parent_process() is not None):
+    if _table_bytes(n_theta, s, L) < THREAD_TABLE_BYTES or not has_spare_cpu():
         for orders, lo in chunks:
             product(orders, lo)
         return

@@ -8,14 +8,17 @@ with d^l_{m,n} the standard Wigner small-d matrix, d^l_{m,n}(0) = delta_{mn},
 d^1_{00}(beta) = cos(beta).  For s = 0 this reduces to the usual scalar
 spherical harmonic with Condon-Shortley phase.
 
-Every d-value comes from one engine, iter_d_slices: a single upward sweep
-of the three-term recursion in degree l at fixed column n, vectorized over
-the rows m and the colatitudes.  It is seeded at l = |n| with the closed-form
+Every d-value comes from one engine, iter_d_slices: an upward sweep of the
+three-term recursion in degree l at fixed column n, vectorized over the
+rows m and the colatitudes.  It is seeded at l = |n| with the closed-form
 row d^{|n|}_{m,n}, and at each degree the two boundary rows |m| = l enter in
 closed form (both evaluated in log space, so high degrees neither overflow
 nor underflow).  Their factorials come from _lgamma, a transcription of the
 cephes log-gamma behind scipy.special.gammaln that equals it on every
 integer.  Columns at exactly 0 or pi take the exact Kronecker/parity forms.
+Row m of a degree reads only row m of the two below it, so a sweep may
+hold only the rows m < 0 or only m >= 0; d_table sweeps the two halves of
+a big table on two threads (see has_spare_cpu), with the bits of one sweep.
 
 Every function is pure in its values.  The one piece of process state is
 _last_store, the mapping of d_table's last store: once no view of that table
@@ -26,8 +29,11 @@ from __future__ import annotations
 
 import math
 import mmap
+import multiprocessing
+import os
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +105,7 @@ def wigner_d(l: int, m: int, n: int, beta: float) -> float:
     return float(wigner_d_slice(l, n, beta)[m + l])
 
 
-def iter_d_slices(L: int, n: int, theta, out=None):
+def iter_d_slices(L: int, n: int, theta, out=None, half=None):
     """Yield (l, d) for l = |n| .. L, d of shape (2l+1, ntheta): d^l_{m,n}(theta).
 
     theta values lie in [0, pi].  One upward sweep of the degree recursion,
@@ -108,12 +114,19 @@ def iter_d_slices(L: int, n: int, theta, out=None):
     of the seeds diverge, go through the sweep like the others (no column
     reads another) and are then overwritten with the exact forms
     d = delta_{mn} and (-1)^(l-n) delta_{m,-n}.  Without `out`, each degree
-    gets a fresh array of its own 2l+1 rows, so yielded slices stay valid
-    after the sweep moves on.  With `out`, a degree-major store of shape
-    (L+1, 2L+1, ntheta), degree l's rows are written in place to
-    out[l, L-l:L+l+1] and yielded as that view; the sweep reads its last two
+    gets a fresh array of its own rows, so yielded slices stay valid after
+    the sweep moves on.  With `out`, a degree-major store of shape
+    (L+1, 2L+1, ntheta), degree l's rows m are written in place to
+    out[l, L + m] and yielded as that view; the sweep reads its last two
     degrees back from the store and writes no other entry.  Nothing is
     yielded when L < |n|.
+
+    half = -1 or +1 sweeps only the rows m < 0 (l of them) or m >= 0 (l+1)
+    of each degree, and yields those.  Row m of degree l+1 reads only row m
+    of degrees l and l-1, so the two halves share no entry: each seeds its
+    own rows, enters its own boundary row m = -(l+1) or l+1 and overwrites
+    the pole columns of its own rows, with the operations of the full sweep
+    in its order, so together they write the bits of one full sweep.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if theta.size and not (theta.min() >= 0.0 and theta.max() <= math.pi):
@@ -124,17 +137,22 @@ def iter_d_slices(L: int, n: int, theta, out=None):
     south = np.flatnonzero(theta == math.pi)
     nth = theta.size
     l0 = abs(n)
+    neg, pos = half != 1, half != -1  # the sweep holds rows m < 0, m >= 0
 
-    def rows(l):  # where degree l's 2l+1 rows go
-        return np.empty((2 * l + 1, nth)) if out is None \
-            else out[l, L - l:L + l + 1]
+    def rows(l):  # where degree l's rows go: m = -l..l, -l..-1 or 0..l
+        lo, hi = -l if neg else 0, l if pos else -1
+        return np.empty((hi - lo + 1, nth)) if out is None \
+            else out[l, L + lo:L + hi + 1]
 
     def emit(l, d):
         if north.size or south.size:
+            lo = -l if neg else 0  # row i holds m = lo + i
             d[:, north] = 0.0
-            d[l + n, north] = 1.0
+            if 0 <= n - lo < len(d):
+                d[n - lo, north] = 1.0
             d[:, south] = 0.0
-            d[l - n, south] = (-1.0) ** (l - n)
+            if 0 <= -n - lo < len(d):
+                d[-n - lo, south] = (-1.0) ** (l - n)
         return l, d
 
     # log sin(theta/2) is -inf on a north pole column, which the seed may
@@ -146,12 +164,13 @@ def iter_d_slices(L: int, n: int, theta, out=None):
         # seed row of the sweep: l = |n|, all |m| <= |n|
         cur = rows(l0)
         if l0 > 0:  # for n < 0, the n >= 0 row at -m times (-1)^(m+|n|)
-            mcol = np.arange(-l0, l0 + 1) * (1 if n >= 0 else -1)
-            half = 0.5 * np.array([_log_binom(2 * l0, l0 + m) for m in mcol])
-            np.exp(half[:, None] + np.outer(l0 + mcol, lc)
+            lo = -l0 if neg else 0
+            mcol = np.arange(lo, lo + len(cur)) * (1 if n >= 0 else -1)
+            logc = 0.5 * np.array([_log_binom(2 * l0, l0 + m) for m in mcol])
+            np.exp(logc[:, None] + np.outer(l0 + mcol, lc)
                    + np.outer(l0 - mcol, ls), out=cur)
-            if n < 0:  # row i holds m = i - |n|, so the sign is (-1)^i
-                cur[1::2] *= -1.0
+            if n < 0:  # row i holds m = lo + i, so the sign is (-1)^(i+lo+|n|)
+                cur[(1 + lo + l0) % 2::2] *= -1.0
         else:
             cur[...] = 1.0
     prev = None
@@ -160,35 +179,74 @@ def iter_d_slices(L: int, n: int, theta, out=None):
     scratch = np.empty((max(2 * L - 1, 0), nth))
     yield emit(l0, cur)
 
-    for l in range(l0, L):
-        # rows |m| <= l of degree l+1 come from the recursion, the two rows
+    steps = _step_terms(L, n, lc, ls, neg, pos)
+    for l, (c_next, c_prev, mn, upper, lower) in zip(range(l0, L), steps):
+        # rows |m| <= l of degree l+1 come from the recursion, the rows
         # |m| = l+1 enter with their closed-form boundary values
         nxt = rows(l + 1)
-        inner = nxt[1:-1]
+        inner = nxt[int(neg):int(neg) + len(cur)]  # the m of cur's rows
         if l == 0:  # degenerate first step (m = n = 0): Legendre P1 = x
-            np.multiply(x, cur[0], out=inner[0])
+            np.multiply(x, cur, out=inner)
         else:
-            # float rows: the subtraction below then casts no int64 column
-            # (exact either way, as every product here is an integer < 2^53)
-            m = np.arange(-l, l + 1, dtype=np.float64)
-            c_next = l * np.sqrt(((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - n * n))
             # inner = c_cur * cur, c_cur = (2l+1) (l(l+1) x - m n), in place
-            np.subtract(l * (l + 1) * x[None, :], (m * n)[:, None], out=inner)
+            np.subtract(l * (l + 1) * x[None, :], mn[:, None], out=inner)
             inner *= 2 * l + 1
             inner *= cur
             if prev is not None:  # prev holds rows |m| <= l-1; c_prev is 0 beyond
-                c_prev = (l + 1) * np.sqrt(
-                    np.maximum((l * l - m * m) * (l * l - n * n), 0))
-                inner[1:-1] -= np.multiply(c_prev[1:-1, None], prev,
-                                           out=scratch[:2 * l - 1])
+                a, b = int(neg), len(cur) - int(pos)
+                inner[a:b] -= np.multiply(c_prev[a:b, None], prev,
+                                          out=scratch[:b - a])
             inner /= c_next[:, None]
-        logc = 0.5 * _log_binom(2 * (l + 1), l + 1 + n)
-        nxt[-1] = (-1.0) ** (l + 1 - n) * np.exp(
-            logc + (l + 1 + n) * lc + (l + 1 - n) * ls)
-        logc = 0.5 * _log_binom(2 * (l + 1), l + 1 - n)
-        nxt[0] = np.exp(logc + (l + 1 - n) * lc + (l + 1 + n) * ls)
+        if pos:
+            nxt[-1] = upper
+        if neg:
+            nxt[0] = lower
         prev, cur = cur, nxt
         yield emit(l + 1, cur)
+
+
+def _step_terms(L: int, n: int, lc, ls, neg: bool, pos: bool):
+    """Yield the terms of the sweep's steps l -> l+1, l = |n| .. L-1: the
+    recursion's c_next, c_prev and m n over the rows m of degree l the
+    sweep holds (m < 0 if neg, then m >= 0 if pos), and the boundary rows
+    of degree l+1, m = l+1 if pos and m = -(l+1) if neg (else None), as
+    functions of the colatitudes through lc = log cos(theta/2) and
+    ls = log sin(theta/2).
+
+    They are computed for STEP_BLOCK steps at a time, so few numpy calls
+    run per step and one block's terms are held at once.  Each value goes
+    through the operations and rounding the step applied to it alone:
+    every product of the coefficients is an integer < 2^53, exact in
+    float64, so only their square roots and final products round.
+    """
+    for first in range(abs(n), L, STEP_BLOCK):
+        ell = np.arange(first, min(first + STEP_BLOCK, L))
+        sizes = ell * neg + (ell + 1) * pos  # rows m = -l..-1, then 0..l
+        starts = np.cumsum(sizes) - sizes
+        l = np.repeat(ell, sizes).astype(np.float64)
+        m = np.arange(sizes.sum()) - np.repeat(starts, sizes) - l * neg
+        c_next = l * np.sqrt(((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - n * n))
+        c_prev = (l + 1) * np.sqrt(
+            np.maximum((l * l - m * m) * (l * l - n * n), 0))
+        cuts = starts[1:]
+        k = ell + 1
+        upper = lower = [None] * ell.size
+        if pos:
+            logc = 0.5 * np.array([_log_binom(2 * d, d + n) for d in k.tolist()])
+            upper = np.where((k - n) % 2 == 0, 1.0, -1.0)[:, None] * np.exp(
+                logc[:, None] + np.outer(k + n, lc) + np.outer(k - n, ls))
+        if neg:
+            logc = 0.5 * np.array([_log_binom(2 * d, d - n) for d in k.tolist()])
+            lower = np.exp(logc[:, None] + np.outer(k - n, lc)
+                           + np.outer(k + n, ls))
+        yield from zip(np.split(c_next, cuts), np.split(c_prev, cuts),
+                       np.split(m * n, cuts), upper, lower)
+
+
+# steps per block of _step_terms: a j = 7 block (257 rings) holds 2 x 32
+# boundary rows, 132 KB, and three coefficient arrays of at most 122 KB; 64
+# steps timed the same and held 0.8 MB more at the peak of multilevel_j3_7
+STEP_BLOCK = 32
 
 
 def wigner_d_slice(l: int, n: int, beta: float) -> np.ndarray:
@@ -216,6 +274,15 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
     together, and one still read stays with its holder.  Each gap between
     written degrees is made to read as zero (see _zero_gaps).  Every value
     is computed anew.
+
+    A store of at least SPLIT_TABLE_BYTES, in a process with a spare CPU
+    (see has_spare_cpu), is filled by two sweeps: the orders mu < 0 on a
+    one-thread ThreadPoolExecutor, mu >= 0 on the caller's thread.  Each
+    writes only its own rows (see iter_d_slices), so the table has the bits
+    of one sweep.  The numpy products that do the work release the GIL.
+    The helper's Future re-raises what it raised, and leaving the executor
+    joins its thread, so no thread outlives the call.  Below that size
+    (j <= 6 at B = 2) a split costs more CPU than it saves wall time.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     shape = (L + 1, 2 * L + 1, theta.size)
@@ -237,13 +304,36 @@ def d_table(L: int, n: int, theta) -> np.ndarray:
         _last_store.append((buf, weakref.ref(flat)))
     store = flat.reshape(shape)
     _zero_gaps(buf, offset, store, n)
-    for _ in iter_d_slices(L, n, theta, out=store):
-        pass
+
+    def sweep(half=None):
+        for _ in iter_d_slices(L, n, theta, out=store, half=half):
+            pass
+
+    if nbytes < SPLIT_TABLE_BYTES or not has_spare_cpu():
+        sweep()
+    else:  # the orders mu < 0 on a helper thread, mu >= 0 on this one
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(sweep, -1)
+            sweep(+1)
+            helper.result()
     return store.transpose(1, 0, 2)
 
 
 # at most one (mapping, weak reference to its flat array) of d_table's last store
 _last_store: list = []
+# a table whose store spans at least this many bytes is swept on two threads
+# (see d_table): j >= 7 at B = 2, whose store spans 269 MB (j = 6: 34 MB)
+SPLIT_TABLE_BYTES = 2 ** 26
+
+
+def has_spare_cpu() -> bool:
+    """True when this process may run on 2 or more CPUs
+    (os.sched_getaffinity) and is not a multiprocessing child, whose sibling
+    workers already hold the other CPUs: a helper thread then has a core of
+    its own.  False where the platform cannot say (macOS, Windows)."""
+    return (hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and multiprocessing.parent_process() is None)
 
 
 def _zero_gaps(buf: mmap.mmap, offset: int, store: np.ndarray, n: int) -> None:

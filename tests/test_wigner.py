@@ -1,14 +1,20 @@
 """Tests for Wigner d recursion, spin harmonics and the degree kernel."""
 
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from itertools import zip_longest
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from spinlets import SphPoint, kernel_K, spin_sph_harm, wigner_d, wigner_d_slice
+from spinlets import (SphPoint, build_cubature, kernel_K, spin_sph_harm,
+                      wigner, wigner_d, wigner_d_slice)
 from spinlets.errors import IndexOutOfRangeError, InvalidDegreeError
+from spinlets.transform import level_band
 from spinlets.wigner import _lgamma, d_table, iter_d_slices, kernel_sum
 
 from oracles import (d_table_degree_major, iter_d_slices_buffered,
@@ -242,6 +248,120 @@ def test_d_table_exact_endpoint_columns(n, L):
                           np.where(swept & (mu == n), 1.0, 0.0))
     assert np.array_equal(table[:, :, 6],
                           np.where(swept & (mu == -n), (-1.0) ** (ell - n), 0.0))
+
+
+def _cpus(monkeypatch, n):
+    # the CPUs the process may run on, as wigner.has_spare_cpu reads them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _thread_spy(monkeypatch):
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+@pytest.mark.parametrize("n", [0, 2, -3, 5])
+def test_the_split_sweep_keeps_the_bits_of_one_sweep(n, monkeypatch):
+    # each half seeds its rows, enters its boundary row and overwrites the
+    # pole columns of its rows; theta holds both poles
+    started = _thread_spy(monkeypatch)
+    monkeypatch.setattr(wigner, "SPLIT_TABLE_BYTES", 0)
+    rng = np.random.default_rng(90 + n)
+    theta = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, 7)),
+                            [math.pi], rng.uniform(0.0, math.pi, 3), [0.0]])
+    for L in sorted({max(abs(n) - 1, 0), abs(n), abs(n) + 1, 7, 40}):
+        _cpus(monkeypatch, 1)
+        alone = d_table(L, n, theta)
+        _cpus(monkeypatch, 2)
+        started.clear()
+        shared = d_table(L, n, theta)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert shared.tobytes() == alone.tobytes(), (n, L)
+        # the halves' slices are the rows m < 0 and m >= 0 of the full sweep
+        for half, rows in ((-1, lambda l: slice(0, l)),
+                           (1, lambda l: slice(l, 2 * l + 1))):
+            for got, ref in zip_longest(iter_d_slices(L, n, theta, half=half),
+                                        iter_d_slices(L, n, theta)):
+                (l, d), (l_ref, d_ref) = got, ref
+                assert l == l_ref and d.tobytes() == d_ref[rows(l)].tobytes()
+
+
+def test_the_split_starts_at_level_7_and_not_at_level_6(monkeypatch):
+    # the j = 6 store spans 33.7 MB, under SPLIT_TABLE_BYTES; j = 7's 269 MB
+    started = _thread_spy(monkeypatch)
+    _cpus(monkeypatch, 2)
+    try:
+        for j, threads in ((6, 0), (7, 1)):
+            started.clear()
+            grid = build_cubature(j, 2.0)
+            L = level_band(grid, 2)
+            table = d_table(L, 2, grid.theta)
+            assert (table.nbytes >= wigner.SPLIT_TABLE_BYTES) == (threads > 0)
+            assert len(started) == threads, j
+            assert not any(t.is_alive() for t in started)
+            del table
+    finally:
+        wigner._last_store.clear()
+
+
+def test_one_usable_cpu_starts_no_helper(monkeypatch):
+    started = _thread_spy(monkeypatch)
+    monkeypatch.setattr(wigner, "SPLIT_TABLE_BYTES", 0)
+    _cpus(monkeypatch, 1)
+    d_table(12, 2, np.linspace(0.0, math.pi, 9))
+    assert started == []
+
+
+def _helpers_in_child():
+    started = _thread_spy(pytest.MonkeyPatch())
+    d_table(12, 2, np.linspace(0.0, math.pi, 9))
+    return len(started)
+
+
+def test_a_pool_worker_starts_no_helper(monkeypatch):
+    # a run_experiment worker's siblings hold the other CPUs; the forked
+    # child inherits the threshold and the two CPUs
+    monkeypatch.setattr(wigner, "SPLIT_TABLE_BYTES", 0)
+    _cpus(monkeypatch, 2)
+    with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(_helpers_in_child).result() == 0
+
+
+@pytest.mark.parametrize("side, error", [
+    (-1, ArithmeticError), (1, ArithmeticError),
+    (-1, KeyboardInterrupt), (1, KeyboardInterrupt)],
+    ids=["helper", "caller", "helper-KeyboardInterrupt",
+         "caller-KeyboardInterrupt"])
+def test_an_error_in_either_half_reaches_the_caller_and_leaves_no_thread(
+        side, error, monkeypatch):
+    # the helper sweeps mu < 0, the caller mu >= 0; KeyboardInterrupt is a
+    # BaseException, not an Exception
+    started = _thread_spy(monkeypatch)
+    monkeypatch.setattr(wigner, "SPLIT_TABLE_BYTES", 0)
+    _cpus(monkeypatch, 2)
+    sweep = wigner.iter_d_slices
+
+    def failing(L, n, theta, out=None, half=None):
+        for l, d in sweep(L, n, theta, out=out, half=half):
+            if half == side and l == 5:
+                raise error(f"half {half}")
+            yield l, d
+
+    monkeypatch.setattr(wigner, "iter_d_slices", failing)
+    before = threading.active_count()
+    with pytest.raises(error, match=f"half {side}"):
+        d_table(12, 2, np.linspace(0.0, math.pi, 9))
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("s", [-2, 0, 1, 2, 3])
